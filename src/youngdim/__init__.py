@@ -8,7 +8,7 @@ ground truth (`oracle`), best-first search for maximum-dimension
 diagrams (`search`), and run-record persistence (`records`).
 """
 
-from .diagram import Box, YoungDiagram, from_rows, reflected
+from .diagram import Box, YoungDiagram, reflected
 from .dimension import (
     compare_dims,
     count_syt_enumeration,
@@ -100,7 +100,6 @@ __all__ = [
     "edge_weight",
     "emit_records",
     "format_partition",
-    "from_rows",
     "greedy_grow",
     "greedy_sequence",
     "greedy_step",

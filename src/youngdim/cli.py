@@ -3,11 +3,12 @@
 Subcommands: dim, seq, search, improve, oracle, verify, ratios.  Growth
 and improvement commands emit JSON-lines run records; oracle table rows
 and search results are single JSON objects; ratios are CSV.  Global
-flags --threads, --seed and --max-exact-n may appear before or after
-the subcommand.
+flags --seed and --max-exact-n may appear before or after the
+subcommand.
 
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
-input, 3 a verification found a violation of a proven claim.
+input, 3 internal failure, which includes `verify theorem` finding a
+violation of a proven claim.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     CoreMembershipError,
     EmptyDiagramError,
     EmptySearchSpace,
+    InvalidDepth,
     InvalidK,
     InvalidM,
     InvalidPath,
@@ -44,7 +46,7 @@ from .records import (
     load_records,
     ratios_csv,
 )
-from .search import astar, sequence_improve
+from .search import astar, core_start, sequence_improve
 from .transforms import balance_sweep, reflection_hooks_sweep, symmetrize_sweep
 
 _INPUT_ERRORS = (
@@ -55,6 +57,7 @@ _INPUT_ERRORS = (
     SizeBoundExceeded,
     CoreMembershipError,
     EmptySearchSpace,
+    InvalidDepth,
     RecordSchemaError,
     KeyMismatch,
     NotAGrowthSequence,
@@ -66,24 +69,17 @@ _INPUT_ERRORS = (
 
 
 def _add_global_flags(parser, suppress: bool) -> None:
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=default if suppress else 1,
-        help="worker task count; never changes any output byte except timings",
-    )
     parser.add_argument(
         "--seed",
         type=int,
-        default=default if suppress else 0,
+        default=argparse.SUPPRESS if suppress else 0,
         help="base seed for randomized heuristics",
     )
     parser.add_argument(
         "--max-exact-n",
         type=int,
         dest="max_exact_n",
-        default=default if suppress else DEFAULT_MAX_EXACT_N,
+        default=argparse.SUPPRESS if suppress else DEFAULT_MAX_EXACT_N,
         help="largest size whose exact dimension is written into records",
     )
 
@@ -136,20 +132,10 @@ def _cmd_search_astar(args) -> int:
     if (args.n is None) == (args.depth is None):
         print("error: give exactly one of --n and --depth", file=sys.stderr)
         return 2
-    start = _parse_start(args.start)
-    mapped = False
-    if not start.in_core_subgraph():
-        flipped = start.conjugate()
-        if not flipped.in_core_subgraph():
-            raise CoreMembershipError(
-                f"neither {start.rows} nor its conjugate is in the core subgraph"
-            )
-        start, mapped = flipped, True
+    start, flipped = core_start(_parse_start(args.start))
     n_target = args.n if args.n is not None else start.size + args.depth
-    result = astar(
-        n_target, start=start, uniform_cost=args.uniform_cost, workers=args.threads
-    )
-    found = result.diagram.conjugate() if mapped else result.diagram
+    result = astar(n_target, start=start, uniform_cost=args.uniform_cost)
+    found = result.diagram.conjugate() if flipped else result.diagram
     payload = {
         "rows": format_partition(found),
         "n": found.size,
@@ -169,7 +155,7 @@ def _cmd_search_astar(args) -> int:
 def _cmd_improve(args) -> int:
     old = sorted(load_records(args.infile), key=lambda r: r.n)
     seq = [parse_partition(r.rows) for r in old]
-    outcome = sequence_improve(seq, args.depth, workers=args.threads)
+    outcome = sequence_improve(seq, args.depth)
     new_records = [
         record_for(d, "improve", args.max_exact_n) for d in outcome.sequence
     ]
@@ -195,14 +181,12 @@ def _entry_json(entry) -> str:
 
 
 def _cmd_oracle_max(args) -> int:
-    print(_entry_json(max_dimension_diagrams(args.n, workers=args.threads)))
+    print(_entry_json(max_dimension_diagrams(args.n)))
     return 0
 
 
 def _cmd_oracle_table(args) -> int:
-    lines = [
-        _entry_json(entry) for entry in max_table(args.max_n, workers=args.threads)
-    ]
+    lines = [_entry_json(entry) for entry in max_table(args.max_n)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -399,14 +383,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unknown_leading_flag(parser, argv) -> None:
+    """Name an unknown flag given before the subcommand.
+
+    argparse alone would read the flag's value as the subcommand name
+    and report that instead of the flag.
+    """
+    leading = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_global_flags(leading, suppress=True)
+    leading.add_argument("-h", "--help", action="store_true")
+    try:
+        _, rest = leading.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return
+    if rest and rest[0].startswith("-"):
+        parser.error(f"unrecognized arguments: {rest[0]}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    _reject_unknown_leading_flag(parser, argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

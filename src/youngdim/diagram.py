@@ -14,6 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import (
     BoxOutsideDiagram,
+    InvariantViolation,
     NegativeRowLength,
     NonMonotoneRows,
     NotAddable,
@@ -227,7 +228,7 @@ class YoungDiagram:
         """Boxes outside the base subdiagram, split into (above, below).
 
         Boxes on the main diagonal always belong to the base, which the
-        loop asserts rather than assumes.
+        loop checks rather than assumes.
         """
         base = self.base_subdiagram().rows
         up = set()
@@ -235,7 +236,8 @@ class YoungDiagram:
         for i, r in enumerate(self._rows, 1):
             b = base[i - 1] if i <= len(base) else 0
             for j in range(b + 1, r + 1):
-                assert j != i, "diagonal box escaped the base subdiagram"
+                if j == i:
+                    raise InvariantViolation("diagonal box escaped the base subdiagram")
                 (up if j > i else down).add(Box(i, j))
         return frozenset(up), frozenset(down)
 
@@ -257,8 +259,3 @@ class YoungDiagram:
         if up:
             return False
         return len({b.row for b in down}) == len(down)
-
-
-def from_rows(rows) -> YoungDiagram:
-    """Build a diagram from an iterable of row lengths."""
-    return YoungDiagram(rows)

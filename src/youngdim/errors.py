@@ -37,6 +37,10 @@ class SizeBoundExceeded(ValueError):
     """The diagram is larger than the configured bound for this routine."""
 
 
+class InvariantViolation(RuntimeError):
+    """Internal failure: an invariant the algorithms guarantee did not hold."""
+
+
 class NonDivisibleHookProduct(RuntimeError):
     """Internal failure: n! was not divisible by the hook product."""
 
@@ -51,6 +55,10 @@ class InvalidM(ValueError):
 
 class InvalidPath(ValueError):
     """A growth path contains a step that is not a valid box addition."""
+
+
+class InvalidDepth(ValueError):
+    """Search depth below 1."""
 
 
 class NoCoreChild(RuntimeError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._parallel import chunked, sharded_map
 from .diagram import YoungDiagram
 from .dimension import dim_exact
 from .errors import SizeBoundExceeded
@@ -68,7 +67,10 @@ class MaxTableEntry:
     dim: int
 
 
-def _best_of(diagrams) -> tuple[int, list[YoungDiagram]]:
+def _argmax_entry(n: int, bound: int, diagrams) -> MaxTableEntry:
+    """Every diagram of maximum dimension among `diagrams`, sorted by rows."""
+    if n < 1 or n > bound:
+        raise SizeBoundExceeded(f"n={n} outside exhaustive range 1..{bound}")
     best = -1
     arg: list[YoungDiagram] = []
     for lam in diagrams:
@@ -77,53 +79,28 @@ def _best_of(diagrams) -> tuple[int, list[YoungDiagram]]:
             best, arg = d, [lam]
         elif d == best:
             arg.append(lam)
-    return best, arg
-
-
-def _argmax_entry(n: int, diagrams: list[YoungDiagram], workers: int) -> MaxTableEntry:
-    shards = chunked(diagrams, workers) if workers > 1 else [diagrams]
-    best = -1
-    arg: list[YoungDiagram] = []
-    for shard_best, shard_arg in sharded_map(_best_of, shards, workers=workers):
-        if shard_best > best:
-            best, arg = shard_best, list(shard_arg)
-        elif shard_best == best:
-            arg.extend(shard_arg)
     arg.sort(key=lambda lam: lam.rows)
     return MaxTableEntry(n=n, maximizers=tuple(arg), dim=best)
 
 
-def max_dimension_diagrams(
-    n: int, *, bound: int = DEFAULT_BOUND, workers: int = 1
-) -> MaxTableEntry:
+def max_dimension_diagrams(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEntry:
     """Exact argmax of dimension over all partitions of n.
 
     Returns every maximizer; the set is closed under conjugation since
     conjugates share a dimension.
     """
-    if n < 1 or n > bound:
-        raise SizeBoundExceeded(f"n={n} outside exhaustive range 1..{bound}")
-    return _argmax_entry(n, list(partitions(n)), workers)
+    return _argmax_entry(n, bound, partitions(n))
 
 
-def max_dimension_core(
-    n: int, *, bound: int = DEFAULT_BOUND, workers: int = 1
-) -> MaxTableEntry:
+def max_dimension_core(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEntry:
     """Argmax of dimension over the partitions of n inside the core subgraph."""
-    if n < 1 or n > bound:
-        raise SizeBoundExceeded(f"n={n} outside exhaustive range 1..{bound}")
-    core = [lam for lam in partitions(n) if lam.in_core_subgraph()]
-    return _argmax_entry(n, core, workers)
+    core = (lam for lam in partitions(n) if lam.in_core_subgraph())
+    return _argmax_entry(n, bound, core)
 
 
-def max_table(
-    max_n: int, *, bound: int = DEFAULT_BOUND, workers: int = 1
-) -> list[MaxTableEntry]:
+def max_table(max_n: int, *, bound: int = DEFAULT_BOUND) -> list[MaxTableEntry]:
     """Maximum-dimension table for every size 1..max_n."""
-    return [
-        max_dimension_diagrams(n, bound=bound, workers=workers)
-        for n in range(1, max_n + 1)
-    ]
+    return [max_dimension_diagrams(n, bound=bound) for n in range(1, max_n + 1)]
 
 
 @dataclass
@@ -139,7 +116,6 @@ def verify_max_geometry(
     *,
     table: list[MaxTableEntry] | None = None,
     bound: int = DEFAULT_BOUND,
-    workers: int = 1,
 ) -> GeometryReport:
     """Check that every maximizer sits in the core subgraph up to conjugation.
 
@@ -148,7 +124,7 @@ def verify_max_geometry(
     observed regularities, not proven facts.
     """
     if table is None:
-        table = max_table(n_max, bound=bound, workers=workers)
+        table = max_table(n_max, bound=bound)
     checked = 0
     failures = []
     for entry in table:
@@ -176,11 +152,10 @@ def verify_one_box_claim(
     *,
     table: list[MaxTableEntry] | None = None,
     bound: int = DEFAULT_BOUND,
-    workers: int = 1,
 ) -> OneBoxReport:
     """Check that every maximizer has at most one box outside its base subdiagram."""
     if table is None:
-        table = max_table(n_max, bound=bound, workers=workers)
+        table = max_table(n_max, bound=bound)
     checked = 0
     exceptions = []
     for entry in table:

@@ -23,10 +23,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._parallel import sharded_map
 from .diagram import Box, YoungDiagram
 from .dimension import dim_exact, log_dim, normalized_dim
-from .errors import CoreMembershipError, EmptySearchSpace, NotAGrowthSequence
+from .errors import (
+    CoreMembershipError,
+    EmptySearchSpace,
+    InvalidDepth,
+    InvariantViolation,
+    NotAGrowthSequence,
+)
 from .plancherel import transition_prob
 
 
@@ -63,28 +68,24 @@ def edge_weight(diagram: YoungDiagram, box: Box) -> float:
     return transition_prob(diagram, box).weight
 
 
-def _candidates(diagram: YoungDiagram, workers: int = 1) -> list[_Candidate]:
+def _candidates(diagram: YoungDiagram) -> list[_Candidate]:
     """Core-preserving extensions of `diagram`, best dimension first.
 
     Ordering is by exact transition probability descending (equivalent
     to child dimension descending at a fixed parent), ties by ascending
     (row, col).
     """
-
-    def probe(box):
-        if not diagram.add_box(box).in_core_subgraph():
-            return None
-        edge = transition_prob(diagram, box)
-        return _Candidate(box=box, probability=edge.probability, weight=edge.weight)
-
-    probed = sharded_map(probe, diagram.addable_boxes(), workers=workers)
-    cands = [c for c in probed if c is not None]
+    cands = []
+    for box in diagram.addable_boxes():
+        if diagram.add_box(box).in_core_subgraph():
+            edge = transition_prob(diagram, box)
+            cands.append(_Candidate(box, edge.probability, edge.weight))
     cands.sort(key=lambda c: (-c.probability, c.box))
     return cands
 
 
 def tree_children(
-    node: TreeNode, *, workers: int = 1, candidates: list[_Candidate] | None = None
+    node: TreeNode, *, candidates: list[_Candidate] | None = None
 ) -> list[TreeNode]:
     """Children of a tree node, in candidate order.
 
@@ -93,7 +94,7 @@ def tree_children(
     paths can reach the same diagram.
     """
     if candidates is None:
-        candidates = _candidates(node.diagram, workers=workers)
+        candidates = _candidates(node.diagram)
     usable = [c for c in candidates if c.box not in node.forbidden]
     children = []
     for rank, cand in enumerate(usable):
@@ -131,7 +132,6 @@ def astar(
     *,
     start: YoungDiagram | None = None,
     uniform_cost: bool = False,
-    workers: int = 1,
 ) -> SearchResult:
     """Search the greedy path tree for a minimum-cost diagram at a level.
 
@@ -154,7 +154,7 @@ def astar(
     def cands(diagram):
         got = cache.get(diagram.rows)
         if got is None:
-            got = _candidates(diagram, workers=workers)
+            got = _candidates(diagram)
             cache[diagram.rows] = got
         return got
 
@@ -176,7 +176,8 @@ def astar(
     frontier_peak = len(heap)
     while heap:
         _, _, rows, _, node = heapq.heappop(heap)
-        assert rows not in closed, f"tree path uniqueness violated at {rows}"
+        if rows in closed:
+            raise InvariantViolation(f"tree path uniqueness violated at {rows}")
         closed.add(rows)
         if node.diagram.size == n_target:
             return SearchResult(
@@ -246,34 +247,32 @@ def tree_sweep(max_n: int) -> TreeSweep:
     )
 
 
-def local_improve(
-    diagram: YoungDiagram,
-    depth: int = 3,
-    *,
-    uniform_cost: bool = False,
-    workers: int = 1,
-) -> YoungDiagram:
-    """Grow a diagram by `depth` levels via the tree search.
+def core_start(diagram: YoungDiagram) -> tuple[YoungDiagram, bool]:
+    """A search start for `diagram` and whether it is the conjugate.
 
     A diagram outside the core subgraph is searched through its
-    conjugate and the result conjugated back; if neither side is in the
-    core subgraph the input is rejected.
+    conjugate, and the result must be conjugated back; if neither side
+    is in the core subgraph the diagram is rejected.
     """
+    if diagram.in_core_subgraph():
+        return diagram, False
+    flipped = diagram.conjugate()
+    if not flipped.in_core_subgraph():
+        raise CoreMembershipError(
+            f"neither {diagram.rows} nor its conjugate is in the core subgraph"
+        )
+    return flipped, True
+
+
+def local_improve(
+    diagram: YoungDiagram, depth: int = 3, *, uniform_cost: bool = False
+) -> YoungDiagram:
+    """Grow a diagram by `depth` levels via the tree search from `core_start`."""
     if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    start = diagram
-    mapped = False
-    if not start.in_core_subgraph():
-        flipped = start.conjugate()
-        if not flipped.in_core_subgraph():
-            raise CoreMembershipError(
-                f"neither {diagram.rows} nor its conjugate is in the core subgraph"
-            )
-        start, mapped = flipped, True
-    result = astar(
-        start.size + depth, start=start, uniform_cost=uniform_cost, workers=workers
-    )
-    return result.diagram.conjugate() if mapped else result.diagram
+        raise InvalidDepth(f"depth must be at least 1, got {depth}")
+    start, flipped = core_start(diagram)
+    result = astar(start.size + depth, start=start, uniform_cost=uniform_cost)
+    return result.diagram.conjugate() if flipped else result.diagram
 
 
 @dataclass(frozen=True)
@@ -284,11 +283,7 @@ class ImproveOutcome:
 
 
 def sequence_improve(
-    seq: list[YoungDiagram],
-    depth: int,
-    *,
-    uniform_cost: bool = False,
-    workers: int = 1,
+    seq: list[YoungDiagram], depth: int, *, uniform_cost: bool = False
 ) -> ImproveOutcome:
     """Try to replace each sequence element by a deep-searched competitor.
 
@@ -298,8 +293,6 @@ def sequence_improve(
     end are left alone, as are elements outside the core subgraph on
     both sides (their sizes are reported as skipped).
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
     for i, lam in enumerate(seq):
         if lam.size != i + 1:
             raise NotAGrowthSequence(
@@ -313,9 +306,7 @@ def sequence_improve(
         if tgt >= len(seq):
             break
         try:
-            cand = local_improve(
-                lam, depth, uniform_cost=uniform_cost, workers=workers
-            )
+            cand = local_improve(lam, depth, uniform_cost=uniform_cost)
         except CoreMembershipError:
             skipped.append(lam.size)
             continue

@@ -25,6 +25,7 @@ from .errors import (
     BalanceNotApplicable,
     DegenerateOverlap,
     InvalidResultShape,
+    InvariantViolation,
     NotAddable,
     PartitionError,
     ShapeBlocked,
@@ -180,7 +181,8 @@ def balance(diagram: YoungDiagram, index: int) -> TransformReport:
             raise ShapeBlocked(f"box {tuple(nxt)} is not addable", diagram=cur)
         cur = cur.add_box(nxt)
     new_d = cur.col_height(index) - cur.row_length(index)
-    assert new_d in (0, -1), f"balance left difference {new_d} at line {index}"
+    if new_d not in (0, -1):
+        raise InvariantViolation(f"balance left difference {new_d} at line {index}")
     return TransformReport(
         input=diagram,
         output=cur,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +14,12 @@ from youngdim import (
     max_dimension_core,
     parse_partition,
 )
+from youngdim import cli
 from youngdim.cli import main
+from youngdim.errors import NonDivisibleHookProduct
 from youngdim.records import record_to_json, record_for
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, argv):
@@ -135,6 +143,9 @@ def test_improve_pipeline(tmp_path, capsys):
     assert by_n["15"][3] == "true"
     assert float(by_n["15"][1]) == pytest.approx(292864 / 243243)
     assert by_n["14"][1:] == ["1.0", "0.0", "false"]
+    rc, _, err = run(capsys, ["improve", "--in", str(runs), "--depth", "0"])
+    assert rc == 2
+    assert err == "error: depth must be at least 1, got 0\n"
 
 
 def test_oracle_max_known_value(capsys):
@@ -188,7 +199,39 @@ def test_global_flags_work_on_either_side(capsys):
     assert json.loads(before)["dim"] is None
 
 
-def test_threads_flag_never_changes_output(capsys):
-    rc, one, _ = run(capsys, ["oracle", "table", "--max-n", "8"])
-    rc, eight, _ = run(capsys, ["oracle", "table", "--max-n", "8", "--threads", "8"])
-    assert one == eight
+def test_threads_flag_is_rejected(capsys):
+    before, after = ["--threads", "2", "dim", "4,2,2"], ["dim", "4,2,2", "--threads", "2"]
+    for argv in (before, after):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads" in captured.err
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise NonDivisibleHookProduct("8! is not divisible")
+
+    monkeypatch.setattr(cli, "record_for", broken)
+    rc, out, err = run(capsys, ["dim", "4,2,2"])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: NonDivisibleHookProduct: 8! is not divisible\n"
+
+
+def test_output_is_unchanged_under_python_O():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in (["oracle", "table", "--max-n", "8"], ["dim", "4,2,2"]):
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "youngdim.cli", *argv],
+                capture_output=True,
+                env=env,
+                check=False,
+            )
+            for flags in ([], ["-O"])
+        )
+        assert (plain.returncode, optimized.returncode) == (0, 0)
+        assert plain.stdout and optimized.stdout == plain.stdout

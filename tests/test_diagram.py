@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from youngdim import Box, YoungDiagram, from_rows, reflected
+from youngdim import Box, YoungDiagram, reflected
 from youngdim.errors import (
     BoxOutsideDiagram,
     NegativeRowLength,
@@ -20,7 +20,6 @@ def test_construction_basics():
     assert d.row_count == 3
     assert YoungDiagram([]).size == 0
     assert YoungDiagram([3, 1, 0, 0]).rows == (3, 1)
-    assert from_rows([2, 1]) == YoungDiagram((2, 1))
 
 
 def test_construction_rejects_bad_rows():

@@ -72,11 +72,6 @@ def test_max_dimension_bound_guard():
     assert entry.dim == 90
 
 
-def test_max_dimension_worker_count_is_invisible():
-    for n in (6, 11):
-        assert max_dimension_diagrams(n) == max_dimension_diagrams(n, workers=4)
-
-
 def test_max_table_matches_single_queries():
     table = max_table(9)
     assert [e.n for e in table] == list(range(1, 10))

@@ -101,17 +101,6 @@ def test_astar_trivial_and_error_cases():
         astar(9, start=YoungDiagram([4, 2, 2]))
 
 
-def test_astar_worker_count_is_invisible():
-    a = astar(12, workers=1)
-    b = astar(12, workers=4)
-    assert (a.diagram, a.dim, a.cost, a.nodes_expanded) == (
-        b.diagram,
-        b.dim,
-        b.cost,
-        b.nodes_expanded,
-    )
-
-
 def test_tree_sweep_covers_core_exactly_once():
     sweep = tree_sweep(10)
     assert sweep.duplicates == []
