@@ -13,7 +13,6 @@ from .dimension import (
     compare_dims,
     count_syt_enumeration,
     dim_exact,
-    dim_ratio_add,
     dim_recursive,
     hook_product,
     log_dim,
@@ -56,7 +55,6 @@ from .search import (
     SearchResult,
     TreeNode,
     astar,
-    edge_weight,
     local_improve,
     remaining_cost_estimate,
     sequence_improve,
@@ -95,9 +93,7 @@ __all__ = [
     "compare_dims",
     "count_syt_enumeration",
     "dim_exact",
-    "dim_ratio_add",
     "dim_recursive",
-    "edge_weight",
     "emit_records",
     "format_partition",
     "greedy_grow",

@@ -28,6 +28,7 @@ from .errors import (
     InvalidM,
     InvalidPath,
     KeyMismatch,
+    NoCoreChild,
     NotAGrowthSequence,
     PartitionError,
     RecordSchemaError,
@@ -60,6 +61,7 @@ _INPUT_ERRORS = (
     InvalidDepth,
     RecordSchemaError,
     KeyMismatch,
+    NoCoreChild,
     NotAGrowthSequence,
     BalanceNotApplicable,
     EmptyDiagramError,
@@ -132,6 +134,8 @@ def _cmd_search_astar(args) -> int:
     if (args.n is None) == (args.depth is None):
         print("error: give exactly one of --n and --depth", file=sys.stderr)
         return 2
+    if args.depth is not None and args.depth < 1:
+        raise InvalidDepth(f"depth must be at least 1, got {args.depth}")
     start, flipped = core_start(_parse_start(args.start))
     n_target = args.n if args.n is not None else start.size + args.depth
     result = astar(n_target, start=start, uniform_cost=args.uniform_cost)

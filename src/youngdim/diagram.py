@@ -10,6 +10,7 @@ between worker tasks and to use as cache keys.
 from __future__ import annotations
 
 import operator
+from itertools import zip_longest
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -242,20 +243,30 @@ class YoungDiagram:
         return frozenset(up), frozenset(down)
 
     def has_isolated_asymmetric_boxes(self) -> bool:
-        """True when no row and no column carries two asymmetric boxes."""
-        up, down = self.asymmetric_boxes()
-        boxes = up | down
-        rows_seen = {b.row for b in boxes}
-        cols_seen = {b.col for b in boxes}
-        return len(rows_seen) == len(boxes) and len(cols_seen) == len(boxes)
+        """True when no row and no column carries two asymmetric boxes.
+
+        Row i carries rows_i - conj_i asymmetric boxes when that is
+        positive, and column i carries conj_i - rows_i, so the test is
+        |rows_i - conj_i| <= 1 with both tuples padded by zeros.
+        """
+        return all(
+            -1 <= r - c <= 1
+            for r, c in zip_longest(self._rows, self.conjugate_rows(), fillvalue=0)
+        )
 
     def in_core_subgraph(self) -> bool:
         """Membership in the restricted growth graph used by the search.
 
         A diagram belongs to the core subgraph when every asymmetric box
-        lies below the main diagonal and no two of them share a row.
+        lies below the main diagonal and no two of them share a row:
+        each row i has rows_i <= conj_i, or exactly one extra box
+        (rows_i = conj_i + 1) in a column left of the diagonal
+        (rows_i < i).  conj_i is zero past the width.
         """
-        up, down = self.asymmetric_boxes()
-        if up:
-            return False
-        return len({b.row for b in down}) == len(down)
+        conj = self.conjugate_rows()
+        width = len(conj)
+        for i, r in enumerate(self._rows, 1):
+            c = conj[i - 1] if i <= width else 0
+            if r > c and (r != c + 1 or r >= i):
+                return False
+        return True

@@ -4,23 +4,19 @@ The dimension of a diagram with n boxes equals the number of standard
 tableaux of that shape, computed exactly as n! divided by the product of
 all hook lengths.  Two independent slow oracles (corner recursion and
 direct tableau enumeration) are provided for cross-checking, plus a
-log-domain variant for sizes where the integers get unwieldy.
+log-domain variant for sizes where the integers get unwieldy.  The
+ratio dim(diagram + box) / dim(diagram) is not computed here: it is
+(n + 1) times the transition probability, which `plancherel` computes
+from box contents without any hook lengths.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from .diagram import Box, YoungDiagram
-from .errors import (
-    EmptyDiagramError,
-    NonDivisibleHookProduct,
-    NotAddable,
-    SizeBoundExceeded,
-)
+from .diagram import YoungDiagram
+from .errors import EmptyDiagramError, NonDivisibleHookProduct, SizeBoundExceeded
 
 
 def hook_product(diagram: YoungDiagram) -> int:
@@ -132,32 +128,6 @@ def normalized_dim(diagram: YoungDiagram) -> float:
         raise EmptyDiagramError("normalized dimension undefined for the empty diagram")
     # + 0.0 turns IEEE -0.0 into 0.0 for the n = 1 case
     return (-1.0 / math.sqrt(n)) * (log_dim(diagram) - 0.5 * log_factorial(n)) + 0.0
-
-
-class DimRatio(NamedTuple):
-    value: Fraction
-    log: float
-
-
-def dim_ratio_add(diagram: YoungDiagram, box) -> DimRatio:
-    """Exact ratio dim(diagram + box) / dim(diagram) and its log.
-
-    Only hooks in the added box's row and column change, so the ratio is
-    (n+1) times the product of old/new hooks over those lines.
-    """
-    if not diagram.can_add(box):
-        raise NotAddable(f"cannot add box {tuple(box)} to {diagram.rows}")
-    bigger = diagram.add_box(box)
-    r, c = box
-    num = diagram.size + 1
-    den = 1
-    for j in range(1, diagram.row_length(r) + 1):
-        num *= diagram.hook_length(Box(r, j))
-        den *= bigger.hook_length(Box(r, j))
-    for i in range(1, diagram.col_height(c) + 1):
-        num *= diagram.hook_length(Box(i, c))
-        den *= bigger.hook_length(Box(i, c))
-    return DimRatio(Fraction(num, den), math.log(num) - math.log(den))
 
 
 def compare_dims(a: YoungDiagram, b: YoungDiagram) -> int:

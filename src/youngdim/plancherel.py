@@ -7,6 +7,14 @@ into shortest-path search: the cost of any growth path from the one-box
 diagram to a diagram of size n equals ln(n!) - ln(dim), independent of
 the route taken.
 
+The probabilities come from Kerov's transition measure (S. Kerov,
+Transition probabilities of continual Young diagrams and the Markov
+moment problem, Funct. Anal. Appl. 27, 1993).  Box (i, j) has content
+j - i.  The addable boxes have contents x_0 < ... < x_m, the removable
+corners have contents y_1 < ... < y_m interlacing them, and
+p(x_k) = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j): an exact
+rational from small-integer products, with no hook lengths.
+
 Also provides the greedy walk, the shaking perturbation, and the
 multi-branch heuristic built on top of both.
 """
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import Box, YoungDiagram
-from .dimension import compare_dims, dim_exact, dim_ratio_add
+from .dimension import compare_dims, dim_exact
 from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
 
 
@@ -27,16 +35,38 @@ from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
 class TransitionEdge:
     box: Box
     probability: Fraction
-    probability_float: float
     weight: float
 
 
 def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
-    """Exact transition probability for adding one box, with -ln weight."""
-    ratio = dim_ratio_add(diagram, box)
-    p = ratio.value / (diagram.size + 1)
+    """Exact transition probability for adding one box, with -ln weight.
+
+    Walks the runs of equal row lengths once: each run starts with an
+    addable box (content r - i for a run of length r starting after
+    row i) and ends with a corner; the new bottom row adds the addable
+    box of content -k.  The weight is taken from the reduced fraction.
+    """
+    if not diagram.can_add(box):
+        raise NotAddable(f"cannot add box {tuple(box)} to {diagram.rows}")
+    x = box[1] - box[0]
+    rows = diagram.rows
+    num = den = 1
+    prev = 0
+    for i, r in enumerate(rows):
+        if r != prev:
+            if i:
+                num *= x - prev + i
+            if r - i != x:
+                den *= x - r + i
+            prev = r
+    k = len(rows)
+    if k:
+        num *= x - prev + k
+    if x != -k:
+        den *= x + k
+    p = Fraction(num, den)
     weight = math.log(p.denominator) - math.log(p.numerator)
-    return TransitionEdge(Box(*box), p, float(p), weight)
+    return TransitionEdge(Box(*box), p, weight)
 
 
 def transition_edges(

@@ -21,9 +21,8 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .diagram import Box, YoungDiagram
+from .diagram import YoungDiagram
 from .dimension import dim_exact, log_dim, normalized_dim
 from .errors import (
     CoreMembershipError,
@@ -32,7 +31,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .plancherel import transition_prob
+from .plancherel import TransitionEdge, transition_edges
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,6 @@ class TreeNode:
     forbidden: frozenset
     g: float
     depth: int
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    box: Box
-    probability: Fraction
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -63,29 +55,21 @@ class SearchResult:
     mode: str
 
 
-def edge_weight(diagram: YoungDiagram, box: Box) -> float:
-    """Negative log transition probability of adding `box`."""
-    return transition_prob(diagram, box).weight
-
-
-def _candidates(diagram: YoungDiagram) -> list[_Candidate]:
+def _candidates(diagram: YoungDiagram) -> list[TransitionEdge]:
     """Core-preserving extensions of `diagram`, best dimension first.
 
     Ordering is by exact transition probability descending (equivalent
     to child dimension descending at a fixed parent), ties by ascending
-    (row, col).
+    (row, col).  A core diagram always has a core child, the new bottom
+    row, so a search inside the core subgraph never sees NoCoreChild.
     """
-    cands = []
-    for box in diagram.addable_boxes():
-        if diagram.add_box(box).in_core_subgraph():
-            edge = transition_prob(diagram, box)
-            cands.append(_Candidate(box, edge.probability, edge.weight))
-    cands.sort(key=lambda c: (-c.probability, c.box))
-    return cands
+    edges = transition_edges(diagram, restrict_core=True)
+    edges.sort(key=lambda e: (-e.probability, e.box))
+    return edges
 
 
 def tree_children(
-    node: TreeNode, *, candidates: list[_Candidate] | None = None
+    node: TreeNode, *, candidates: list[TransitionEdge] | None = None
 ) -> list[TreeNode]:
     """Children of a tree node, in candidate order.
 
@@ -111,7 +95,7 @@ def tree_children(
 
 
 def remaining_cost_estimate(
-    node: TreeNode, n_target: int, candidates: list[_Candidate]
+    node: TreeNode, n_target: int, candidates: list[TransitionEdge]
 ) -> float:
     """Cheapest outgoing edge times the number of levels left to climb.
 
@@ -149,7 +133,7 @@ def astar(
             f"target level {n_target} is below the start size {start.size}"
         )
     t0 = time.perf_counter()
-    cache: dict[tuple, list[_Candidate]] = {}
+    cache: dict[tuple, list[TransitionEdge]] = {}
 
     def cands(diagram):
         got = cache.get(diagram.rows)

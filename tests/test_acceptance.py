@@ -170,11 +170,11 @@ def test_06_maximizer_geometry_bound(table_40):
 
 
 def test_07_uniform_cost_matches_exhaustive_core_max():
-    for n in range(1, 23):
+    for n in range(1, 31):
         res = astar(n, uniform_cost=True)
         entry = max_dimension_core(n)
         assert res.dim == entry.dim
-        assert res.diagram.rows in {m.rows for m in entry.maximizers}
+        assert res.diagram.rows == min(m.rows for m in entry.maximizers)
         want = log_factorial(n) - log_dim(res.diagram)
         assert abs(res.cost - want) <= COST_TOL
     sweep = tree_sweep(18)

@@ -78,6 +78,15 @@ def test_seq_flag_conflicts(capsys):
     assert rc == 2
 
 
+def test_seq_restrict_core_dead_end_start(capsys):
+    rc, out, err = run(capsys, ["seq", "--n", "5", "--start", "3", "--restrict-core"])
+    assert (rc, out) == (2, "")
+    assert err == "error: no core-subgraph child for (3,)\n"
+    rc, out, _ = run(capsys, ["seq", "--n", "3", "--start", "2", "--restrict-core"])
+    assert rc == 0
+    assert [json.loads(x)["rows"] for x in out.strip().splitlines()] == ["2", "2,1"]
+
+
 def test_seq_shake_source_tag(capsys):
     rc, out, _ = run(capsys, ["seq", "--n", "8", "--start", "2,1", "--shake", "1"])
     assert rc == 0
@@ -121,6 +130,9 @@ def test_search_astar_argument_errors(capsys):
     rc, _, err = run(capsys, ["search", "astar", "--n", "9", "--start", "4,2,2"])
     assert rc == 2
     assert "core" in err
+    rc, out, err = run(capsys, ["search", "astar", "--depth", "0"])
+    assert (rc, out) == (2, "")
+    assert err == "error: depth must be at least 1, got 0\n"
 
 
 def test_improve_pipeline(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from youngdim import Box, YoungDiagram, reflected
+from youngdim import Box, YoungDiagram, partitions, reflected
 from youngdim.errors import (
     BoxOutsideDiagram,
     NegativeRowLength,
@@ -186,6 +186,20 @@ def test_in_core_subgraph_known_values():
     assert YoungDiagram([3, 1, 1]).in_core_subgraph()
     assert YoungDiagram([2, 1, 1, 1]).in_core_subgraph()
     assert not YoungDiagram([3, 3, 3, 3]).in_core_subgraph()
+
+
+def test_integer_core_tests_match_box_sets_exhaustive():
+    # the definitions, read off the asymmetric box sets
+    for n in range(0, 23):
+        for d in partitions(n):
+            up, down = d.asymmetric_boxes()
+            boxes = up | down
+            core = not up and len({b.row for b in down}) == len(down)
+            isolated = len({b.row for b in boxes}) == len(boxes) == len(
+                {b.col for b in boxes}
+            )
+            assert d.in_core_subgraph() == core, d.rows
+            assert d.has_isolated_asymmetric_boxes() == isolated, d.rows
 
 
 @given(partition_diagrams())

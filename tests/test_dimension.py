@@ -10,16 +10,16 @@ from youngdim import (
     compare_dims,
     count_syt_enumeration,
     dim_exact,
-    dim_ratio_add,
     dim_recursive,
     log_dim,
     log_factorial,
     normalized_dim,
     partitions,
+    transition_prob,
 )
 from youngdim.errors import EmptyDiagramError, NotAddable, SizeBoundExceeded
 
-from conftest import partition_diagrams, random_diagram
+from conftest import hook_ratio, partition_diagrams, random_diagram
 
 KNOWN_DIMS = {
     (): 1,
@@ -130,21 +130,22 @@ def test_normalized_dim_orders_like_exact_dim():
         assert [dim_exact(l) for l in by_c] == [dim_exact(l) for l in by_dim]
 
 
-def test_dim_ratio_add_known_values():
-    assert dim_ratio_add(YoungDiagram([]), Box(1, 1)).value == 1
-    assert dim_ratio_add(YoungDiagram([2]), Box(2, 1)).value == 2
-    assert dim_ratio_add(YoungDiagram([2, 1]), Box(1, 3)).value == Fraction(3, 2)
+def test_hook_ratio_oracle_known_values():
+    assert hook_ratio(YoungDiagram([]), Box(1, 1)) == 1
+    assert hook_ratio(YoungDiagram([2]), Box(2, 1)) == 2
+    assert hook_ratio(YoungDiagram([2, 1]), Box(1, 3)) == Fraction(3, 2)
     with pytest.raises(NotAddable):
-        dim_ratio_add(YoungDiagram([2]), Box(1, 2))
+        hook_ratio(YoungDiagram([2]), Box(1, 2))
 
 
-def test_dim_ratio_add_random_identity(rng):
+def test_hook_ratio_oracle_random_identity(rng):
     for _ in range(120):
         lam = random_diagram(rng.randrange(1, 41), rng)
         b = rng.choice(lam.addable_boxes())
-        ratio = dim_ratio_add(lam, b)
-        assert ratio.value * dim_exact(lam) == dim_exact(lam.add_box(b))
-        assert abs(ratio.log - math.log(ratio.value)) < 1e-9
+        ratio = hook_ratio(lam, b)
+        assert ratio * dim_exact(lam) == dim_exact(lam.add_box(b))
+        weight = transition_prob(lam, b).weight
+        assert abs(weight + math.log(ratio / (lam.size + 1))) < 1e-9
 
 
 def test_compare_dims():

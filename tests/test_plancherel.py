@@ -28,7 +28,7 @@ from youngdim.errors import (
     NotAddable,
 )
 
-from conftest import partition_diagrams, random_diagram, random_growth_path
+from conftest import hook_ratio, partition_diagrams, random_diagram, random_growth_path
 
 
 def test_transition_prob_known_values():
@@ -46,7 +46,6 @@ def test_transition_weight_is_negative_log():
     edge = transition_prob(YoungDiagram([2]), Box(2, 1))
     assert abs(edge.weight - (-math.log(2 / 3))) < 1e-12
     assert edge.weight >= 0
-    assert edge.probability_float == pytest.approx(2 / 3)
 
 
 def test_transition_probabilities_sum_to_one_exhaustive():
@@ -54,6 +53,23 @@ def test_transition_probabilities_sum_to_one_exhaustive():
         for lam in partitions(n):
             total = sum(e.probability for e in transition_edges(lam))
             assert total == 1, lam.rows
+
+
+def test_transition_prob_matches_hook_ratio_exhaustive():
+    for n in range(0, 23):
+        for lam in partitions(n):
+            for b in lam.addable_boxes():
+                want = hook_ratio(lam, b) / (n + 1)
+                assert transition_prob(lam, b).probability == want, (lam.rows, b)
+
+
+@given(partition_diagrams(max_n=80))
+def test_transition_prob_matches_hook_ratio_large(d):
+    for b in d.addable_boxes():
+        edge = transition_prob(d, b)
+        want = hook_ratio(d, b) / (d.size + 1)
+        assert edge.probability == want
+        assert edge.weight == math.log(want.denominator) - math.log(want.numerator)
 
 
 @given(partition_diagrams())

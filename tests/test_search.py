@@ -14,6 +14,7 @@ from youngdim import (
     max_dimension_core,
     partitions,
     sequence_improve,
+    transition_prob,
     tree_sweep,
 )
 from youngdim.errors import (
@@ -24,16 +25,18 @@ from youngdim.errors import (
 from youngdim.search import (
     TreeNode,
     _candidates,
-    edge_weight,
     remaining_cost_estimate,
     tree_children,
 )
 
 
 def test_edge_weight_known_values():
-    assert edge_weight(YoungDiagram([1]), Box(2, 1)) == pytest.approx(math.log(2))
-    assert edge_weight(YoungDiagram([2]), Box(1, 3)) == pytest.approx(math.log(3))
-    assert edge_weight(YoungDiagram([2]), Box(2, 1)) == pytest.approx(math.log(3) - math.log(2))
+    def weight(rows, box):
+        return transition_prob(YoungDiagram(rows), box).weight
+
+    assert weight([1], Box(2, 1)) == pytest.approx(math.log(2))
+    assert weight([2], Box(1, 3)) == pytest.approx(math.log(3))
+    assert weight([2], Box(2, 1)) == pytest.approx(math.log(3) - math.log(2))
 
 
 def test_tree_children_of_the_root():
@@ -88,6 +91,21 @@ def test_heuristic_search_beats_greedy_and_counts_less():
         assert res.dim >= dim_exact(greedy_sequence(n)[-1])
         exact = astar(n, uniform_cost=True)
         assert res.nodes_expanded <= exact.nodes_expanded
+
+
+def test_heuristic_search_is_pinned():
+    # heuristic results hang on float tie-breaks, so any drift in an
+    # edge weight shows up here
+    for n, rows, expanded, peak in (
+        (60, (12, 10, 8, 7, 5, 5, 4, 3, 2, 2, 1, 1), 394, 518),
+        (90, (15, 13, 11, 8, 8, 7, 6, 5, 4, 3, 3, 2, 2, 1, 1, 1), 1991, 2882),
+    ):
+        res = astar(n)
+        assert (res.diagram.rows, res.nodes_expanded, res.frontier_peak) == (
+            rows,
+            expanded,
+            peak,
+        )
 
 
 def test_astar_trivial_and_error_cases():
