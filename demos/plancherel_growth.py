@@ -25,8 +25,8 @@ from youngdim import (
     transition_edges,
 )
 
-# The outgoing edges of (2, 1): three addable boxes, probabilities
-# summing to exactly one.
+# The outgoing edges of (2, 1), most probable first: three addable
+# boxes, probabilities summing to exactly one.
 lam = YoungDiagram([2, 1])
 for e in transition_edges(lam):
     print("add", tuple(e.box), "probability", e.probability, "weight %.4f" % e.weight)

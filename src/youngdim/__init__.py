@@ -10,7 +10,6 @@ diagrams (`search`), and run-record persistence (`records`).
 
 from .diagram import Box, YoungDiagram, reflected
 from .dimension import (
-    compare_dims,
     count_syt_enumeration,
     dim_exact,
     dim_recursive,
@@ -90,7 +89,6 @@ __all__ = [
     "balance_to_core",
     "branches",
     "check_reflection_hook_identities",
-    "compare_dims",
     "count_syt_enumeration",
     "dim_exact",
     "dim_recursive",

@@ -129,18 +129,3 @@ def normalized_dim(diagram: YoungDiagram) -> float:
     # + 0.0 turns IEEE -0.0 into 0.0 for the n = 1 case
     return (-1.0 / math.sqrt(n)) * (log_dim(diagram) - 0.5 * log_factorial(n)) + 0.0
 
-
-def compare_dims(a: YoungDiagram, b: YoungDiagram) -> int:
-    """Three-way exact comparison of dimensions.
-
-    Log dimensions decide when they differ by more than 1e-6; anything
-    closer falls back to exact integers, so the result is always the
-    exact order.
-    """
-    la, lb = log_dim(a), log_dim(b)
-    if la - lb > 1e-6:
-        return 1
-    if lb - la > 1e-6:
-        return -1
-    da, db = dim_exact(a), dim_exact(b)
-    return (da > db) - (da < db)

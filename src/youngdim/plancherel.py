@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import Box, YoungDiagram
-from .dimension import compare_dims, dim_exact
+from .dimension import dim_exact
 from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
 
 
@@ -72,9 +72,11 @@ def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
 def transition_edges(
     diagram: YoungDiagram, restrict_core: bool = False
 ) -> list[TransitionEdge]:
-    """Edges for every addable box, ascending by (row, col).
+    """Edges for every addable box, best first.
 
-    With restrict_core, only boxes whose addition stays inside the core
+    Ordered by exact probability descending (equivalently, child
+    dimension descending), ties by ascending (row, col).  With
+    restrict_core, only boxes whose addition stays inside the core
     subgraph are kept; NoCoreChild is raised when none do.
     """
     edges = []
@@ -84,6 +86,8 @@ def transition_edges(
         edges.append(transition_prob(diagram, b))
     if restrict_core and not edges:
         raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
+    # addable_boxes ascends by (row, col) and a reversed sort is stable
+    edges.sort(key=lambda e: e.probability, reverse=True)
     return edges
 
 
@@ -124,7 +128,7 @@ def greedy_step(
     edges = transition_edges(diagram, restrict_core)
     if mirror_ties:
         return min(edges, key=lambda e: (-e.probability, (e.box.col, e.box.row)))
-    return min(edges, key=lambda e: (-e.probability, e.box))
+    return edges[0]
 
 
 def greedy_grow(
@@ -192,8 +196,7 @@ def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiag
     rng = random.Random(seed)
     cur = diagram
     for _ in range(k):
-        ranked = sorted(transition_edges(cur), key=lambda e: (-e.probability, e.box))
-        pool = ranked[: min(m, len(ranked))]
+        pool = transition_edges(cur)[:m]
         cur = cur.add_box(pool[rng.randrange(len(pool))].box)
     for _ in range(k):
         ranked = _removal_ranking(cur)
@@ -222,13 +225,7 @@ def branches(
         for s in range(m)
     ]
     grown = [greedy_grow(s, target) for s in starts]
-    best = []
-    for idx in range(target - diagram.size + 1):
-        pick = grown[0][idx]
-        for seq in grown[1:]:
-            cand = seq[idx]
-            cmp = compare_dims(cand, pick)
-            if cmp > 0 or (cmp == 0 and cand.rows < pick.rows):
-                pick = cand
-        best.append(pick)
-    return best
+    return [
+        min(same_size, key=lambda d: (-dim_exact(d), d.rows))
+        for same_size in zip(*grown)
+    ]

@@ -1,18 +1,21 @@
 """Best-first search for high-dimension diagrams inside the core subgraph.
 
-The search space is a spanning tree of the core subgraph: children of a
-node are its core-preserving single-box extensions ordered by resulting
-dimension, and picking a lower-ranked child forbids every higher-ranked
-box in that whole subtree.  That exclusion rule makes root paths unique,
-so the tree covers each core diagram exactly once and A* needs no
+The search space is a spanning tree of the core subgraph.  A node is a
+diagram plus a bitmask of frozen rows.  Its children are the
+core-preserving single-box extensions in unfrozen rows (row k + 1 for
+the box that starts a new row), best transition probability first, and
+picking a lower-ranked child freezes the row of every better-ranked
+box in that whole subtree.  A frozen row's addable box stays the same
+until it is added, so no two root paths reach the same diagram: the
+tree covers each core diagram exactly once and A* needs no
 re-expansion logic.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
-highest dimension.  The heuristic scales a node's cheapest outgoing edge
-by the remaining level count; it is fast but carries no optimality
-guarantee.  Uniform-cost mode (h = 0) is exact and is what the oracle
-comparisons test against.
+highest dimension.  The heuristic scales a node's cheapest unfrozen
+outgoing edge by the remaining level count; it is fast but carries no
+optimality guarantee.  Uniform-cost mode (h = 0) is exact and is what
+the oracle comparisons test against.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from .plancherel import TransitionEdge, transition_edges
 
 @dataclass(frozen=True)
 class TreeNode:
+    """A search-tree node; bit r of `frozen` set means row r never grows."""
+
     diagram: YoungDiagram
-    forbidden: frozenset
+    frozen: int
     g: float
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -55,49 +59,34 @@ class SearchResult:
     mode: str
 
 
-def _candidates(diagram: YoungDiagram) -> list[TransitionEdge]:
-    """Core-preserving extensions of `diagram`, best dimension first.
-
-    Ordering is by exact transition probability descending (equivalent
-    to child dimension descending at a fixed parent), ties by ascending
-    (row, col).  A core diagram always has a core child, the new bottom
-    row, so a search inside the core subgraph never sees NoCoreChild.
-    """
-    edges = transition_edges(diagram, restrict_core=True)
-    edges.sort(key=lambda e: (-e.probability, e.box))
-    return edges
-
-
 def tree_children(
     node: TreeNode, *, candidates: list[TransitionEdge] | None = None
 ) -> list[TreeNode]:
     """Children of a tree node, in candidate order.
 
-    The child through the r-th candidate box inherits the parent's
-    forbidden set plus every candidate ranked before r, so no two root
-    paths can reach the same diagram.
+    The child through the r-th unfrozen candidate inherits the parent's
+    frozen rows plus the rows of every candidate ranked before r, so no
+    two root paths can reach the same diagram.
     """
     if candidates is None:
-        candidates = _candidates(node.diagram)
-    usable = [c for c in candidates if c.box not in node.forbidden]
+        candidates = transition_edges(node.diagram, restrict_core=True)
+    frozen = node.frozen
     children = []
-    for rank, cand in enumerate(usable):
-        better = frozenset(c.box for c in usable[:rank])
+    for cand in candidates:
+        bit = 1 << cand.box.row
+        if frozen & bit:
+            continue
         children.append(
-            TreeNode(
-                diagram=node.diagram.add_box(cand.box),
-                forbidden=node.forbidden | better,
-                g=node.g + cand.weight,
-                depth=node.depth + 1,
-            )
+            TreeNode(node.diagram.add_box(cand.box), frozen, node.g + cand.weight)
         )
+        frozen |= bit
     return children
 
 
 def remaining_cost_estimate(
     node: TreeNode, n_target: int, candidates: list[TransitionEdge]
 ) -> float:
-    """Cheapest outgoing edge times the number of levels left to climb.
+    """Cheapest unfrozen outgoing edge times the number of levels left.
 
     Zero at the target level and at dead ends.  Not admissible in
     general: deeper levels can have cheaper edges.
@@ -105,7 +94,7 @@ def remaining_cost_estimate(
     levels = n_target - node.diagram.size
     if levels <= 0:
         return 0.0
-    usable = [c.weight for c in candidates if c.box not in node.forbidden]
+    usable = [c.weight for c in candidates if not node.frozen & 1 << c.box.row]
     if not usable:
         return 0.0
     return min(usable) * levels
@@ -138,7 +127,8 @@ def astar(
     def cands(diagram):
         got = cache.get(diagram.rows)
         if got is None:
-            got = _candidates(diagram)
+            # never NoCoreChild: a new bottom row keeps a core diagram in the core
+            got = transition_edges(diagram, restrict_core=True)
             cache[diagram.rows] = got
         return got
 
@@ -154,7 +144,7 @@ def astar(
             heap, (node.g + h, -node.g, node.diagram.rows, next(tick), node)
         )
 
-    push(TreeNode(diagram=start, forbidden=frozenset(), g=0.0, depth=0))
+    push(TreeNode(start, 0, 0.0))
     closed: set[tuple] = set()
     nodes_expanded = 0
     frontier_peak = len(heap)
@@ -199,14 +189,14 @@ def tree_sweep(max_n: int) -> TreeSweep:
 
     Every core diagram of every size up to max_n must be visited exactly
     once.  Dead ends (nodes below the last level with no children) are
-    recorded; the forbidden sets make these possible, and the heuristic
+    recorded; the frozen rows make these possible, and the heuristic
     relies on them reporting a zero remaining-cost estimate.
     """
     from .oracle import partitions
 
     counts: dict[tuple, int] = {}
     dead_ends = []
-    stack = [TreeNode(diagram=YoungDiagram((1,)), forbidden=frozenset(), g=0.0, depth=0)]
+    stack = [TreeNode(YoungDiagram((1,)), 0, 0.0)]
     while stack:
         node = stack.pop()
         rows = node.diagram.rows
@@ -277,6 +267,8 @@ def sequence_improve(
     end are left alone, as are elements outside the core subgraph on
     both sides (their sizes are reported as skipped).
     """
+    if depth < 1:
+        raise InvalidDepth(f"depth must be at least 1, got {depth}")
     for i, lam in enumerate(seq):
         if lam.size != i + 1:
             raise NotAGrowthSequence(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings, strategies as st
 
-from youngdim import Box, GrowthPath, YoungDiagram
+from youngdim import Box, GrowthPath, YoungDiagram, transition_edges
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -44,6 +44,30 @@ def hook_ratio(diagram, box):
         num *= diagram.hook_length(Box(i, c))
         den *= bigger.hook_length(Box(i, c))
     return Fraction(num, den)
+
+
+def forbidden_set_children(diagram, forbidden, g):
+    """Children of a search-tree node under the forbidden-box rule.
+
+    Candidates are the core-preserving boxes, exact probability
+    descending and then box ascending; the child through the r-th
+    allowed candidate forbids the allowed candidates ranked before it.
+    Returns (diagram, forbidden, g) triples.  The library freezes whole
+    rows in an integer mask instead; this set form is the cross-check.
+    """
+    cands = sorted(
+        transition_edges(diagram, restrict_core=True),
+        key=lambda e: (-e.probability, e.box),
+    )
+    usable = [c for c in cands if c.box not in forbidden]
+    return [
+        (
+            diagram.add_box(c.box),
+            forbidden | frozenset(u.box for u in usable[:rank]),
+            g + c.weight,
+        )
+        for rank, c in enumerate(usable)
+    ]
 
 
 def random_diagram(n, rng):

@@ -187,6 +187,7 @@ def test_07_uniform_cost_matches_exhaustive_core_max():
         if lam.in_core_subgraph()
     )
     assert sweep.visited == census
+    assert len(sweep.dead_ends) == 27
     _gate(7, "uniform cost matches exhaustive core max")
 
 

@@ -155,9 +155,12 @@ def test_improve_pipeline(tmp_path, capsys):
     assert by_n["15"][3] == "true"
     assert float(by_n["15"][1]) == pytest.approx(292864 / 243243)
     assert by_n["14"][1:] == ["1.0", "0.0", "false"]
-    rc, _, err = run(capsys, ["improve", "--in", str(runs), "--depth", "0"])
-    assert rc == 2
-    assert err == "error: depth must be at least 1, got 0\n"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for path in (runs, empty):
+        rc, _, err = run(capsys, ["improve", "--in", str(path), "--depth", "0"])
+        assert rc == 2
+        assert err == "error: depth must be at least 1, got 0\n"
 
 
 def test_oracle_max_known_value(capsys):

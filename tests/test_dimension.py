@@ -7,7 +7,6 @@ from hypothesis import given
 from youngdim import (
     Box,
     YoungDiagram,
-    compare_dims,
     count_syt_enumeration,
     dim_exact,
     dim_recursive,
@@ -146,11 +145,3 @@ def test_hook_ratio_oracle_random_identity(rng):
         assert ratio * dim_exact(lam) == dim_exact(lam.add_box(b))
         weight = transition_prob(lam, b).weight
         assert abs(weight + math.log(ratio / (lam.size + 1))) < 1e-9
-
-
-def test_compare_dims():
-    assert compare_dims(YoungDiagram([3, 1]), YoungDiagram([2, 2])) == 1
-    assert compare_dims(YoungDiagram([2, 2]), YoungDiagram([3, 1])) == -1
-    # conjugates tie exactly, forcing the big-integer fallback
-    assert compare_dims(YoungDiagram([4, 2, 2]), YoungDiagram([3, 3, 1, 1])) == 0
-    assert compare_dims(YoungDiagram([1]), YoungDiagram([1, 1])) == 0

@@ -81,6 +81,15 @@ def test_transition_conjugation_equivariance(d):
         assert mirrored.probability == edge.probability
 
 
+def test_transition_edges_are_best_first():
+    for n in range(1, 13):
+        for lam in partitions(n):
+            edges = transition_edges(lam)
+            assert sorted(e.box for e in edges) == sorted(lam.addable_boxes())
+            keys = [(-e.probability, e.box) for e in edges]
+            assert keys == sorted(keys)
+
+
 def test_transition_edges_restrict_core():
     edges = transition_edges(YoungDiagram([1]), restrict_core=True)
     assert [e.box for e in edges] == [Box(2, 1)]

@@ -14,6 +14,7 @@ from youngdim import (
     max_dimension_core,
     partitions,
     sequence_improve,
+    transition_edges,
     transition_prob,
     tree_sweep,
 )
@@ -24,10 +25,11 @@ from youngdim.errors import (
 )
 from youngdim.search import (
     TreeNode,
-    _candidates,
     remaining_cost_estimate,
     tree_children,
 )
+
+from conftest import forbidden_set_children
 
 
 def test_edge_weight_known_values():
@@ -40,37 +42,59 @@ def test_edge_weight_known_values():
 
 
 def test_tree_children_of_the_root():
-    root = TreeNode(YoungDiagram([1]), frozenset(), 0.0, 0)
+    root = TreeNode(YoungDiagram([1]), 0, 0.0)
     kids = tree_children(root)
     # [2] has a box above the diagonal, so the only child kept is [1,1]
     assert [k.diagram.rows for k in kids] == [(1, 1)]
-    assert kids[0].forbidden == frozenset()
-    assert kids[0].depth == 1
+    assert kids[0].frozen == 0
     assert kids[0].g == pytest.approx(math.log(2))
 
 
-def test_tree_children_rank_and_forbid():
-    node = TreeNode(YoungDiagram([2, 1]), frozenset(), 0.0, 0)
+def test_tree_children_rank_and_freeze():
+    node = TreeNode(YoungDiagram([2, 1]), 0, 0.0)
     kids = tree_children(node)
     assert [k.diagram.rows for k in kids] == [(2, 1, 1), (2, 2)]
-    # the lower-ranked sibling loses access to the winner's box
-    assert kids[0].forbidden == frozenset()
-    assert kids[1].forbidden == {Box(3, 1)}
+    # the lower-ranked sibling may never start the winner's row 3
+    assert kids[0].frozen == 0
+    assert kids[1].frozen == 1 << 3
 
 
-def test_tree_children_respect_forbidden_set():
-    node = TreeNode(YoungDiagram([2, 1]), frozenset({Box(3, 1)}), 0.0, 0)
+def test_tree_children_respect_frozen_rows():
+    node = TreeNode(YoungDiagram([2, 1]), 1 << 3, 0.0)
     kids = tree_children(node)
     assert [k.diagram.rows for k in kids] == [(2, 2)]
+    assert kids[0].frozen == 1 << 3
 
 
 def test_remaining_cost_estimate_values():
-    root = TreeNode(YoungDiagram([1]), frozenset(), 0.0, 0)
-    cands = _candidates(root.diagram)
+    root = TreeNode(YoungDiagram([1]), 0, 0.0)
+    cands = transition_edges(root.diagram, restrict_core=True)
     assert remaining_cost_estimate(root, 3, cands) == pytest.approx(2 * math.log(2))
     assert remaining_cost_estimate(root, 1, cands) == 0.0
-    blocked = TreeNode(YoungDiagram([2, 2]), frozenset({Box(3, 1)}), 0.0, 0)
-    assert remaining_cost_estimate(blocked, 9, _candidates(blocked.diagram)) == 0.0
+    blocked = TreeNode(YoungDiagram([2, 2]), 1 << 3, 0.0)
+    blocked_cands = transition_edges(blocked.diagram, restrict_core=True)
+    assert remaining_cost_estimate(blocked, 9, blocked_cands) == 0.0
+
+
+def test_frozen_rows_match_forbidden_sets_to_level_16():
+    # walk both trees side by side; a frozen row must act exactly like
+    # the forbidden box that would extend it
+    stack = [(TreeNode(YoungDiagram([1]), 0, 0.0), frozenset())]
+    visited = 0
+    while stack:
+        node, forbidden = stack.pop()
+        visited += 1
+        if node.diagram.size >= 16:
+            continue
+        kids = tree_children(node)
+        want = forbidden_set_children(node.diagram, forbidden, node.g)
+        assert [(k.diagram.rows, k.g) for k in kids] == [
+            (d.rows, g) for d, _, g in want
+        ]
+        stack.extend((k, f) for k, (_, f, _) in zip(kids, want))
+    assert visited == sum(
+        1 for n in range(1, 17) for d in partitions(n) if d.in_core_subgraph()
+    )
 
 
 def test_uniform_cost_search_finds_core_maximum():
@@ -98,6 +122,8 @@ def test_heuristic_search_is_pinned():
     # edge weight shows up here
     for n, rows, expanded, peak in (
         (60, (12, 10, 8, 7, 5, 5, 4, 3, 2, 2, 1, 1), 394, 518),
+        (70, (14, 11, 9, 7, 6, 5, 4, 4, 3, 2, 2, 1, 1, 1), 659, 878),
+        (80, (15, 12, 10, 8, 7, 6, 5, 4, 3, 3, 2, 2, 1, 1, 1), 1221, 1736),
         (90, (15, 13, 11, 8, 8, 7, 6, 5, 4, 3, 3, 2, 2, 1, 1, 1), 1991, 2882),
     ):
         res = astar(n)
