@@ -118,14 +118,19 @@ def _cmd_seq(args) -> int:
     if args.shake is not None and args.restrict_core:
         print("error: --shake cannot be combined with --restrict-core", file=sys.stderr)
         return 2
+    dims = {}
     if args.shake is None:
         seq = greedy_grow(start, args.n, args.restrict_core)
         source = "greedy"
     else:
         m = args.variant if args.variant is not None else 1
-        seq = branches(start, m, args.shake, args.n, seed_base=args.seed)
+        seq = branches(start, m, args.shake, args.n, seed_base=args.seed, dims=dims)
         source = "shake" if m == 1 else "branches"
-    records = [record_for(d, source, args.max_exact_n) for d in seq if d.size >= 1]
+    records = [
+        record_for(d, source, args.max_exact_n, dim=dims.get(d))
+        for d in seq
+        if d.size >= 1
+    ]
     _write_records(records, args.out)
     return 0
 
@@ -193,7 +198,7 @@ def _cmd_oracle_table(args) -> int:
     lines = [_entry_json(entry) for entry in max_table(args.max_n)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write("\n".join(lines) + "\n")
     else:
         for line in lines:
             print(line)

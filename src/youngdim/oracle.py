@@ -1,9 +1,15 @@
-"""Brute-force ground truth over all partitions of a given size.
+"""Brute-force ground truth over all partitions up to a given size.
 
-Everything here is deliberately exhaustive: enumerate every partition,
-compute every exact dimension, and take the argmax.  The results anchor
-the heuristics and the search, which must never beat or contradict them.
-The default size bound keeps a full table run in the minutes range.
+Everything here is deliberately exhaustive.  One depth-first sweep
+visits every partition with at most N boxes once, building it from the
+bottom row up and updating its first-column hooks row by row, so each
+exact dimension costs a few multiplications and one exact division
+(a nonzero remainder raises).  The argmax over each size gives the
+whole table 1..N in one pass, with one stack frame per row.  The
+results anchor the heuristics and the search, which must never beat or
+contradict them.  The default size bound keeps a full table run under
+half a minute.  `partitions` enumerates a single size, for the
+transform and tree sweeps.
 """
 
 from __future__ import annotations
@@ -11,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import YoungDiagram
-from .dimension import dim_exact
-from .errors import SizeBoundExceeded
+from .errors import NonDivisibleHookProduct, SizeBoundExceeded
 
-DEFAULT_BOUND = 45
+DEFAULT_BOUND = 60
 
 
 def partitions(n: int):
@@ -67,20 +72,73 @@ class MaxTableEntry:
     dim: int
 
 
-def _argmax_entry(n: int, bound: int, diagrams) -> MaxTableEntry:
-    """Every diagram of maximum dimension among `diagrams`, sorted by rows."""
-    if n < 1 or n > bound:
-        raise SizeBoundExceeded(f"n={n} outside exhaustive range 1..{bound}")
-    best = -1
-    arg: list[YoungDiagram] = []
-    for lam in diagrams:
-        d = dim_exact(lam)
-        if d > best:
-            best, arg = d, [lam]
-        elif d == best:
-            arg.append(lam)
-    arg.sort(key=lambda lam: lam.rows)
-    return MaxTableEntry(n=n, maximizers=tuple(arg), dim=best)
+def _sweep(max_n: int):
+    """Yield (size, rows, dim) once for every partition with 1..max_n boxes.
+
+    Depth first, building each partition from its bottom row up.  With
+    k rows the first-column hooks are h_i = rows_i + k - i, and
+    dim = size! * Delta / F with Delta = prod_{i<j} (h_i - h_j) and
+    F = prod_i h_i! (Fulton, Young Tableaux, section 4.1).  A new top row
+    of length r over m rows has hook r + m and leaves the hooks below it
+    unchanged, so a child multiplies the parent's Delta by
+    prod_j (h - h_j) and its F by h!.  The quotient
+    F / Delta is the hook product, so a nonzero remainder means broken
+    bookkeeping and raises.  The stack holds one frame per row.
+    """
+    fact = [1]
+    for k in range(1, max_n + 1):
+        fact.append(fact[-1] * k)
+    # frame: size, rows (top first), hooks (top first), Delta, F, next top row
+    stack = [[0, (), (), 1, 1, 1]]
+    while stack:
+        frame = stack[-1]
+        size, rows, hooks, delta, fprod, r = frame
+        s = size + r
+        if s > max_n:
+            stack.pop()
+            continue
+        frame[5] = r + 1
+        h = r + len(rows)
+        for x in hooks:
+            delta *= h - x
+        fprod *= fact[h]
+        dim, rem = divmod(fact[s] * delta, fprod)
+        child = (r,) + rows
+        if rem:
+            raise NonDivisibleHookProduct(
+                f"hook product does not divide {s}! for {child}"
+            )
+        yield s, child, dim
+        if s + r <= max_n:
+            stack.append([s, child, (h,) + hooks, delta, fprod, r])
+
+
+def _max_entries(lo: int, hi: int, bound: int, keep=None) -> list[MaxTableEntry]:
+    """Maximum entries for sizes lo..hi (lo is 1 or hi) from one sweep.
+
+    Maximizers are sorted by rows.  `keep`, if given, filters row
+    tuples; it is asked only about partitions that would tie or beat
+    the best kept so far.  The bound is checked before any work.
+    """
+    if not 1 <= hi <= bound:
+        raise SizeBoundExceeded(f"n={hi} outside exhaustive range 1..{bound}")
+    best = [-1] * (hi + 1)
+    arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
+    for size, rows, dim in _sweep(hi):
+        if size < lo or dim < best[size] or (keep is not None and not keep(rows)):
+            continue
+        if dim > best[size]:
+            best[size], arg[size] = dim, [rows]
+        else:
+            arg[size].append(rows)
+    return [
+        MaxTableEntry(
+            n=n,
+            maximizers=tuple(YoungDiagram._from_valid(r) for r in sorted(arg[n])),
+            dim=best[n],
+        )
+        for n in range(lo, hi + 1)
+    ]
 
 
 def max_dimension_diagrams(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEntry:
@@ -89,18 +147,19 @@ def max_dimension_diagrams(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEnt
     Returns every maximizer; the set is closed under conjugation since
     conjugates share a dimension.
     """
-    return _argmax_entry(n, bound, partitions(n))
+    return _max_entries(n, n, bound)[0]
 
 
 def max_dimension_core(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEntry:
     """Argmax of dimension over the partitions of n inside the core subgraph."""
-    core = (lam for lam in partitions(n) if lam.in_core_subgraph())
-    return _argmax_entry(n, bound, core)
+    return _max_entries(
+        n, n, bound, keep=lambda rows: YoungDiagram._from_valid(rows).in_core_subgraph()
+    )[0]
 
 
 def max_table(max_n: int, *, bound: int = DEFAULT_BOUND) -> list[MaxTableEntry]:
-    """Maximum-dimension table for every size 1..max_n."""
-    return [max_dimension_diagrams(n, bound=bound) for n in range(1, max_n + 1)]
+    """Maximum-dimension table for every size 1..max_n, from one sweep."""
+    return _max_entries(1, max_n, bound)
 
 
 @dataclass

@@ -160,11 +160,19 @@ def greedy_sequence(
     )
 
 
-def _removal_ranking(diagram: YoungDiagram) -> list[Box]:
+def _memo_dim(diagram: YoungDiagram, dims: dict) -> int:
+    """Exact dimension, read from the caller's memo or computed into it."""
+    d = dims.get(diagram)
+    if d is None:
+        d = dims[diagram] = dim_exact(diagram)
+    return d
+
+
+def _removal_ranking(diagram: YoungDiagram, dims: dict) -> list[Box]:
     """Corners ordered by the dimension left after removal, weakest first."""
     return sorted(
         diagram.removable_boxes(),
-        key=lambda c: (dim_exact(diagram.remove_box(c)), c),
+        key=lambda c: (_memo_dim(diagram.remove_box(c), dims), c),
     )
 
 
@@ -180,33 +188,45 @@ def shake(diagram: YoungDiagram, k: int) -> YoungDiagram:
     for _ in range(k):
         cur = cur.add_box(greedy_step(cur).box)
     for _ in range(k):
-        cur = cur.remove_box(_removal_ranking(cur)[0])
+        cur = cur.remove_box(_removal_ranking(cur, {})[0])
     return cur
 
 
-def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiagram:
+def shake_variant(
+    diagram: YoungDiagram, k: int, m: int, seed: int, *, dims: dict | None = None
+) -> YoungDiagram:
     """Shake, but draw each step uniformly from the m best candidates.
 
     Seeded and fully deterministic; m = 1 reproduces shake exactly.
+    `dims`, if given, is a diagram -> exact dimension memo that the
+    corner ranking reads and fills.
     """
     if not 1 <= k <= diagram.size:
         raise InvalidK(f"k must be in 1..{diagram.size}, got {k}")
     if m < 1:
         raise InvalidM(f"m must be at least 1, got {m}")
+    if dims is None:
+        dims = {}
     rng = random.Random(seed)
     cur = diagram
     for _ in range(k):
         pool = transition_edges(cur)[:m]
         cur = cur.add_box(pool[rng.randrange(len(pool))].box)
     for _ in range(k):
-        ranked = _removal_ranking(cur)
+        ranked = _removal_ranking(cur, dims)
         pool = ranked[: min(m, len(ranked))]
         cur = cur.remove_box(pool[rng.randrange(len(pool))])
     return cur
 
 
 def branches(
-    diagram: YoungDiagram, m: int, k: int, target: int, *, seed_base: int = 0
+    diagram: YoungDiagram,
+    m: int,
+    k: int,
+    target: int,
+    *,
+    seed_base: int = 0,
+    dims: dict | None = None,
 ) -> list[YoungDiagram]:
     """Best-per-size over m greedy branches started from shaken variants.
 
@@ -214,18 +234,22 @@ def branches(
     k = 0 skips shaking and every branch starts from the diagram itself.
     The result holds one diagram per size from size(diagram) to target,
     the best by exact dimension with lexicographically smallest rows on
-    ties.
+    ties.  Each distinct diagram's dimension is computed once, into
+    `dims` if the caller passes a dict, so every returned diagram's
+    dimension can be read back from it.
     """
     if m < 1:
         raise InvalidM(f"m must be at least 1, got {m}")
     if target < diagram.size:
         raise InvalidPath(f"target {target} below start size {diagram.size}")
+    if dims is None:
+        dims = {}
     starts = [
-        diagram if k == 0 else shake_variant(diagram, k, m, seed=seed_base + s)
+        diagram if k == 0 else shake_variant(diagram, k, m, seed_base + s, dims=dims)
         for s in range(m)
     ]
     grown = [greedy_grow(s, target) for s in starts]
     return [
-        min(same_size, key=lambda d: (-dim_exact(d), d.rows))
+        min(same_size, key=lambda d: (-_memo_dim(d, dims), d.rows))
         for same_size in zip(*grown)
     ]

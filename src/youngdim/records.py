@@ -62,21 +62,28 @@ class RunRecord:
 
 
 def record_for(
-    diagram: YoungDiagram, source: str, max_exact_n: int = DEFAULT_MAX_EXACT_N
+    diagram: YoungDiagram,
+    source: str,
+    max_exact_n: int = DEFAULT_MAX_EXACT_N,
+    *,
+    dim: int | None = None,
 ) -> RunRecord:
     """Build the record for one diagram.
 
     The exact dimension is included only up to size max_exact_n; beyond
-    that the record carries the log-domain value alone.
+    that the record carries the log-domain value alone.  `dim`, if
+    given, is the diagram's exact dimension, already known to the caller.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown record source {source!r}")
-    dim = str(dim_exact(diagram)) if diagram.size <= max_exact_n else None
+    exact = None
+    if diagram.size <= max_exact_n:
+        exact = str(dim_exact(diagram) if dim is None else dim)
     return RunRecord(
         n=diagram.size,
         rows=format_partition(diagram),
         log_dim=log_dim(diagram),
-        dim=dim,
+        dim=exact,
         c=normalized_dim(diagram),
         source=source,
     )

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings, strategies as st
 
-from youngdim import Box, GrowthPath, YoungDiagram, transition_edges
+from youngdim import (
+    Box,
+    GrowthPath,
+    YoungDiagram,
+    dim_exact,
+    partitions,
+    transition_edges,
+)
+from youngdim.oracle import MaxTableEntry
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -44,6 +52,28 @@ def hook_ratio(diagram, box):
         num *= diagram.hook_length(Box(i, c))
         den *= bigger.hook_length(Box(i, c))
     return Fraction(num, den)
+
+
+def argmax_by_hook_product(n, keep=None):
+    """Maximum entry at size n by enumerating its partitions again.
+
+    Every partition of n gets a full hook product (`dim_exact`) and
+    `keep` filters diagrams; maximizers are sorted by rows.  The library
+    reads every size from one sweep over first-column hooks instead;
+    this per-size form is the cross-check.
+    """
+    best = -1
+    arg = []
+    for lam in partitions(n):
+        if keep is not None and not keep(lam):
+            continue
+        d = dim_exact(lam)
+        if d > best:
+            best, arg = d, [lam]
+        elif d == best:
+            arg.append(lam)
+    arg.sort(key=lambda lam: lam.rows)
+    return MaxTableEntry(n=n, maximizers=tuple(arg), dim=best)
 
 
 def forbidden_set_children(diagram, forbidden, g):

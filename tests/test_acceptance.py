@@ -46,9 +46,9 @@ def _gate(num, label):
 
 
 @pytest.fixture(scope="module")
-def table_40():
+def table_50():
     t0 = time.perf_counter()
-    table = max_table(40)
+    table = max_table(50)
     return table, time.perf_counter() - t0
 
 
@@ -119,8 +119,8 @@ def test_04_worked_symmetrization():
     _gate(4, "worked symmetrization")
 
 
-def test_05_greedy_beaten_at_fifteen(table_40):
-    table, _ = table_40
+def test_05_greedy_beaten_at_fifteen(table_50):
+    table, _ = table_50
     entry = table[14]
     assert entry.n == 15
     for mirror in (False, True):
@@ -147,21 +147,27 @@ ONE_BOX_EXCEPTIONS = [
     (37, (10, 8, 6, 4, 3, 2, 2, 1, 1), 3),
     (40, (9, 7, 6, 5, 4, 3, 2, 2, 1, 1), 2),
     (40, (10, 8, 6, 5, 4, 3, 2, 1, 1), 2),
+    (45, (10, 8, 6, 5, 4, 3, 3, 2, 2, 1, 1), 3),
+    (45, (11, 9, 7, 5, 4, 3, 2, 2, 1, 1), 3),
+    (46, (11, 8, 6, 5, 4, 3, 3, 2, 2, 1, 1), 2),
+    (46, (11, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1), 2),
+    (49, (10, 8, 7, 6, 5, 4, 3, 2, 2, 1, 1), 2),
+    (49, (11, 9, 7, 6, 5, 4, 3, 2, 1, 1), 2),
 ]
 
 
-def test_06_maximizer_geometry_bound(table_40):
-    table, build_seconds = table_40
+def test_06_maximizer_geometry_bound(table_50):
+    table, build_seconds = table_50
     t0 = time.perf_counter()
-    geo = verify_max_geometry(40, table=table)
-    one = verify_one_box_claim(40, table=table)
+    geo = verify_max_geometry(50, table=table)
+    one = verify_one_box_claim(50, table=table)
     spent = build_seconds + time.perf_counter() - t0
     assert geo.failures == []
     assert geo.checked == one.checked
-    assert geo.checked >= 40
+    assert geo.checked >= 50
     assert one.exceptions == ONE_BOX_EXCEPTIONS
     warnings.warn(
-        "one-box bound exceeded by %d maximizers between n=14 and n=40; "
+        "one-box bound exceeded by %d maximizers between n=14 and n=50; "
         "their extra boxes stay isolated per row and column"
         % len(one.exceptions)
     )

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from youngdim import (
     max_dimension_core,
     parse_partition,
 )
-from youngdim import cli
+from youngdim import cli, oracle, plancherel, records
 from youngdim.cli import main
 from youngdim.errors import NonDivisibleHookProduct
 from youngdim.records import record_to_json, record_for
@@ -68,6 +69,24 @@ def test_seq_shake_is_seed_deterministic(capsys):
     rc, shifted, _ = run(capsys, argv + ["--seed", "7"])
     assert rc == 0
     assert shifted != first
+
+
+def test_seq_shake_computes_each_dimension_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def counting_dim_exact(diagram):
+        calls[diagram.rows] += 1
+        return dim_exact(diagram)
+
+    monkeypatch.setattr(plancherel, "dim_exact", counting_dim_exact)
+    monkeypatch.setattr(records, "dim_exact", counting_dim_exact)
+    argv = ["seq", "--n", "40", "--start", "5,3,2,1", "--shake", "2", "--variant", "3"]
+    rc, out, _ = run(capsys, argv + ["--seed", "1"])
+    assert rc == 0
+    assert calls and max(calls.values()) == 1
+    for line in out.strip().splitlines():
+        obj = json.loads(line)
+        assert obj["dim"] == str(dim_exact(parse_partition(obj["rows"])))
 
 
 def test_seq_flag_conflicts(capsys):
@@ -176,6 +195,23 @@ def test_oracle_table_to_file(tmp_path, capsys):
     lines = [json.loads(x) for x in path.read_text().splitlines()]
     assert [x["n"] for x in lines] == [1, 2, 3, 4, 5, 6]
     assert lines[5] == {"n": 6, "dim": "16", "maximizers": ["3,2,1"]}
+
+
+def test_oracle_size_bound_is_checked_before_any_work(capsys, monkeypatch):
+    def no_sweep(max_n):
+        raise AssertionError("swept before the bound check")
+
+    monkeypatch.setattr(oracle, "_sweep", no_sweep)
+    for argv, bad in (
+        (["oracle", "table", "--max-n", "61"], 61),
+        (["oracle", "table", "--max-n", "0"], 0),
+        (["oracle", "table", "--max-n", "-3"], -3),
+        (["oracle", "max", "--n", "0"], 0),
+        (["oracle", "max", "--n", "61"], 61),
+    ):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: n={bad} outside exhaustive range 1..60\n"
 
 
 def test_verify_theorem_clean(capsys):

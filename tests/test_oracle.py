@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from youngdim import (
     YoungDiagram,
     dim_exact,
+    dim_recursive,
     greedy_sequence,
     max_dimension_core,
     max_dimension_diagrams,
@@ -13,7 +14,10 @@ from youngdim import (
     verify_max_geometry,
     verify_one_box_claim,
 )
+from youngdim import oracle
 from youngdim.errors import SizeBoundExceeded
+
+from conftest import argmax_by_hook_product
 
 
 def test_partitions_of_four_in_order():
@@ -67,7 +71,10 @@ def test_max_dimension_closed_under_conjugation():
 
 def test_max_dimension_bound_guard():
     with pytest.raises(SizeBoundExceeded):
-        max_dimension_diagrams(46)
+        max_dimension_diagrams(61)
+    for bad in (0, -3, 61):
+        with pytest.raises(SizeBoundExceeded):
+            max_table(bad)
     entry = max_dimension_diagrams(8, bound=8)
     assert entry.dim == 90
 
@@ -76,6 +83,27 @@ def test_max_table_matches_single_queries():
     table = max_table(9)
     assert [e.n for e in table] == list(range(1, 10))
     assert table[6] == max_dimension_diagrams(7)
+
+
+def test_sweep_yields_each_partition_once_with_its_dimension():
+    # The corner recursion shares no code with either dimension formula.
+    seen = {}
+    for size, rows, dim in oracle._sweep(22):
+        assert rows not in seen and sum(rows) == size
+        seen[rows] = dim
+    assert len(seen) == sum(partition_count(n) for n in range(1, 23)) == 4507
+    for rows, dim in seen.items():
+        assert dim == dim_recursive(YoungDiagram(rows))
+
+
+def test_max_table_matches_per_size_hook_oracle():
+    assert max_table(30) == [argmax_by_hook_product(n) for n in range(1, 31)]
+
+
+def test_max_dimension_core_matches_per_size_hook_oracle():
+    for n in range(1, 25):
+        want = argmax_by_hook_product(n, keep=YoungDiagram.in_core_subgraph)
+        assert max_dimension_core(n) == want
 
 
 def test_max_dimension_core_known_value():
