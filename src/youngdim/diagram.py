@@ -3,8 +3,8 @@
 Coordinates are 1-based (row, col) pairs.  Rows are indexed top to bottom
 and row lengths are non-increasing, so a box (i, j) lies above the main
 diagonal when i < j and below it when i > j.  Instances never mutate;
-every operation returns a new value, which keeps them safe to share
-between worker tasks and to use as cache keys.
+every operation returns a new value, which keeps them safe to use as
+cache keys and to share between search nodes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class Box(NamedTuple):
 
     row: int
     col: int
+
+
+def _core_row_ok(i: int, r: int, c: int) -> bool:
+    """The core-subgraph test for row i of length r over column height c."""
+    return r <= c or (r == c + 1 and r < i)
 
 
 def reflected(box: Box) -> Box:
@@ -59,12 +64,15 @@ class YoungDiagram:
         self._conj: tuple[int, ...] | None = None
 
     @classmethod
-    def _from_valid(cls, rows: tuple[int, ...]) -> "YoungDiagram":
-        # Fast path for enumeration loops that already hold a valid tuple.
+    def _from_valid(
+        cls, rows: tuple[int, ...], conj: tuple[int, ...] | None = None
+    ) -> "YoungDiagram":
+        # Fast path for loops that already hold a valid tuple, and its
+        # conjugate when they know it.
         d = cls.__new__(cls)
         d._rows = rows
         d._size = sum(rows)
-        d._conj = None
+        d._conj = conj
         return d
 
     @property
@@ -265,8 +273,7 @@ class YoungDiagram:
         """
         conj = self.conjugate_rows()
         width = len(conj)
-        for i, r in enumerate(self._rows, 1):
-            c = conj[i - 1] if i <= width else 0
-            if r > c and (r != c + 1 or r >= i):
-                return False
-        return True
+        return all(
+            _core_row_ok(i, r, conj[i - 1] if i <= width else 0)
+            for i, r in enumerate(self._rows, 1)
+        )

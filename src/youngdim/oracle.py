@@ -72,8 +72,8 @@ class MaxTableEntry:
     dim: int
 
 
-def _sweep(max_n: int):
-    """Yield (size, rows, dim) once for every partition with 1..max_n boxes.
+def _sweep(max_n: int, min_n: int = 1):
+    """Yield (size, rows, dim) once for every partition with min_n..max_n boxes.
 
     Depth first, building each partition from its bottom row up.  With
     k rows the first-column hooks are h_i = rows_i + k - i, and
@@ -83,7 +83,9 @@ def _sweep(max_n: int):
     unchanged, so a child multiplies the parent's Delta by
     prod_j (h - h_j) and its F by h!.  The quotient
     F / Delta is the hook product, so a nonzero remainder means broken
-    bookkeeping and raises.  The stack holds one frame per row.
+    bookkeeping and raises.  Smaller partitions are still visited, as
+    the bottom rows of larger ones, but not divided.  The stack holds
+    one frame per row.
     """
     fact = [1]
     for k in range(1, max_n + 1):
@@ -102,13 +104,14 @@ def _sweep(max_n: int):
         for x in hooks:
             delta *= h - x
         fprod *= fact[h]
-        dim, rem = divmod(fact[s] * delta, fprod)
         child = (r,) + rows
-        if rem:
-            raise NonDivisibleHookProduct(
-                f"hook product does not divide {s}! for {child}"
-            )
-        yield s, child, dim
+        if s >= min_n:
+            dim, rem = divmod(fact[s] * delta, fprod)
+            if rem:
+                raise NonDivisibleHookProduct(
+                    f"hook product does not divide {s}! for {child}"
+                )
+            yield s, child, dim
         if s + r <= max_n:
             stack.append([s, child, (h,) + hooks, delta, fprod, r])
 
@@ -124,8 +127,8 @@ def _max_entries(lo: int, hi: int, bound: int, keep=None) -> list[MaxTableEntry]
         raise SizeBoundExceeded(f"n={hi} outside exhaustive range 1..{bound}")
     best = [-1] * (hi + 1)
     arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
-    for size, rows, dim in _sweep(hi):
-        if size < lo or dim < best[size] or (keep is not None and not keep(rows)):
+    for size, rows, dim in _sweep(hi, lo):
+        if dim < best[size] or (keep is not None and not keep(rows)):
             continue
         if dim > best[size]:
             best[size], arg[size] = dim, [rows]

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Box, YoungDiagram
+from .diagram import Box, YoungDiagram, _core_row_ok
 from .dimension import dim_exact
 from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
 
@@ -69,6 +69,80 @@ def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
     return TransitionEdge(Box(*box), p, weight)
 
 
+def _edges(
+    rows: tuple[int, ...], conj: tuple[int, ...], core_only: bool
+) -> list[tuple[float, int, int, int, int]]:
+    """Every edge out of a diagram as (weight, row, col, num, den), best first.
+
+    One pass over the runs of equal row lengths collects the addable
+    contents x_0 < ... < x_m and the corner contents y_1 < ... < y_m;
+    num / den is the reduced p(x_k) = prod_i (x_k - y_i) /
+    prod_{j != k} (x_k - x_j) and weight = log(den) - log(num).  The
+    order is probability descending, then row ascending, compared on
+    exact integers over a common denominator.
+
+    With core_only, only boxes whose child lies in the core subgraph are
+    kept.  Adding box (r, c) changes only row r (to length c) and column
+    c (to height r), so the child is in the core exactly when every row
+    of the parent that fails the core test is row r or row c, and rows r
+    and c pass in the child.  This holds for any parent, core or not.
+    """
+    k = len(rows)
+    width = len(conj)
+    boxes = []
+    xs = []
+    ys = []
+    prev = 0
+    for i, r in enumerate(rows):
+        if r != prev:
+            if i:
+                ys.append(prev - i)
+            boxes.append((i + 1, r + 1))
+            xs.append(r - i)
+            prev = r
+    if k:
+        ys.append(prev - k)
+    boxes.append((k + 1, 1))
+    xs.append(-k)
+    if core_only:
+        bad = [
+            i
+            for i, r, c in zip(range(1, k + 1), rows, conj)
+            if not _core_row_ok(i, r, c)
+        ]
+        # rows past the width have conj_i = 0 and fail only when longer than 1
+        bad += [i for i in range(width + 1, k + 1) if rows[i - 1] > 1]
+        kept = []
+        for r, c in boxes:
+            if bad and any(b != r and b != c for b in bad):
+                continue
+            # the child's row r has length c and its column c height r
+            conj_r = r if r == c else (conj[r - 1] if r <= width else 0)
+            rows_c = c if c == r else (rows[c - 1] if c <= k else 0)
+            if _core_row_ok(r, c, conj_r) and _core_row_ok(c, rows_c, r):
+                kept.append((r, c))
+        boxes = kept
+    out = []
+    for r, c in boxes:
+        x = c - r
+        num = den = 1
+        for y in ys:
+            num *= x - y
+        for z in xs:
+            if z != x:
+                den *= x - z
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        num //= g
+        den //= g
+        out.append((math.log(den) - math.log(num), r, c, num, den))
+    if len(out) > 1:
+        common = math.lcm(*(e[4] for e in out))
+        out.sort(key=lambda e: (-e[3] * (common // e[4]), e[1]))
+    return out
+
+
 def transition_edges(
     diagram: YoungDiagram, restrict_core: bool = False
 ) -> list[TransitionEdge]:
@@ -79,16 +153,13 @@ def transition_edges(
     restrict_core, only boxes whose addition stays inside the core
     subgraph are kept; NoCoreChild is raised when none do.
     """
-    edges = []
-    for b in diagram.addable_boxes():
-        if restrict_core and not diagram.add_box(b).in_core_subgraph():
-            continue
-        edges.append(transition_prob(diagram, b))
+    edges = _edges(diagram.rows, diagram.conjugate_rows(), restrict_core)
     if restrict_core and not edges:
         raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
-    # addable_boxes ascends by (row, col) and a reversed sort is stable
-    edges.sort(key=lambda e: e.probability, reverse=True)
-    return edges
+    return [
+        TransitionEdge(Box(r, c), Fraction(num, den), weight)
+        for weight, r, c, num, den in edges
+    ]
 
 
 @dataclass(frozen=True)

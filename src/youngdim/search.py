@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .plancherel import TransitionEdge, transition_edges
+from .plancherel import _edges
 
 
 @dataclass(frozen=True)
@@ -59,42 +59,45 @@ class SearchResult:
     mode: str
 
 
-def tree_children(
-    node: TreeNode, *, candidates: list[TransitionEdge] | None = None
-) -> list[TreeNode]:
+def tree_children(node: TreeNode, *, candidates: list | None = None) -> list[TreeNode]:
     """Children of a tree node, in candidate order.
 
-    The child through the r-th unfrozen candidate inherits the parent's
-    frozen rows plus the rows of every candidate ranked before r, so no
-    two root paths can reach the same diagram.
+    Candidates are `plancherel._edges` tuples (weight, row, col, num,
+    den) for the node's core edges, best first.  The child through the
+    r-th unfrozen candidate inherits the parent's frozen rows plus the
+    rows of every candidate ranked before r, so no two root paths can
+    reach the same diagram.  Each child carries its conjugate: adding
+    box (r, c) sets row r to length c and column c to height r.
     """
+    rows = node.diagram.rows
+    conj = node.diagram.conjugate_rows()
     if candidates is None:
-        candidates = transition_edges(node.diagram, restrict_core=True)
+        candidates = _edges(rows, conj, True)
     frozen = node.frozen
     children = []
-    for cand in candidates:
-        bit = 1 << cand.box.row
+    for weight, r, c, _, _ in candidates:
+        bit = 1 << r
         if frozen & bit:
             continue
-        children.append(
-            TreeNode(node.diagram.add_box(cand.box), frozen, node.g + cand.weight)
+        child = YoungDiagram._from_valid(
+            rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:]
         )
+        children.append(TreeNode(child, frozen, node.g + weight))
         frozen |= bit
     return children
 
 
-def remaining_cost_estimate(
-    node: TreeNode, n_target: int, candidates: list[TransitionEdge]
-) -> float:
+def remaining_cost_estimate(node: TreeNode, n_target: int, candidates: list) -> float:
     """Cheapest unfrozen outgoing edge times the number of levels left.
 
-    Zero at the target level and at dead ends.  Not admissible in
-    general: deeper levels can have cheaper edges.
+    `candidates` are the node's `plancherel._edges` tuples.  Zero at the
+    target level and at dead ends.  Not admissible in general: deeper
+    levels can have cheaper edges.
     """
     levels = n_target - node.diagram.size
     if levels <= 0:
         return 0.0
-    usable = [c.weight for c in candidates if not node.frozen & 1 << c.box.row]
+    usable = [w for w, r, _, _, _ in candidates if not node.frozen & 1 << r]
     if not usable:
         return 0.0
     return min(usable) * levels
@@ -122,14 +125,14 @@ def astar(
             f"target level {n_target} is below the start size {start.size}"
         )
     t0 = time.perf_counter()
-    cache: dict[tuple, list[TransitionEdge]] = {}
+    cache: dict[tuple, list] = {}
 
     def cands(diagram):
-        got = cache.get(diagram.rows)
+        rows = diagram.rows
+        got = cache.get(rows)
         if got is None:
-            # never NoCoreChild: a new bottom row keeps a core diagram in the core
-            got = transition_edges(diagram, restrict_core=True)
-            cache[diagram.rows] = got
+            # never empty: a new bottom row keeps a core diagram in the core
+            got = cache[rows] = _edges(rows, diagram.conjugate_rows(), True)
         return got
 
     heap: list = []

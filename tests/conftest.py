@@ -10,9 +10,10 @@ from youngdim import (
     YoungDiagram,
     dim_exact,
     partitions,
-    transition_edges,
+    transition_prob,
 )
-from youngdim.oracle import MaxTableEntry
+from youngdim.errors import NoCoreChild
+from youngdim.oracle import DEFAULT_BOUND, MaxTableEntry, _max_entries
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -76,6 +77,28 @@ def argmax_by_hook_product(n, keep=None):
     return MaxTableEntry(n=n, maximizers=tuple(arg), dim=best)
 
 
+def edges_by_children(diagram, restrict_core=False):
+    """Transition edges built child by child, best first.
+
+    Every addable box is added with `add_box`, its child tested with
+    `in_core_subgraph` when restrict_core is set, and its probability
+    computed by `transition_prob`; the edges are stable-sorted by exact
+    probability descending over the ascending box order, and NoCoreChild
+    is raised when no core child exists.  The library reads all edges
+    and the child core tests from one pass over rows and conjugate
+    instead; this per-child form is the cross-check.
+    """
+    edges = [
+        transition_prob(diagram, b)
+        for b in diagram.addable_boxes()
+        if not restrict_core or diagram.add_box(b).in_core_subgraph()
+    ]
+    if restrict_core and not edges:
+        raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
+    edges.sort(key=lambda e: e.probability, reverse=True)
+    return edges
+
+
 def forbidden_set_children(diagram, forbidden, g):
     """Children of a search-tree node under the forbidden-box rule.
 
@@ -85,10 +108,7 @@ def forbidden_set_children(diagram, forbidden, g):
     Returns (diagram, forbidden, g) triples.  The library freezes whole
     rows in an integer mask instead; this set form is the cross-check.
     """
-    cands = sorted(
-        transition_edges(diagram, restrict_core=True),
-        key=lambda e: (-e.probability, e.box),
-    )
+    cands = edges_by_children(diagram, restrict_core=True)
     usable = [c for c in cands if c.box not in forbidden]
     return [
         (
@@ -118,6 +138,17 @@ def random_growth_path(diagram, rng):
         cur = cur.remove_box(corner)
     boxes.reverse()
     return GrowthPath(start=YoungDiagram(()), steps=tuple(boxes))
+
+
+@pytest.fixture(scope="session")
+def core_table_40():
+    """Core-subgraph maximum entries for sizes 1..40, from one sweep."""
+    return _max_entries(
+        1,
+        40,
+        DEFAULT_BOUND,
+        keep=lambda rows: YoungDiagram._from_valid(rows).in_core_subgraph(),
+    )
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from youngdim import (
     greedy_sequence,
     log_dim,
     log_factorial,
-    max_dimension_core,
     max_table,
     partition_count,
     partitions,
@@ -175,10 +174,23 @@ def test_06_maximizer_geometry_bound(table_50):
     _gate(6, "maximizer geometry bound")
 
 
-def test_07_uniform_cost_matches_exhaustive_core_max():
-    for n in range(1, 31):
+# tree_sweep(18).dead_ends, in visiting order, read at the commit before
+# the search took its children from the rows-level edge kernel
+DEAD_ENDS_18 = [
+    (2, 2), (3, 3, 3), (3, 3, 3, 1), (3, 3, 3, 1, 1), (3, 3, 3, 1, 1, 1),
+    (4, 2, 2, 2), (4, 2, 2, 2, 1), (5, 2, 2, 2, 2), (5, 2, 2, 2, 2, 1),
+    (6, 2, 2, 2, 2, 2), (6, 2, 2, 2, 2, 2, 1), (4, 3, 3, 1), (4, 4, 2, 2),
+    (4, 4, 4, 4), (4, 3, 3, 1, 1), (4, 3, 3, 1, 1, 1), (4, 4, 2, 2, 1),
+    (4, 4, 4, 4, 1), (5, 3, 3, 1, 1), (5, 3, 2, 2, 2), (5, 3, 3, 2, 2),
+    (5, 5, 2, 2, 2), (5, 5, 3, 2, 2), (5, 3, 2, 2, 2, 1), (6, 3, 2, 2, 2, 2),
+    (5, 3, 3, 2, 2, 1), (5, 5, 2, 2, 2, 1),
+]
+
+
+def test_07_uniform_cost_matches_exhaustive_core_max(core_table_40):
+    for entry in core_table_40:
+        n = entry.n
         res = astar(n, uniform_cost=True)
-        entry = max_dimension_core(n)
         assert res.dim == entry.dim
         assert res.diagram.rows == min(m.rows for m in entry.maximizers)
         want = log_factorial(n) - log_dim(res.diagram)
@@ -193,7 +205,7 @@ def test_07_uniform_cost_matches_exhaustive_core_max():
         if lam.in_core_subgraph()
     )
     assert sweep.visited == census
-    assert len(sweep.dead_ends) == 27
+    assert sweep.dead_ends == DEAD_ENDS_18
     _gate(7, "uniform cost matches exhaustive core max")
 
 

@@ -94,6 +94,9 @@ def test_sweep_yields_each_partition_once_with_its_dimension():
     assert len(seen) == sum(partition_count(n) for n in range(1, 23)) == 4507
     for rows, dim in seen.items():
         assert dim == dim_recursive(YoungDiagram(rows))
+    # a lower size bound drops the smaller sizes and nothing else
+    tail = [(rows, dim) for size, rows, dim in oracle._sweep(22, 20)]
+    assert sorted(tail) == sorted((r, d) for r, d in seen.items() if sum(r) >= 20)
 
 
 def test_max_table_matches_per_size_hook_oracle():

@@ -28,7 +28,13 @@ from youngdim.errors import (
     NotAddable,
 )
 
-from conftest import hook_ratio, partition_diagrams, random_diagram, random_growth_path
+from conftest import (
+    edges_by_children,
+    hook_ratio,
+    partition_diagrams,
+    random_diagram,
+    random_growth_path,
+)
 
 
 def test_transition_prob_known_values():
@@ -93,8 +99,37 @@ def test_transition_edges_are_best_first():
 def test_transition_edges_restrict_core():
     edges = transition_edges(YoungDiagram([1]), restrict_core=True)
     assert [e.box for e in edges] == [Box(2, 1)]
+    # a parent outside the core can still have a core child
+    edges = transition_edges(YoungDiagram([2]), restrict_core=True)
+    assert [e.box for e in edges] == [Box(2, 1)]
     with pytest.raises(NoCoreChild):
         transition_edges(YoungDiagram([3]), restrict_core=True)
+
+
+def _edge_keys(diagram, restrict_core, edges_of):
+    try:
+        edges = edges_of(diagram, restrict_core)
+    except NoCoreChild as exc:
+        return ("NoCoreChild", str(exc))
+    # bit-exact weights: compare their hex forms
+    return [(e.box, e.probability, e.weight.hex()) for e in edges]
+
+
+def test_transition_edges_match_child_loop_exhaustive():
+    for n in range(0, 23):
+        for lam in partitions(n):
+            for restrict_core in (False, True):
+                assert _edge_keys(lam, restrict_core, transition_edges) == _edge_keys(
+                    lam, restrict_core, edges_by_children
+                ), (lam.rows, restrict_core)
+
+
+@given(partition_diagrams(max_n=80))
+def test_transition_edges_match_child_loop_large(d):
+    for restrict_core in (False, True):
+        assert _edge_keys(d, restrict_core, transition_edges) == _edge_keys(
+            d, restrict_core, edges_by_children
+        )
 
 
 def test_path_cost_known_values():

@@ -14,7 +14,6 @@ from youngdim import (
     max_dimension_core,
     partitions,
     sequence_improve,
-    transition_edges,
     transition_prob,
     tree_sweep,
 )
@@ -23,6 +22,8 @@ from youngdim.errors import (
     EmptySearchSpace,
     NotAGrowthSequence,
 )
+from youngdim import plancherel
+from youngdim.plancherel import _edges
 from youngdim.search import (
     TreeNode,
     remaining_cost_estimate,
@@ -66,13 +67,17 @@ def test_tree_children_respect_frozen_rows():
     assert kids[0].frozen == 1 << 3
 
 
+def _core_edges(diagram):
+    return _edges(diagram.rows, diagram.conjugate_rows(), True)
+
+
 def test_remaining_cost_estimate_values():
     root = TreeNode(YoungDiagram([1]), 0, 0.0)
-    cands = transition_edges(root.diagram, restrict_core=True)
+    cands = _core_edges(root.diagram)
     assert remaining_cost_estimate(root, 3, cands) == pytest.approx(2 * math.log(2))
     assert remaining_cost_estimate(root, 1, cands) == 0.0
     blocked = TreeNode(YoungDiagram([2, 2]), 1 << 3, 0.0)
-    blocked_cands = transition_edges(blocked.diagram, restrict_core=True)
+    blocked_cands = _core_edges(blocked.diagram)
     assert remaining_cost_estimate(blocked, 9, blocked_cands) == 0.0
 
 
@@ -95,6 +100,29 @@ def test_frozen_rows_match_forbidden_sets_to_level_16():
     assert visited == sum(
         1 for n in range(1, 17) for d in partitions(n) if d.in_core_subgraph()
     )
+
+
+def test_search_builds_children_without_per_box_work(monkeypatch):
+    calls = {"transition_prob": 0, "add_box": 0, "in_core_subgraph": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        plancherel, "transition_prob", counted("transition_prob", transition_prob)
+    )
+    for name in ("add_box", "in_core_subgraph"):
+        monkeypatch.setattr(
+            YoungDiagram, name, counted(name, getattr(YoungDiagram, name))
+        )
+    res = astar(30, uniform_cost=True)
+    assert res.nodes_expanded == 2464
+    # the one core test left is the start check
+    assert calls == {"transition_prob": 0, "add_box": 0, "in_core_subgraph": 1}
 
 
 def test_uniform_cost_search_finds_core_maximum():
