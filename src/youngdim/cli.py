@@ -164,9 +164,11 @@ def _cmd_search_astar(args) -> int:
 def _cmd_improve(args) -> int:
     old = sorted(load_records(args.infile), key=lambda r: r.n)
     seq = [parse_partition(r.rows) for r in old]
-    outcome = sequence_improve(seq, args.depth)
+    dims = {}
+    outcome = sequence_improve(seq, args.depth, dims=dims)
     new_records = [
-        record_for(d, "improve", args.max_exact_n) for d in outcome.sequence
+        record_for(d, "improve", args.max_exact_n, dim=dims.get(d))
+        for d in outcome.sequence
     ]
     _write_records(new_records, args.out)
     if args.ratios_out:

@@ -123,9 +123,12 @@ def normalized_dim(diagram: YoungDiagram) -> float:
 
     For a diagram of size n this is (-1/sqrt(n)) * ln(dim / sqrt(n!)).
     """
-    n = diagram.size
+    return _normalized(diagram.size, log_dim(diagram))
+
+
+def _normalized(n: int, ld: float) -> float:
+    """The normalized dimension of a size-n diagram whose log_dim is ld."""
     if n == 0:
         raise EmptyDiagramError("normalized dimension undefined for the empty diagram")
     # + 0.0 turns IEEE -0.0 into 0.0 for the n = 1 case
-    return (-1.0 / math.sqrt(n)) * (log_dim(diagram) - 0.5 * log_factorial(n)) + 0.0
-
+    return (-1.0 / math.sqrt(n)) * (ld - 0.5 * log_factorial(n)) + 0.0

@@ -15,6 +15,13 @@ corners have contents y_1 < ... < y_m interlacing them, and
 p(x_k) = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j): an exact
 rational from small-integer products, with no hook lengths.
 
+The measure also has an exact one-box update.  Adding the box of
+content x turns x into a corner content, so every other addable z keeps
+p'(z) = p(z) * (z - x)^2 / ((z - x)^2 - 1), and the only new addables
+are x - 1 and x + 1, each unless a corner of that content blocks it.
+`_grow` applies this in O(m), with the full formula only for the new
+addables, and the search grows each child's measure from its parent's.
+
 Also provides the greedy walk, the shaking perturbation, and the
 multi-branch heuristic built on top of both.
 """
@@ -41,54 +48,24 @@ class TransitionEdge:
 def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
     """Exact transition probability for adding one box, with -ln weight.
 
-    Walks the runs of equal row lengths once: each run starts with an
-    addable box (content r - i for a run of length r starting after
-    row i) and ends with a corner; the new bottom row adds the addable
-    box of content -k.  The weight is taken from the reduced fraction.
+    The weight is taken from the reduced fraction.
     """
     if not diagram.can_add(box):
         raise NotAddable(f"cannot add box {tuple(box)} to {diagram.rows}")
-    x = box[1] - box[0]
-    rows = diagram.rows
-    num = den = 1
-    prev = 0
-    for i, r in enumerate(rows):
-        if r != prev:
-            if i:
-                num *= x - prev + i
-            if r - i != x:
-                den *= x - r + i
-            prev = r
-    k = len(rows)
-    if k:
-        num *= x - prev + k
-    if x != -k:
-        den *= x + k
-    p = Fraction(num, den)
-    weight = math.log(p.denominator) - math.log(p.numerator)
-    return TransitionEdge(Box(*box), p, weight)
+    _, xs, ys = _contents(diagram.rows)
+    num, den = _prob(box[1] - box[0], xs, ys)
+    return TransitionEdge(Box(*box), Fraction(num, den), math.log(den) - math.log(num))
 
 
-def _edges(
-    rows: tuple[int, ...], conj: tuple[int, ...], core_only: bool
-) -> list[tuple[float, int, int, int, int]]:
-    """Every edge out of a diagram as (weight, row, col, num, den), best first.
+def _contents(rows: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
+    """Addable boxes, their contents and the corner contents, top row first.
 
-    One pass over the runs of equal row lengths collects the addable
-    contents x_0 < ... < x_m and the corner contents y_1 < ... < y_m;
-    num / den is the reduced p(x_k) = prod_i (x_k - y_i) /
-    prod_{j != k} (x_k - x_j) and weight = log(den) - log(num).  The
-    order is probability descending, then row ascending, compared on
-    exact integers over a common denominator.
-
-    With core_only, only boxes whose child lies in the core subgraph are
-    kept.  Adding box (r, c) changes only row r (to length c) and column
-    c (to height r), so the child is in the core exactly when every row
-    of the parent that fails the core test is row r or row c, and rows r
-    and c pass in the child.  This holds for any parent, core or not.
+    One pass over the runs of equal row lengths: each run starts with an
+    addable box (content r - i for a run of length r starting after row
+    i) and ends with a corner; the new bottom row adds the addable box
+    of content -k.
     """
     k = len(rows)
-    width = len(conj)
     boxes = []
     xs = []
     ys = []
@@ -104,42 +81,136 @@ def _edges(
         ys.append(prev - k)
     boxes.append((k + 1, 1))
     xs.append(-k)
-    if core_only:
-        bad = [
-            i
-            for i, r, c in zip(range(1, k + 1), rows, conj)
-            if not _core_row_ok(i, r, c)
-        ]
-        # rows past the width have conj_i = 0 and fail only when longer than 1
-        bad += [i for i in range(width + 1, k + 1) if rows[i - 1] > 1]
+    return boxes, xs, ys
+
+
+def _prob(x: int, xs, ys) -> tuple[int, int]:
+    """Reduced p(x) = prod_i (x - y_i) / prod_{z != x} (x - z), as (num, den)."""
+    num = den = 1
+    for y in ys:
+        num *= x - y
+    for z in xs:
+        if z != x:
+            den *= x - z
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _measure(rows: tuple[int, ...]) -> tuple[list[tuple], tuple[int, ...]]:
+    """Kerov's transition measure of a diagram, from the full formula.
+
+    Returns (addables, corners): addables holds (x, r, c, num, den) for
+    every addable box (r, c) of content x = c - r, top row first, where
+    num / den is the reduced p(x); corners holds the corner contents,
+    top row first.
+    """
+    boxes, xs, ys = _contents(rows)
+    return [(c - r, r, c, *_prob(c - r, xs, ys)) for r, c in boxes], tuple(ys)
+
+
+def _grow(
+    addables: list[tuple], corners: tuple[int, ...], r: int, c: int
+) -> tuple[list[tuple], tuple[int, ...]]:
+    """The transition measure after adding addable box (r, c), in O(m).
+
+    Every other p(z) is multiplied by (z - x)^2 / ((z - x)^2 - 1) and
+    reduced by one gcd; addable contents are at least 2 apart, so the
+    factor is positive.  The new addables x + 1 at (r, c + 1) and x - 1
+    at (r + 1, c) get the full formula, unless the corner of that
+    content, at (r - 1, c) or (r, c - 1), blocks them; that corner then
+    stops being one.
+    """
+    x = c - r
+    out = []
+    at = 0
+    for z, zr, zc, num, den in addables:
+        if z == x:
+            at = len(out)
+            continue
+        d = (z - x) * (z - x)
+        num *= d
+        den *= d - 1
+        g = math.gcd(num, den)
+        out.append((z, zr, zc, num // g, den // g))
+    # corners interlace the addables, so x's neighbours are corners[at - 1]
+    # (content x + 1 when it blocks) and corners[at] (x - 1 when it blocks)
+    lo = at - 1 if at and corners[at - 1] == x + 1 else at
+    hi = at + 1 if at < len(corners) and corners[at] == x - 1 else at
+    ys = corners[:lo] + (x,) + corners[hi:]
+    fresh = []
+    if lo == at:
+        fresh.append((x + 1, r, c + 1))
+    if hi == at:
+        fresh.append((x - 1, r + 1, c))
+    xs = [e[0] for e in out] + [z for z, _, _ in fresh]
+    out[at:at] = [(z, zr, zc, *_prob(z, xs, ys)) for z, zr, zc in fresh]
+    return out, ys
+
+
+def _bad_rows(rows: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
+    """The rows of a diagram that fail the core test, 1-based; none in the core."""
+    k = len(rows)
+    width = len(conj)
+    bad = [
+        i
+        for i, r, c in zip(range(1, k + 1), rows, conj)
+        if not _core_row_ok(i, r, c)
+    ]
+    # rows past the width have conj_i = 0 and fail only when longer than 1
+    bad += [i for i in range(width + 1, k + 1) if rows[i - 1] > 1]
+    return bad
+
+
+def _edges(
+    rows: tuple[int, ...],
+    conj: tuple[int, ...],
+    addables: list[tuple],
+    bad: list[int] | tuple[int, ...] | None,
+) -> list[tuple[float, int, int, int, int]]:
+    """Every edge out of a diagram as (weight, row, col, num, den), best first.
+
+    `addables` is the diagram's transition measure (`_measure` or
+    `_grow`); weight = log(den) - log(num) of the reduced p.  The order
+    is probability descending, then row ascending.  It is taken from the
+    weights, and checked: where two neighbours' weights are within 1e-9
+    and their probabilities differ, the edges are sorted again on exact
+    integers over a common denominator.
+
+    With `bad` None every edge is kept.  Otherwise `bad` holds the
+    diagram's rows that fail the core test (`_bad_rows`; a core diagram
+    has none), and only boxes whose child lies in the core subgraph are
+    kept.  Adding box (r, c) changes only row r (to length c) and column
+    c (to height r), so the child is in the core exactly when every bad
+    row is row r or row c, and rows r and c pass in the child.
+    """
+    if bad is not None:
+        k = len(rows)
+        width = len(conj)
         kept = []
-        for r, c in boxes:
+        for e in addables:
+            r, c = e[1], e[2]
             if bad and any(b != r and b != c for b in bad):
                 continue
             # the child's row r has length c and its column c height r
             conj_r = r if r == c else (conj[r - 1] if r <= width else 0)
             rows_c = c if c == r else (rows[c - 1] if c <= k else 0)
             if _core_row_ok(r, c, conj_r) and _core_row_ok(c, rows_c, r):
-                kept.append((r, c))
-        boxes = kept
-    out = []
-    for r, c in boxes:
-        x = c - r
-        num = den = 1
-        for y in ys:
-            num *= x - y
-        for z in xs:
-            if z != x:
-                den *= x - z
-        g = math.gcd(num, den)
-        if den < 0:
-            g = -g
-        num //= g
-        den //= g
-        out.append((math.log(den) - math.log(num), r, c, num, den))
-    if len(out) > 1:
-        common = math.lcm(*(e[4] for e in out))
-        out.sort(key=lambda e: (-e[3] * (common // e[4]), e[1]))
+                kept.append(e)
+        addables = kept
+    out = [
+        (math.log(den) - math.log(num), r, c, num, den)
+        for _, r, c, num, den in addables
+    ]
+    # (weight, row) is already the exact order unless two different
+    # probabilities have weights closer than a log's rounding error
+    out.sort()
+    for a, b in zip(out, out[1:]):
+        if b[0] - a[0] < 1e-9 and a[3] * b[4] != b[3] * a[4]:
+            common = math.lcm(*(e[4] for e in out))
+            out.sort(key=lambda e: (-e[3] * (common // e[4]), e[1]))
+            break
     return out
 
 
@@ -153,7 +224,10 @@ def transition_edges(
     restrict_core, only boxes whose addition stays inside the core
     subgraph are kept; NoCoreChild is raised when none do.
     """
-    edges = _edges(diagram.rows, diagram.conjugate_rows(), restrict_core)
+    rows = diagram.rows
+    conj = diagram.conjugate_rows()
+    bad = _bad_rows(rows, conj) if restrict_core else None
+    edges = _edges(rows, conj, _measure(rows)[0], bad)
     if restrict_core and not edges:
         raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
     return [

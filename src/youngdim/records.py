@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import YoungDiagram
-from .dimension import dim_exact, log_dim, normalized_dim
+from .dimension import _normalized, dim_exact, log_dim
 from .errors import (
     KeyMismatch,
     PartitionParseError,
@@ -79,12 +79,13 @@ def record_for(
     exact = None
     if diagram.size <= max_exact_n:
         exact = str(dim_exact(diagram) if dim is None else dim)
+    ld = log_dim(diagram)
     return RunRecord(
         n=diagram.size,
         rows=format_partition(diagram),
-        log_dim=log_dim(diagram),
+        log_dim=ld,
         dim=exact,
-        c=normalized_dim(diagram),
+        c=_normalized(diagram.size, ld),
         source=source,
     )
 

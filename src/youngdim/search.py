@@ -10,6 +10,12 @@ until it is added, so no two root paths reach the same diagram: the
 tree covers each core diagram exactly once and A* needs no
 re-expansion logic.
 
+A search node is a plain tuple: rows, conjugate, size, frozen rows,
+path cost, and a reference to its parent's transition measure shared
+with its siblings, plus the box it adds; its own measure is grown from
+those in O(m) (`plancherel._grow`) only when needed.  Since each
+diagram is pushed once, no per-diagram cache is kept.
+
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
 highest dimension.  The heuristic scales a node's cheapest unfrozen
@@ -26,7 +32,7 @@ import time
 from dataclasses import dataclass
 
 from .diagram import YoungDiagram
-from .dimension import dim_exact, log_dim, normalized_dim
+from .dimension import _normalized, dim_exact, log_dim
 from .errors import (
     CoreMembershipError,
     EmptySearchSpace,
@@ -34,7 +40,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .plancherel import _edges
+from .plancherel import _bad_rows, _edges, _grow, _measure, _memo_dim
 
 
 @dataclass(frozen=True)
@@ -59,45 +65,54 @@ class SearchResult:
     mode: str
 
 
-def tree_children(node: TreeNode, *, candidates: list | None = None) -> list[TreeNode]:
-    """Children of a tree node, in candidate order.
+def _children(
+    rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, edges: list
+) -> list[tuple]:
+    """The children through a node's unfrozen edges, in edge order.
 
-    Candidates are `plancherel._edges` tuples (weight, row, col, num,
-    den) for the node's core edges, best first.  The child through the
-    r-th unfrozen candidate inherits the parent's frozen rows plus the
-    rows of every candidate ranked before r, so no two root paths can
-    reach the same diagram.  Each child carries its conjugate: adding
+    `edges` are the node's core `plancherel._edges` tuples (weight, row,
+    col, num, den), best first.  Returns (rows, conj, frozen, weight,
+    row, col) per child.  The child through the r-th unfrozen edge
+    inherits the parent's frozen rows plus the rows of every edge ranked
+    before r, so no two root paths can reach the same diagram.  Adding
     box (r, c) sets row r to length c and column c to height r.
     """
-    rows = node.diagram.rows
-    conj = node.diagram.conjugate_rows()
-    if candidates is None:
-        candidates = _edges(rows, conj, True)
-    frozen = node.frozen
-    children = []
-    for weight, r, c, _, _ in candidates:
+    out = []
+    for weight, r, c, _, _ in edges:
         bit = 1 << r
         if frozen & bit:
             continue
-        child = YoungDiagram._from_valid(
-            rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:]
+        out.append(
+            (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
+             frozen, weight, r, c)
         )
-        children.append(TreeNode(child, frozen, node.g + weight))
         frozen |= bit
-    return children
+    return out
 
 
-def remaining_cost_estimate(node: TreeNode, n_target: int, candidates: list) -> float:
+def tree_children(node: TreeNode) -> list[TreeNode]:
+    """Children of a tree node, in candidate order, each carrying its conjugate."""
+    rows = node.diagram.rows
+    conj = node.diagram.conjugate_rows()
+    edges = _edges(rows, conj, _measure(rows)[0], _bad_rows(rows, conj))
+    return [
+        TreeNode(YoungDiagram._from_valid(crows, cconj), frozen, node.g + weight)
+        for crows, cconj, frozen, weight, _, _ in _children(
+            rows, conj, node.frozen, edges
+        )
+    ]
+
+
+def remaining_cost_estimate(levels: int, frozen: int, candidates: list) -> float:
     """Cheapest unfrozen outgoing edge times the number of levels left.
 
-    `candidates` are the node's `plancherel._edges` tuples.  Zero at the
-    target level and at dead ends.  Not admissible in general: deeper
-    levels can have cheaper edges.
+    `candidates` are a node's `plancherel._edges` tuples and `frozen` its
+    frozen-row mask.  Zero at the target level and at dead ends.  Not
+    admissible in general: deeper levels can have cheaper edges.
     """
-    levels = n_target - node.diagram.size
     if levels <= 0:
         return 0.0
-    usable = [w for w, r, _, _, _ in candidates if not node.frozen & 1 << r]
+    usable = [w for w, r, _, _, _ in candidates if not frozen & 1 << r]
     if not usable:
         return 0.0
     return min(usable) * levels
@@ -115,6 +130,12 @@ def astar(
     lexicographically smaller rows.  In uniform-cost mode the first
     popped diagram at the target level has the maximum dimension among
     all core diagrams of that size reachable from `start`.
+
+    A heap entry is (f, -g, rows, tick, conj, size, frozen, g, measure,
+    box, edges): `measure` is the parent's (the start's own, with box
+    None), grown at expansion, and in heuristic mode also at push, where
+    h reads the edges.  Every node is a core diagram, so `_edges` gets
+    no bad rows.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -125,52 +146,57 @@ def astar(
             f"target level {n_target} is below the start size {start.size}"
         )
     t0 = time.perf_counter()
-    cache: dict[tuple, list] = {}
-
-    def cands(diagram):
-        rows = diagram.rows
-        got = cache.get(rows)
-        if got is None:
-            # never empty: a new bottom row keeps a core diagram in the core
-            got = cache[rows] = _edges(rows, diagram.conjugate_rows(), True)
-        return got
-
-    heap: list = []
     tick = itertools.count()
-
-    def push(node):
-        if uniform_cost:
-            h = 0.0
-        else:
-            h = remaining_cost_estimate(node, n_target, cands(node.diagram))
-        heapq.heappush(
-            heap, (node.g + h, -node.g, node.diagram.rows, next(tick), node)
-        )
-
-    push(TreeNode(start, 0, 0.0))
+    rows = start.rows
+    # the start is popped first whatever its f, so its h is never needed
+    heap = [
+        (0.0, -0.0, rows, next(tick), start.conjugate_rows(), start.size, 0, 0.0,
+         _measure(rows), None, None)
+    ]
+    # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
     nodes_expanded = 0
-    frontier_peak = len(heap)
+    frontier_peak = 1
     while heap:
-        _, _, rows, _, node = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        _, _, rows, _, conj, size, frozen, g, measure, box, edges = entry
         if rows in closed:
             raise InvariantViolation(f"tree path uniqueness violated at {rows}")
         closed.add(rows)
-        if node.diagram.size == n_target:
+        if size == n_target:
+            diagram = YoungDiagram._from_valid(rows, conj)
+            ld = log_dim(diagram)
             return SearchResult(
-                diagram=node.diagram,
-                dim=dim_exact(node.diagram),
-                log_dim=log_dim(node.diagram),
-                normalized=normalized_dim(node.diagram),
-                cost=node.g,
+                diagram=diagram,
+                dim=dim_exact(diagram),
+                log_dim=ld,
+                normalized=_normalized(size, ld),
+                cost=g,
                 nodes_expanded=nodes_expanded,
                 frontier_peak=frontier_peak,
                 elapsed=time.perf_counter() - t0,
                 mode="uniform-cost" if uniform_cost else "heuristic",
             )
         nodes_expanded += 1
-        for child in tree_children(node, candidates=cands(node.diagram)):
-            push(child)
+        if box is not None:
+            measure = _grow(*measure, *box)
+        if edges is None:
+            # never empty: a new bottom row keeps a core diagram in the core
+            edges = _edges(rows, conj, measure[0], ())
+        size += 1
+        levels = n_target - size
+        for crows, cconj, cfrozen, weight, r, c in _children(rows, conj, frozen, edges):
+            cg = g + weight
+            f = cg
+            cedges = None
+            if not uniform_cost:
+                cedges = _edges(crows, cconj, _grow(*measure, r, c)[0], ())
+                f += remaining_cost_estimate(levels, cfrozen, cedges)
+            heapq.heappush(
+                heap,
+                (f, -cg, crows, next(tick), cconj, size, cfrozen, cg,
+                 measure, (r, c), cedges),
+            )
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
         f"no diagram of size {n_target} reachable from {start.rows}"
@@ -242,14 +268,25 @@ def core_start(diagram: YoungDiagram) -> tuple[YoungDiagram, bool]:
 
 
 def local_improve(
-    diagram: YoungDiagram, depth: int = 3, *, uniform_cost: bool = False
+    diagram: YoungDiagram,
+    depth: int = 3,
+    *,
+    uniform_cost: bool = False,
+    dims: dict | None = None,
 ) -> YoungDiagram:
-    """Grow a diagram by `depth` levels via the tree search from `core_start`."""
+    """Grow a diagram by `depth` levels via the tree search from `core_start`.
+
+    `dims`, if given, is a diagram -> exact dimension memo that receives
+    the found diagram's dimension, as the search computed it.
+    """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
     start, flipped = core_start(diagram)
     result = astar(start.size + depth, start=start, uniform_cost=uniform_cost)
-    return result.diagram.conjugate() if flipped else result.diagram
+    found = result.diagram.conjugate() if flipped else result.diagram
+    if dims is not None:
+        dims[found] = result.dim
+    return found
 
 
 @dataclass(frozen=True)
@@ -260,7 +297,11 @@ class ImproveOutcome:
 
 
 def sequence_improve(
-    seq: list[YoungDiagram], depth: int, *, uniform_cost: bool = False
+    seq: list[YoungDiagram],
+    depth: int,
+    *,
+    uniform_cost: bool = False,
+    dims: dict | None = None,
 ) -> ImproveOutcome:
     """Try to replace each sequence element by a deep-searched competitor.
 
@@ -268,7 +309,10 @@ def sequence_improve(
     of the found diagram and the existing element of that size has the
     larger exact dimension.  Elements whose size plus depth runs off the
     end are left alone, as are elements outside the core subgraph on
-    both sides (their sizes are reported as skipped).
+    both sides (their sizes are reported as skipped).  `dims`, if given,
+    is a diagram -> exact dimension memo that the comparisons read and
+    fill; found diagrams get the dimension their search computed, so
+    each dimension is computed once.
     """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
@@ -277,6 +321,8 @@ def sequence_improve(
             raise NotAGrowthSequence(
                 f"element {i} has size {lam.size}, expected {i + 1}"
             )
+    if dims is None:
+        dims = {}
     new = list(seq)
     improved = []
     skipped = []
@@ -285,11 +331,11 @@ def sequence_improve(
         if tgt >= len(seq):
             break
         try:
-            cand = local_improve(lam, depth, uniform_cost=uniform_cost)
+            cand = local_improve(lam, depth, uniform_cost=uniform_cost, dims=dims)
         except CoreMembershipError:
             skipped.append(lam.size)
             continue
-        if dim_exact(cand) > dim_exact(new[tgt]):
+        if dims[cand] > _memo_dim(new[tgt], dims):
             new[tgt] = cand
             improved.append(cand.size)
     return ImproveOutcome(

@@ -20,6 +20,7 @@ from youngdim import (
     transition_edges,
     transition_prob,
 )
+from youngdim.plancherel import _edges, _grow, _measure
 from youngdim.errors import (
     InvalidK,
     InvalidM,
@@ -130,6 +131,42 @@ def test_transition_edges_match_child_loop_large(d):
         assert _edge_keys(d, restrict_core, transition_edges) == _edge_keys(
             d, restrict_core, edges_by_children
         )
+
+
+def _assert_grown_measure_is_exact(d):
+    addables, corners = _measure(d.rows)
+    for _, r, c, _, _ in addables:
+        child = d.add_box(Box(r, c))
+        grown = _grow(addables, corners, r, c)
+        # every (content, row, col, num, den) and the corner contents
+        assert grown == _measure(child.rows), (d.rows, r, c)
+        for _, gr, gc, num, den in grown[0]:
+            edge = transition_prob(child, Box(gr, gc))
+            assert Fraction(num, den) == edge.probability
+            # the search's weight, bit for bit
+            assert (math.log(den) - math.log(num)).hex() == edge.weight.hex()
+
+
+def test_grown_measure_matches_full_formula_exhaustive():
+    # core or not, every diagram of at most 22 boxes and every addable box
+    for n in range(0, 23):
+        for lam in partitions(n):
+            _assert_grown_measure_is_exact(lam)
+
+
+@given(partition_diagrams(max_n=80))
+def test_grown_measure_matches_full_formula_large(d):
+    _assert_grown_measure_is_exact(d)
+
+
+def test_edges_fall_back_to_exact_order_when_weights_collide():
+    # these probabilities differ by about 1e-40, below a log's rounding,
+    # so both weights come out the same float
+    big = 10**20
+    addables = [(0, 1, 9, big, big + 1), (0, 2, 1, big + 1, big + 2)]
+    edges = _edges((), (), addables, None)
+    assert edges[0][0] == edges[1][0]
+    assert [e[1] for e in edges] == [2, 1]
 
 
 def test_path_cost_known_values():

@@ -8,6 +8,7 @@ from youngdim import (
     YoungDiagram,
     astar,
     dim_exact,
+    dim_recursive,
     greedy_grow,
     greedy_sequence,
     local_improve,
@@ -22,8 +23,8 @@ from youngdim.errors import (
     EmptySearchSpace,
     NotAGrowthSequence,
 )
-from youngdim import plancherel
-from youngdim.plancherel import _edges
+from youngdim import dimension, plancherel, search
+from youngdim.plancherel import _bad_rows, _edges, _measure
 from youngdim.search import (
     TreeNode,
     remaining_cost_estimate,
@@ -67,18 +68,18 @@ def test_tree_children_respect_frozen_rows():
     assert kids[0].frozen == 1 << 3
 
 
-def _core_edges(diagram):
-    return _edges(diagram.rows, diagram.conjugate_rows(), True)
+def _core_edges(rows):
+    conj = YoungDiagram(rows).conjugate_rows()
+    return _edges(rows, conj, _measure(rows)[0], _bad_rows(rows, conj))
 
 
 def test_remaining_cost_estimate_values():
-    root = TreeNode(YoungDiagram([1]), 0, 0.0)
-    cands = _core_edges(root.diagram)
-    assert remaining_cost_estimate(root, 3, cands) == pytest.approx(2 * math.log(2))
-    assert remaining_cost_estimate(root, 1, cands) == 0.0
-    blocked = TreeNode(YoungDiagram([2, 2]), 1 << 3, 0.0)
-    blocked_cands = _core_edges(blocked.diagram)
-    assert remaining_cost_estimate(blocked, 9, blocked_cands) == 0.0
+    # from [1]: to level 3 is two levels, to level 1 none
+    cands = _core_edges((1,))
+    assert remaining_cost_estimate(2, 0, cands) == pytest.approx(2 * math.log(2))
+    assert remaining_cost_estimate(0, 0, cands) == 0.0
+    # [2, 2] with row 3 frozen has no usable edge
+    assert remaining_cost_estimate(5, 1 << 3, _core_edges((2, 2))) == 0.0
 
 
 def test_frozen_rows_match_forbidden_sets_to_level_16():
@@ -103,7 +104,7 @@ def test_frozen_rows_match_forbidden_sets_to_level_16():
 
 
 def test_search_builds_children_without_per_box_work(monkeypatch):
-    calls = {"transition_prob": 0, "add_box": 0, "in_core_subgraph": 0}
+    calls = {"transition_prob": 0, "add_box": 0, "in_core_subgraph": 0, "_measure": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -119,10 +120,27 @@ def test_search_builds_children_without_per_box_work(monkeypatch):
         monkeypatch.setattr(
             YoungDiagram, name, counted(name, getattr(YoungDiagram, name))
         )
-    res = astar(30, uniform_cost=True)
-    assert res.nodes_expanded == 2464
-    # the one core test left is the start check
-    assert calls == {"transition_prob": 0, "add_box": 0, "in_core_subgraph": 1}
+    full_measure = counted("_measure", _measure)
+    monkeypatch.setattr(plancherel, "_measure", full_measure)
+    monkeypatch.setattr(search, "_measure", full_measure)
+    # bit-exact costs: a weight drift inside any tolerance shows here
+    for n, uniform_cost, expanded, cost in (
+        (22, True, 592, "0x1.a0cc900c66237p+4"),
+        (30, True, 2464, "0x1.3bf8113395b45p+5"),
+        (60, False, 394, "0x1.887d014ad378ep+6"),
+    ):
+        for name in calls:
+            calls[name] = 0
+        res = astar(n, uniform_cost=uniform_cost)
+        assert (res.nodes_expanded, res.cost.hex()) == (expanded, cost)
+        # the one core test left is the start check, and the one full
+        # transition measure is the start's: every other node's is grown
+        assert calls == {
+            "transition_prob": 0,
+            "add_box": 0,
+            "in_core_subgraph": 1,
+            "_measure": 1,
+        }
 
 
 def test_uniform_cost_search_finds_core_maximum():
@@ -203,6 +221,28 @@ def test_sequence_improve_lifts_the_first_greedy_miss():
     assert dim_exact(out.sequence[14]) == 292864
     for old, new in zip(seq, out.sequence):
         assert dim_exact(new) >= dim_exact(old)
+
+
+def test_sequence_improve_computes_each_dimension_once(monkeypatch):
+    calls = []
+    hook_product = dimension.hook_product
+
+    def counted(diagram):
+        calls.append(diagram.rows)
+        return hook_product(diagram)
+
+    monkeypatch.setattr(dimension, "hook_product", counted)
+    seq = greedy_sequence(40)
+    dims = {}
+    out = sequence_improve(seq, 3, dims=dims)
+    assert out.improved_sizes == (15, 22, 37, 38, 39)
+    # one hook product per distinct diagram, each kept in the memo: 37
+    # searches and the 37 elements they compete with, 21 of which the
+    # search found again
+    assert len(calls) == len(set(calls)) == len(dims) == 53
+    assert set(out.sequence[3:]) <= set(dims)
+    for d, dim in dims.items():
+        assert dim == dim_recursive(d)
 
 
 def test_sequence_improve_rejects_gaps():
