@@ -52,7 +52,6 @@ from .records import (
 )
 from .search import (
     SearchResult,
-    TreeNode,
     astar,
     local_improve,
     remaining_cost_estimate,
@@ -81,7 +80,6 @@ __all__ = [
     "SearchResult",
     "TransformReport",
     "TransitionEdge",
-    "TreeNode",
     "YoungDiagram",
     "astar",
     "balance",

@@ -173,10 +173,9 @@ def _edges(
 
     `addables` is the diagram's transition measure (`_measure` or
     `_grow`); weight = log(den) - log(num) of the reduced p.  The order
-    is probability descending, then row ascending.  It is taken from the
-    weights, and checked: where two neighbours' weights are within 1e-9
-    and their probabilities differ, the edges are sorted again on exact
-    integers over a common denominator.
+    is probability descending, then row ascending: one stable sort on
+    exact integers over a common denominator, and a measure lists its
+    boxes top row first.
 
     With `bad` None every edge is kept.  Otherwise `bad` holds the
     diagram's rows that fail the core test (`_bad_rows`; a core diagram
@@ -203,14 +202,9 @@ def _edges(
         (math.log(den) - math.log(num), r, c, num, den)
         for _, r, c, num, den in addables
     ]
-    # (weight, row) is already the exact order unless two different
-    # probabilities have weights closer than a log's rounding error
-    out.sort()
-    for a, b in zip(out, out[1:]):
-        if b[0] - a[0] < 1e-9 and a[3] * b[4] != b[3] * a[4]:
-            common = math.lcm(*(e[4] for e in out))
-            out.sort(key=lambda e: (-e[3] * (common // e[4]), e[1]))
-            break
+    if len(out) > 1:
+        common = math.lcm(*[e[4] for e in out])
+        out.sort(key=lambda e: -e[3] * (common // e[4]))
     return out
 
 

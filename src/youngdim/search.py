@@ -14,7 +14,9 @@ A search node is a plain tuple: rows, conjugate, size, frozen rows,
 path cost, and a reference to its parent's transition measure shared
 with its siblings, plus the box it adds; its own measure is grown from
 those in O(m) (`plancherel._grow`) only when needed.  Since each
-diagram is pushed once, no per-diagram cache is kept.
+diagram is pushed once, no per-diagram cache is kept.  `tree_children`
+is the one child builder with the freeze rule, for `astar` and
+`tree_sweep` alike.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -40,16 +42,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .plancherel import _bad_rows, _edges, _grow, _measure, _memo_dim
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """A search-tree node; bit r of `frozen` set means row r never grows."""
-
-    diagram: YoungDiagram
-    frozen: int
-    g: float
+from .plancherel import _edges, _grow, _measure, _memo_dim
 
 
 @dataclass(frozen=True)
@@ -65,17 +58,19 @@ class SearchResult:
     mode: str
 
 
-def _children(
+def tree_children(
     rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, edges: list
 ) -> list[tuple]:
     """The children through a node's unfrozen edges, in edge order.
 
-    `edges` are the node's core `plancherel._edges` tuples (weight, row,
-    col, num, den), best first.  Returns (rows, conj, frozen, weight,
-    row, col) per child.  The child through the r-th unfrozen edge
-    inherits the parent's frozen rows plus the rows of every edge ranked
-    before r, so no two root paths can reach the same diagram.  Adding
-    box (r, c) sets row r to length c and column c to height r.
+    A node is a core diagram's rows and conjugate plus its frozen-row
+    mask (bit r set means row r never grows).  `edges` are the node's
+    core `plancherel._edges` tuples (weight, row, col, num, den), best
+    first.  Returns (rows, conj, frozen, weight, row, col) per child.
+    The child through the r-th unfrozen edge inherits the parent's
+    frozen rows plus the rows of every edge ranked before r, so no two
+    root paths can reach the same diagram.  Adding box (r, c) sets row
+    r to length c and column c to height r.
     """
     out = []
     for weight, r, c, _, _ in edges:
@@ -88,19 +83,6 @@ def _children(
         )
         frozen |= bit
     return out
-
-
-def tree_children(node: TreeNode) -> list[TreeNode]:
-    """Children of a tree node, in candidate order, each carrying its conjugate."""
-    rows = node.diagram.rows
-    conj = node.diagram.conjugate_rows()
-    edges = _edges(rows, conj, _measure(rows)[0], _bad_rows(rows, conj))
-    return [
-        TreeNode(YoungDiagram._from_valid(crows, cconj), frozen, node.g + weight)
-        for crows, cconj, frozen, weight, _, _ in _children(
-            rows, conj, node.frozen, edges
-        )
-    ]
 
 
 def remaining_cost_estimate(levels: int, frozen: int, candidates: list) -> float:
@@ -185,7 +167,9 @@ def astar(
             edges = _edges(rows, conj, measure[0], ())
         size += 1
         levels = n_target - size
-        for crows, cconj, cfrozen, weight, r, c in _children(rows, conj, frozen, edges):
+        for crows, cconj, cfrozen, weight, r, c in tree_children(
+            rows, conj, frozen, edges
+        ):
             cg = g + weight
             f = cg
             cedges = None
@@ -225,17 +209,17 @@ def tree_sweep(max_n: int) -> TreeSweep:
 
     counts: dict[tuple, int] = {}
     dead_ends = []
-    stack = [TreeNode(YoungDiagram((1,)), 0, 0.0)]
+    stack = [((1,), (1,), 0)]
     while stack:
-        node = stack.pop()
-        rows = node.diagram.rows
+        rows, conj, frozen = stack.pop()
         counts[rows] = counts.get(rows, 0) + 1
-        if node.diagram.size >= max_n:
+        if sum(rows) >= max_n:
             continue
-        kids = tree_children(node)
+        edges = _edges(rows, conj, _measure(rows)[0], ())
+        kids = tree_children(rows, conj, frozen, edges)
         if not kids:
             dead_ends.append(rows)
-        stack.extend(kids)
+        stack.extend(kid[:3] for kid in kids)
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
     missing = []
     for n in range(1, max_n + 1):

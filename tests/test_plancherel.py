@@ -159,16 +159,6 @@ def test_grown_measure_matches_full_formula_large(d):
     _assert_grown_measure_is_exact(d)
 
 
-def test_edges_fall_back_to_exact_order_when_weights_collide():
-    # these probabilities differ by about 1e-40, below a log's rounding,
-    # so both weights come out the same float
-    big = 10**20
-    addables = [(0, 1, 9, big, big + 1), (0, 2, 1, big + 1, big + 2)]
-    edges = _edges((), (), addables, None)
-    assert edges[0][0] == edges[1][0]
-    assert [e[1] for e in edges] == [2, 1]
-
-
 def test_path_cost_known_values():
     empty = YoungDiagram(())
     assert path_cost(GrowthPath(empty, (Box(1, 1),))) == 0.0

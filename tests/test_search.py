@@ -25,11 +25,7 @@ from youngdim.errors import (
 )
 from youngdim import dimension, plancherel, search
 from youngdim.plancherel import _bad_rows, _edges, _measure
-from youngdim.search import (
-    TreeNode,
-    remaining_cost_estimate,
-    tree_children,
-)
+from youngdim.search import remaining_cost_estimate, tree_children
 
 from conftest import forbidden_set_children
 
@@ -43,34 +39,37 @@ def test_edge_weight_known_values():
     assert weight([2], Box(2, 1)) == pytest.approx(math.log(3) - math.log(2))
 
 
-def test_tree_children_of_the_root():
-    root = TreeNode(YoungDiagram([1]), 0, 0.0)
-    kids = tree_children(root)
-    # [2] has a box above the diagonal, so the only child kept is [1,1]
-    assert [k.diagram.rows for k in kids] == [(1, 1)]
-    assert kids[0].frozen == 0
-    assert kids[0].g == pytest.approx(math.log(2))
-
-
-def test_tree_children_rank_and_freeze():
-    node = TreeNode(YoungDiagram([2, 1]), 0, 0.0)
-    kids = tree_children(node)
-    assert [k.diagram.rows for k in kids] == [(2, 1, 1), (2, 2)]
-    # the lower-ranked sibling may never start the winner's row 3
-    assert kids[0].frozen == 0
-    assert kids[1].frozen == 1 << 3
-
-
-def test_tree_children_respect_frozen_rows():
-    node = TreeNode(YoungDiagram([2, 1]), 1 << 3, 0.0)
-    kids = tree_children(node)
-    assert [k.diagram.rows for k in kids] == [(2, 2)]
-    assert kids[0].frozen == 1 << 3
-
-
 def _core_edges(rows):
     conj = YoungDiagram(rows).conjugate_rows()
     return _edges(rows, conj, _measure(rows)[0], _bad_rows(rows, conj))
+
+
+def _kids(rows, frozen):
+    conj = YoungDiagram(rows).conjugate_rows()
+    return tree_children(rows, conj, frozen, _core_edges(rows))
+
+
+def test_tree_children_of_the_root():
+    kids = _kids((1,), 0)
+    # [2] has a box above the diagonal, so the only child kept is [1,1]
+    assert [k[0] for k in kids] == [(1, 1)]
+    assert kids[0][1] == YoungDiagram([1, 1]).conjugate_rows()
+    assert kids[0][2] == 0
+    assert kids[0][3] == pytest.approx(math.log(2))
+
+
+def test_tree_children_rank_and_freeze():
+    kids = _kids((2, 1), 0)
+    assert [k[0] for k in kids] == [(2, 1, 1), (2, 2)]
+    # the lower-ranked sibling may never start the winner's row 3
+    assert kids[0][2] == 0
+    assert kids[1][2] == 1 << 3
+
+
+def test_tree_children_respect_frozen_rows():
+    kids = _kids((2, 1), 1 << 3)
+    assert [k[0] for k in kids] == [(2, 2)]
+    assert kids[0][2] == 1 << 3
 
 
 def test_remaining_cost_estimate_values():
@@ -85,19 +84,20 @@ def test_remaining_cost_estimate_values():
 def test_frozen_rows_match_forbidden_sets_to_level_16():
     # walk both trees side by side; a frozen row must act exactly like
     # the forbidden box that would extend it
-    stack = [(TreeNode(YoungDiagram([1]), 0, 0.0), frozenset())]
+    stack = [((1,), 0, 0.0, frozenset())]
     visited = 0
     while stack:
-        node, forbidden = stack.pop()
+        rows, frozen, g, forbidden = stack.pop()
         visited += 1
-        if node.diagram.size >= 16:
+        if sum(rows) >= 16:
             continue
-        kids = tree_children(node)
-        want = forbidden_set_children(node.diagram, forbidden, node.g)
-        assert [(k.diagram.rows, k.g) for k in kids] == [
-            (d.rows, g) for d, _, g in want
-        ]
-        stack.extend((k, f) for k, (_, f, _) in zip(kids, want))
+        kids = _kids(rows, frozen)
+        want = forbidden_set_children(YoungDiagram(rows), forbidden, g)
+        assert [(k[0], g + k[3]) for k in kids] == [(d.rows, dg) for d, _, dg in want]
+        assert [k[1] for k in kids] == [d.conjugate_rows() for d, _, _ in want]
+        stack.extend(
+            (k[0], k[2], g + k[3], f) for k, (_, f, _) in zip(kids, want)
+        )
     assert visited == sum(
         1 for n in range(1, 17) for d in partitions(n) if d.in_core_subgraph()
     )
@@ -141,6 +141,29 @@ def test_search_builds_children_without_per_box_work(monkeypatch):
             "in_core_subgraph": 1,
             "_measure": 1,
         }
+
+
+def test_astar_builds_children_through_tree_children(monkeypatch):
+    # one call per expansion through the module-level name, so a wrapper
+    # installed there sees every child the search builds
+    seen = {"calls": 0, "children": 0}
+
+    def counted(*args):
+        kids = tree_children(*args)
+        seen["calls"] += 1
+        seen["children"] += len(kids)
+        return kids
+
+    monkeypatch.setattr(search, "tree_children", counted)
+    for n, uniform_cost, calls, children in (
+        (22, True, 592, 758),
+        (30, True, 2464, 3080),
+        (60, False, 394, 911),
+    ):
+        seen.update(calls=0, children=0)
+        res = astar(n, uniform_cost=uniform_cost)
+        assert res.nodes_expanded == calls
+        assert seen == {"calls": calls, "children": children}
 
 
 def test_uniform_cost_search_finds_core_maximum():
