@@ -13,13 +13,13 @@ import math
 
 from youngdim import (
     YoungDiagram,
+    all_dimensions,
     count_syt_enumeration,
     dim_exact,
     dim_recursive,
     hook_product,
     log_dim,
     normalized_dim,
-    partitions,
 )
 
 # A hook counts the box itself, everything to its right, and everything
@@ -33,15 +33,17 @@ print("dimension:", dim_exact(staircase))
 # Three independent ways to the same number: the hook formula, a
 # memoized recursion over corner removals, and literally enumerating
 # every filling one at a time.
-for lam in partitions(6):
+for rows in all_dimensions(6):
+    lam = YoungDiagram(rows)
     a = dim_exact(lam)
     b = dim_recursive(lam)
     c = count_syt_enumeration(lam)
     print("%-20s %6d %6d %6d" % (str(lam.rows), a, b, c))
 
-# Dimensions square-sum to n!, one of the classical identities.
+# Dimensions square-sum to n!, one of the classical identities.  The
+# oracle's sweep gives every partition of n with its exact dimension.
 n = 10
-total = sum(dim_exact(lam) ** 2 for lam in partitions(n))
+total = sum(d**2 for d in all_dimensions(n).values())
 print("sum of squared dims at n=%d: %d = %d!" % (n, total, n), total == math.factorial(n))
 
 # Exact integers stay exact at sizes where floats long gave up.  The

@@ -12,12 +12,12 @@ same answers while expanding a fraction of the shapes.
 
 from youngdim import (
     YoungDiagram,
+    all_dimensions,
     astar,
     dim_exact,
     local_improve,
     max_dimension_core,
     max_dimension_diagrams,
-    partitions,
     sequence_improve,
     greedy_sequence,
     verify_one_box_claim,
@@ -31,8 +31,9 @@ for n in range(1, 17):
 
 # How thin is the slice?  At n=16 it keeps 57 of 231 shapes.
 n = 16
-core = [lam for lam in partitions(n) if lam.in_core_subgraph()]
-print("shapes at n=%d: %d, in the slice: %d" % (n, len(list(partitions(n))), len(core)))
+shapes = all_dimensions(n)
+core = [rows for rows in shapes if YoungDiagram(rows).in_core_subgraph()]
+print("shapes at n=%d: %d, in the slice: %d" % (n, len(shapes), len(core)))
 
 # Uniform-cost search over the slice finds the exact in-slice maximum;
 # the cheapest-edge heuristic usually agrees while expanding far less.

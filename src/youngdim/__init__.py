@@ -20,11 +20,10 @@ from .dimension import (
 )
 from .oracle import (
     MaxTableEntry,
+    all_dimensions,
     max_dimension_core,
     max_dimension_diagrams,
     max_table,
-    partition_count,
-    partitions,
     verify_max_geometry,
     verify_one_box_claim,
 )
@@ -81,6 +80,7 @@ __all__ = [
     "TransformReport",
     "TransitionEdge",
     "YoungDiagram",
+    "all_dimensions",
     "astar",
     "balance",
     "balance_sweep",
@@ -105,8 +105,6 @@ __all__ = [
     "max_table",
     "normalized_dim",
     "parse_partition",
-    "partition_count",
-    "partitions",
     "path_cost",
     "ratios_csv",
     "record_for",

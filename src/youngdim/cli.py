@@ -35,7 +35,7 @@ from .errors import (
     ShapeBlocked,
     SizeBoundExceeded,
 )
-from .oracle import max_dimension_diagrams, max_table
+from .oracle import _check_size, max_dimension_diagrams, max_table
 from .plancherel import branches, greedy_grow
 from .records import (
     DEFAULT_MAX_EXACT_N,
@@ -208,6 +208,9 @@ def _cmd_oracle_table(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    # Both sizes are checked before either sweep starts.
+    _check_size(args.max_n)
+    _check_size(args.hooks_max_n, lo=0)
     sweep = symmetrize_sweep(args.max_n)
     hook_pairs, hook_failures = reflection_hooks_sweep(args.hooks_max_n)
     print(

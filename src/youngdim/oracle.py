@@ -8,8 +8,9 @@ exact dimension costs a few multiplications and one exact division
 whole table 1..N in one pass, with one stack frame per row.  The
 results anchor the heuristics and the search, which must never beat or
 contradict them.  The default size bound keeps a full table run under
-half a minute.  `partitions` enumerates a single size, for the
-transform and tree sweeps.
+half a minute.  The sweep is the library's one partition enumeration:
+`all_dimensions` reads a single size from it, for the transform and
+tree sweeps.
 """
 
 from __future__ import annotations
@@ -22,45 +23,10 @@ from .errors import NonDivisibleHookProduct, SizeBoundExceeded
 DEFAULT_BOUND = 60
 
 
-def partitions(n: int):
-    """Yield every partition of n as a diagram, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-
-    def rec(remaining, max_part, prefix):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    for rows in rec(n, n, ()):
-        yield YoungDiagram._from_valid(rows)
-
-
-_pcount = [1]
-
-
-def partition_count(n: int) -> int:
-    """Number of partitions of n, by the pentagonal-number recurrence."""
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    while len(_pcount) <= n:
-        m = len(_pcount)
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _pcount[m - g]
-            g = k * (3 * k + 1) // 2
-            if g <= m:
-                total += sign * _pcount[m - g]
-            k += 1
-        _pcount.append(total)
-    return _pcount[n]
+def _check_size(n: int, bound: int = DEFAULT_BOUND, lo: int = 1) -> None:
+    """Raise SizeBoundExceeded unless lo <= n <= bound; call before any work."""
+    if not lo <= n <= bound:
+        raise SizeBoundExceeded(f"n={n} outside exhaustive range {lo}..{bound}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +82,16 @@ def _sweep(max_n: int, min_n: int = 1):
             stack.append([s, child, (h,) + hooks, delta, fprod, r])
 
 
+def all_dimensions(n: int) -> dict[tuple[int, ...], int]:
+    """Every partition of n (a rows tuple) mapped to its exact dimension.
+
+    One sweep gives the whole size; keys come in descending
+    lexicographic order.  The bound is checked before any work.
+    """
+    _check_size(n)
+    return dict(sorted(((rows, dim) for _, rows, dim in _sweep(n, n)), reverse=True))
+
+
 def _max_entries(lo: int, hi: int, bound: int, keep=None) -> list[MaxTableEntry]:
     """Maximum entries for sizes lo..hi (lo is 1 or hi) from one sweep.
 
@@ -123,8 +99,7 @@ def _max_entries(lo: int, hi: int, bound: int, keep=None) -> list[MaxTableEntry]
     tuples; it is asked only about partitions that would tie or beat
     the best kept so far.  The bound is checked before any work.
     """
-    if not 1 <= hi <= bound:
-        raise SizeBoundExceeded(f"n={hi} outside exhaustive range 1..{bound}")
+    _check_size(hi, bound)
     best = [-1] * (hi + 1)
     arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
     for size, rows, dim in _sweep(hi, lo):

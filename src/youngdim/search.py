@@ -42,6 +42,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
+from .oracle import _check_size, all_dimensions
 from .plancherel import _edges, _grow, _measure, _memo_dim
 
 
@@ -203,10 +204,11 @@ def tree_sweep(max_n: int) -> TreeSweep:
     Every core diagram of every size up to max_n must be visited exactly
     once.  Dead ends (nodes below the last level with no children) are
     recorded; the frozen rows make these possible, and the heuristic
-    relies on them reporting a zero remaining-cost estimate.
+    relies on them reporting a zero remaining-cost estimate.  The
+    census reads each size from `oracle.all_dimensions`, so max_n must
+    lie in its range; that is checked before the walk.
     """
-    from .oracle import partitions
-
+    _check_size(max_n)
     counts: dict[tuple, int] = {}
     dead_ends = []
     stack = [((1,), (1,), 0)]
@@ -221,11 +223,12 @@ def tree_sweep(max_n: int) -> TreeSweep:
             dead_ends.append(rows)
         stack.extend(kid[:3] for kid in kids)
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
-    missing = []
-    for n in range(1, max_n + 1):
-        for lam in partitions(n):
-            if lam.in_core_subgraph() and lam.rows not in counts:
-                missing.append(lam.rows)
+    missing = [
+        rows
+        for n in range(1, max_n + 1)
+        for rows in all_dimensions(n)
+        if YoungDiagram._from_valid(rows).in_core_subgraph() and rows not in counts
+    ]
     return TreeSweep(
         visited=len(counts),
         duplicates=duplicates,

@@ -12,6 +12,12 @@ and `check_reflection_hook_identities` does exactly that.
 imbalance from the taller column onto its row.  `balance_to_core`
 iterates such moves until the diagram (or its conjugate) lands in the
 core subgraph; the dimension is expected, but not proven, to rise.
+
+`symmetrize` computes its output from the rows and their conjugate,
+and `balance_to_core` moves boxes without computing any dimension
+until its report.  The exhaustive sweeps read every partition of a
+size with its exact dimension from `oracle.all_dimensions`, so they
+compute no hook products.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .errors import (
     InvalidResultShape,
     InvariantViolation,
     NotAddable,
-    PartitionError,
     ShapeBlocked,
 )
+from .oracle import _check_size, all_dimensions
 
 
 @dataclass(frozen=True)
@@ -41,22 +47,45 @@ class TransformReport:
     strict_expected: bool
 
 
-def _diagram_from_boxes(boxes) -> YoungDiagram:
-    by_row: dict[int, set[int]] = {}
-    for r, c in boxes:
-        by_row.setdefault(r, set()).add(c)
-    if not by_row:
-        return YoungDiagram(())
-    rows = []
-    for i in range(1, max(by_row) + 1):
-        cols = by_row.get(i, set())
-        if cols != set(range(1, len(cols) + 1)):
-            raise InvalidResultShape(f"row {i} is not contiguous: {sorted(cols)}")
-        rows.append(len(cols))
-    try:
-        return YoungDiagram(rows)
-    except PartitionError as exc:
-        raise InvalidResultShape(f"box set is not a diagram: {rows}") from exc
+def _report(
+    diagram: YoungDiagram, output: YoungDiagram, strict: bool = False
+) -> TransformReport:
+    """A transform's report: the two diagrams and their exact dimensions."""
+    return TransformReport(
+        input=diagram,
+        output=output,
+        dim_input=dim_exact(diagram),
+        dim_output=dim_exact(output),
+        strict_expected=strict,
+    )
+
+
+def _symmetrized(rows, conj) -> tuple[tuple[int, ...], bool]:
+    """Output rows of `symmetrize` and its strict flag.
+
+    The asymmetric boxes must be isolated.  Row i then carries one
+    asymmetric box exactly when rows_i == conj_i + 1, at column rows_i,
+    below the diagonal when rows_i < i and above it otherwise.  Each
+    below box (i, rows_i) moves to its mirror (rows_i, i).  The output
+    is strict when both sides were occupied.
+    """
+    out = list(rows)
+    width = len(conj)
+    up = down = False
+    for i, r in enumerate(rows, 1):
+        if r != (conj[i - 1] if i <= width else 0) + 1:
+            continue
+        if r < i:
+            out[i - 1] -= 1
+            out[r - 1] += 1
+            down = True
+        else:
+            up = True
+    while out and out[-1] == 0:
+        out.pop()
+    if any(a < b for a, b in zip(out, out[1:])):
+        raise InvalidResultShape(f"reflected rows are not a diagram: {out}")
+    return tuple(out), up and down
 
 
 def symmetrize(diagram: YoungDiagram) -> TransformReport:
@@ -72,17 +101,8 @@ def symmetrize(diagram: YoungDiagram) -> TransformReport:
         raise AsymmetricBoxesNotIsolated(
             f"a row or column of {diagram.rows} carries two asymmetric boxes"
         )
-    up, down = diagram.asymmetric_boxes()
-    target = set(diagram.base_subdiagram().boxes()) | set(up)
-    target.update(reflected(b) for b in down)
-    output = _diagram_from_boxes(target)
-    return TransformReport(
-        input=diagram,
-        output=output,
-        dim_input=dim_exact(diagram),
-        dim_output=dim_exact(output),
-        strict_expected=bool(up) and bool(down),
-    )
+    rows, strict = _symmetrized(diagram.rows, diagram.conjugate_rows())
+    return _report(diagram, YoungDiagram._from_valid(rows), strict)
 
 
 def _expected_hooks(k: int, l: int, t: int, s: int):
@@ -148,15 +168,8 @@ def check_reflection_hook_identities(
     return prod_after < prod_before
 
 
-def balance(diagram: YoungDiagram, index: int) -> TransformReport:
-    """Move half of a column's excess over its row onto that row.
-
-    With c the height of column `index` and r the length of row `index`,
-    requires d = c - r > 0 and moves ceil(d / 2) boxes from the top of
-    the column to the end of the row, one corner at a time.  Any step
-    that would pass through an invalid shape raises ShapeBlocked with
-    the stuck diagram attached.
-    """
+def _balanced(diagram: YoungDiagram, index: int) -> YoungDiagram:
+    """The diagram after one `balance` move, without its report."""
     if index < 1:
         raise ValueError(f"line index must be at least 1, got {index}")
     c = diagram.col_height(index)
@@ -183,13 +196,19 @@ def balance(diagram: YoungDiagram, index: int) -> TransformReport:
     new_d = cur.col_height(index) - cur.row_length(index)
     if new_d not in (0, -1):
         raise InvariantViolation(f"balance left difference {new_d} at line {index}")
-    return TransformReport(
-        input=diagram,
-        output=cur,
-        dim_input=dim_exact(diagram),
-        dim_output=dim_exact(cur),
-        strict_expected=False,
-    )
+    return cur
+
+
+def balance(diagram: YoungDiagram, index: int) -> TransformReport:
+    """Move half of a column's excess over its row onto that row.
+
+    With c the height of column `index` and r the length of row `index`,
+    requires d = c - r > 0 and moves ceil(d / 2) boxes from the top of
+    the column to the end of the row, one corner at a time.  Any step
+    that would pass through an invalid shape raises ShapeBlocked with
+    the stuck diagram attached.
+    """
+    return _report(diagram, _balanced(diagram, index))
 
 
 def balance_to_core(diagram: YoungDiagram) -> TransformReport:
@@ -206,6 +225,11 @@ def balance_to_core(diagram: YoungDiagram) -> TransformReport:
     cycle.  The dimension is expected to never drop input to output,
     but that is measured by the sweeps, not asserted here.
     """
+    return _report(diagram, _to_core(diagram))
+
+
+def _to_core(diagram: YoungDiagram) -> YoungDiagram:
+    """The endpoint of `balance_to_core`, without its report."""
     cur = diagram
     seen = {cur.rows}
     while not (cur.in_core_subgraph() or cur.conjugate().in_core_subgraph()):
@@ -215,9 +239,9 @@ def balance_to_core(diagram: YoungDiagram) -> TransformReport:
             d = cur.col_height(i) - cur.row_length(i)
             try:
                 if d >= 1:
-                    cur = balance(cur, i).output
+                    cur = _balanced(cur, i)
                 elif d <= -1:
-                    cur = balance(cur.conjugate(), i).output.conjugate()
+                    cur = _balanced(cur.conjugate(), i).conjugate()
                 else:
                     continue
             except ShapeBlocked:
@@ -228,13 +252,7 @@ def balance_to_core(diagram: YoungDiagram) -> TransformReport:
         if cur.rows in seen:
             raise ShapeBlocked("balance rounds cycled", diagram=cur)
         seen.add(cur.rows)
-    return TransformReport(
-        input=diagram,
-        output=cur,
-        dim_input=dim_exact(diagram),
-        dim_output=dim_exact(cur),
-        strict_expected=False,
-    )
+    return cur
 
 
 @dataclass
@@ -255,26 +273,22 @@ def symmetrize_sweep(max_n: int) -> ReflectionSweep:
     violation is any strict case that fails to increase the dimension or
     any non-strict case whose dimension changes at all.
     """
-    from .oracle import partitions
-
+    _check_size(max_n)
     sweep = ReflectionSweep()
     for n in range(1, max_n + 1):
-        for lam in partitions(n):
+        dims = all_dimensions(n)
+        for rows, dim_in in dims.items():
+            lam = YoungDiagram._from_valid(rows)
             if not lam.has_isolated_asymmetric_boxes():
                 sweep.skipped += 1
                 continue
-            rep = symmetrize(lam)
+            out, strict = _symmetrized(rows, lam.conjugate_rows())
+            dim_out = dims[out]
             sweep.checked += 1
-            ok = (
-                rep.dim_output > rep.dim_input
-                if rep.strict_expected
-                else rep.dim_output == rep.dim_input
-            )
+            ok = dim_out > dim_in if strict else dim_out == dim_in
             if not ok:
-                sweep.violations.append(
-                    (lam.rows, rep.output.rows, rep.dim_input, rep.dim_output)
-                )
-            elif rep.dim_output > rep.dim_input:
+                sweep.violations.append((rows, out, dim_in, dim_out))
+            elif dim_out > dim_in:
                 sweep.strict += 1
             else:
                 sweep.equal += 1
@@ -287,15 +301,14 @@ def reflection_hooks_sweep(max_base_size: int) -> tuple[int, list]:
     Returns (pairs checked, failures).  Mirror-image pairs are skipped as
     degenerate.
     """
-    from .oracle import partitions
-
+    _check_size(max_base_size, lo=0)
     checked = 0
     failures = []
     for n in range(0, max_base_size + 1):
-        bases = [YoungDiagram(())] if n == 0 else [
-            lam for lam in partitions(n) if lam.is_symmetric()
-        ]
-        for base in bases:
+        for rows in all_dimensions(n) if n else [()]:
+            base = YoungDiagram._from_valid(rows)
+            if not base.is_symmetric():
+                continue
             addable = base.addable_boxes()
             uppers = [b for b in addable if b.row < b.col]
             lowers = [b for b in addable if b.row > b.col]
@@ -321,24 +334,24 @@ class BalanceSweep:
 
 
 def balance_sweep(max_n: int) -> BalanceSweep:
-    from .oracle import partitions
-
+    """Run balance_to_core on every diagram of every size up to max_n."""
+    _check_size(max_n)
     sweep = BalanceSweep()
     for n in range(1, max_n + 1):
-        for lam in partitions(n):
+        dims = all_dimensions(n)
+        for rows, dim_in in dims.items():
             sweep.checked += 1
             try:
-                rep = balance_to_core(lam)
+                out = _to_core(YoungDiagram._from_valid(rows)).rows
             except ShapeBlocked as exc:
                 stuck = exc.diagram.rows if exc.diagram is not None else None
-                sweep.blocked.append((lam.rows, stuck))
+                sweep.blocked.append((rows, stuck))
                 continue
-            if rep.dim_output > rep.dim_input:
+            dim_out = dims[out]
+            if dim_out > dim_in:
                 sweep.increased += 1
-            elif rep.dim_output == rep.dim_input:
+            elif dim_out == dim_in:
                 sweep.equal += 1
             else:
-                sweep.decreased.append(
-                    (lam.rows, rep.output.rows, rep.dim_input, rep.dim_output)
-                )
+                sweep.decreased.append((rows, out, dim_in, dim_out))
     return sweep

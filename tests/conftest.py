@@ -9,7 +9,7 @@ from youngdim import (
     GrowthPath,
     YoungDiagram,
     dim_exact,
-    partitions,
+    reflected,
     transition_prob,
 )
 from youngdim.errors import NoCoreChild
@@ -17,6 +17,76 @@ from youngdim.oracle import DEFAULT_BOUND, MaxTableEntry, _max_entries
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def partitions(n):
+    """Every partition of n as a diagram, in descending lexicographic order.
+
+    The library enumerates partitions only through the oracle's one
+    sweep over first-column hooks (`oracle.all_dimensions`); this
+    recursive form is the cross-check.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+
+    def rec(remaining, max_part, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    for rows in rec(n, n, ()):
+        yield YoungDiagram(rows)
+
+
+_pcount = [1]
+
+
+def partition_count(n):
+    """Number of partitions of n, by the pentagonal-number recurrence.
+
+    Shares no code with either enumeration, so it checks their counts.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    while len(_pcount) <= n:
+        m = len(_pcount)
+        total = 0
+        k = 1
+        while True:
+            g = k * (3 * k - 1) // 2
+            if g > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * _pcount[m - g]
+            g = k * (3 * k + 1) // 2
+            if g <= m:
+                total += sign * _pcount[m - g]
+            k += 1
+        _pcount.append(total)
+    return _pcount[n]
+
+
+def symmetrize_by_boxes(diagram):
+    """Output rows and strict flag of `symmetrize`, built from sets of boxes.
+
+    The output is the base subdiagram, plus the above-diagonal
+    asymmetric boxes, plus the mirror image of every below-diagonal
+    one, rebuilt row by row; it is strict when both sides are occupied.
+    The library moves the below-diagonal boxes on the rows tuple
+    instead; this box-set form is the cross-check.
+    """
+    up, down = diagram.asymmetric_boxes()
+    target = set(diagram.base_subdiagram().boxes()) | set(up)
+    target.update(reflected(b) for b in down)
+    rows = []
+    for i in range(1, max((r for r, _ in target), default=0) + 1):
+        cols = {c for r, c in target if r == i}
+        if cols != set(range(1, len(cols) + 1)):
+            raise ValueError(f"row {i} is not contiguous: {sorted(cols)}")
+        rows.append(len(cols))
+    return YoungDiagram(rows).rows, bool(up) and bool(down)
 
 
 @st.composite

@@ -25,8 +25,6 @@ from youngdim import (
     log_dim,
     log_factorial,
     max_table,
-    partition_count,
-    partitions,
     path_cost,
     reflection_hooks_sweep,
     symmetrize,
@@ -36,6 +34,8 @@ from youngdim import (
     verify_max_geometry,
     verify_one_box_claim,
 )
+
+from conftest import partition_count, partitions
 
 COST_TOL = 1e-8
 

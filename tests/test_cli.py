@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -198,20 +199,26 @@ def test_oracle_table_to_file(tmp_path, capsys):
 
 
 def test_oracle_size_bound_is_checked_before_any_work(capsys, monkeypatch):
-    def no_sweep(max_n):
+    def no_sweep(*args):
         raise AssertionError("swept before the bound check")
 
     monkeypatch.setattr(oracle, "_sweep", no_sweep)
-    for argv, bad in (
-        (["oracle", "table", "--max-n", "61"], 61),
-        (["oracle", "table", "--max-n", "0"], 0),
-        (["oracle", "table", "--max-n", "-3"], -3),
-        (["oracle", "max", "--n", "0"], 0),
-        (["oracle", "max", "--n", "61"], 61),
+    for argv, bad, lo in (
+        (["oracle", "table", "--max-n", "61"], 61, 1),
+        (["oracle", "table", "--max-n", "0"], 0, 1),
+        (["oracle", "table", "--max-n", "-3"], -3, 1),
+        (["oracle", "max", "--n", "0"], 0, 1),
+        (["oracle", "max", "--n", "61"], 61, 1),
+        (["verify", "theorem", "--max-n", "61"], 61, 1),
+        (["verify", "theorem", "--max-n", "0"], 0, 1),
+        (["verify", "theorem", "--max-n", "26", "--hooks-max-n", "61"], 61, 0),
+        (["verify", "theorem", "--hooks-max-n", "-1"], -1, 0),
+        (["verify", "conjecture", "--max-n", "61"], 61, 1),
+        (["verify", "conjecture", "--max-n", "0"], 0, 1),
     ):
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
-        assert err == f"error: n={bad} outside exhaustive range 1..60\n"
+        assert err == f"error: n={bad} outside exhaustive range {lo}..60\n"
 
 
 def test_verify_theorem_clean(capsys):
@@ -228,6 +235,35 @@ def test_verify_conjecture_clean(capsys):
     assert "decreases=0" in summary
     blocked = [json.loads(x) for x in out.strip().splitlines()[1:]]
     assert all(b["kind"] == "blocked" for b in blocked)
+
+
+# stdout read at the commit before the transform sweeps moved onto
+# oracle.all_dimensions; the sweeps must reproduce it byte for byte,
+# including the order of the blocked lines.
+VERIFY_GOLDEN = (
+    (
+        ["verify", "theorem", "--max-n", "26", "--hooks-max-n", "16"],
+        "1b19c3f40cac136ecc18559a79a4ac8f49fa121c6539e28c8a78b03b635ed8e5",
+        1,
+        "checked=995 strict=264 equal=731 skipped=10736 violations=0"
+        " hook_pairs=38 hook_failures=0",
+    ),
+    (
+        ["verify", "conjecture", "--max-n", "20"],
+        "161c005440bdceeb892b731a1489a95a69da41fb4750984a0bcab1f52cd79cbb",
+        565,
+        "checked=2713 increased=904 equal=1245 blocked=564 decreases=0",
+    ),
+)
+
+
+@pytest.mark.parametrize("argv,sha,lines,first", VERIFY_GOLDEN, ids=["theorem", "conjecture"])
+def test_verify_output_is_pinned(capsys, argv, sha, lines, first):
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == first
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_ratios_subcommand(tmp_path, capsys):

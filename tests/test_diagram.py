@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from youngdim import Box, YoungDiagram, partitions, reflected
+from youngdim import Box, YoungDiagram, reflected
 from youngdim.errors import (
     BoxOutsideDiagram,
     NegativeRowLength,
@@ -10,7 +10,7 @@ from youngdim.errors import (
     NotRemovable,
 )
 
-from conftest import partition_diagrams
+from conftest import partition_diagrams, partitions
 
 
 def test_construction_basics():

@@ -13,12 +13,11 @@ from youngdim import (
     log_dim,
     log_factorial,
     normalized_dim,
-    partitions,
     transition_prob,
 )
 from youngdim.errors import EmptyDiagramError, NotAddable, SizeBoundExceeded
 
-from conftest import hook_ratio, partition_diagrams, random_diagram
+from conftest import hook_ratio, partition_diagrams, partitions, random_diagram
 
 KNOWN_DIMS = {
     (): 1,

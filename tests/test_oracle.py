@@ -3,21 +3,20 @@ from hypothesis import given, strategies as st
 
 from youngdim import (
     YoungDiagram,
+    all_dimensions,
     dim_exact,
     dim_recursive,
     greedy_sequence,
     max_dimension_core,
     max_dimension_diagrams,
     max_table,
-    partition_count,
-    partitions,
     verify_max_geometry,
     verify_one_box_claim,
 )
 from youngdim import oracle
 from youngdim.errors import SizeBoundExceeded
 
-from conftest import argmax_by_hook_product
+from conftest import argmax_by_hook_product, partition_count, partitions
 
 
 def test_partitions_of_four_in_order():
@@ -48,6 +47,17 @@ def test_partition_count_known_values():
     assert partition_count(60) == 966467
     with pytest.raises(ValueError):
         partition_count(-2)
+
+
+def test_all_dimensions_matches_partitions_and_hook_products():
+    for n in range(1, 23):
+        dims = all_dimensions(n)
+        assert list(dims.items()) == [
+            (lam.rows, dim_exact(lam)) for lam in partitions(n)
+        ]
+    for bad in (0, 61):
+        with pytest.raises(SizeBoundExceeded):
+            all_dimensions(bad)
 
 
 def test_max_dimension_known_values():

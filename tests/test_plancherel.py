@@ -13,7 +13,6 @@ from youngdim import (
     greedy_grow,
     greedy_sequence,
     greedy_step,
-    partitions,
     path_cost,
     shake,
     shake_variant,
@@ -33,6 +32,7 @@ from conftest import (
     edges_by_children,
     hook_ratio,
     partition_diagrams,
+    partitions,
     random_diagram,
     random_growth_path,
 )

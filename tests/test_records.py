@@ -10,7 +10,6 @@ from youngdim import (
     format_partition,
     load_records,
     parse_partition,
-    partitions,
     ratios_csv,
     record_for,
 )
@@ -23,6 +22,8 @@ from youngdim.errors import (
     RecordSchemaError,
 )
 from youngdim.records import record_to_json
+
+from conftest import partitions
 
 
 def test_partition_text_roundtrip():

@@ -13,7 +13,6 @@ from youngdim import (
     greedy_sequence,
     local_improve,
     max_dimension_core,
-    partitions,
     sequence_improve,
     transition_prob,
     tree_sweep,
@@ -27,7 +26,7 @@ from youngdim import dimension, plancherel, search
 from youngdim.plancherel import _bad_rows, _edges, _measure
 from youngdim.search import remaining_cost_estimate, tree_children
 
-from conftest import forbidden_set_children
+from conftest import forbidden_set_children, partitions
 
 
 def test_edge_weight_known_values():

@@ -9,21 +9,22 @@ from youngdim import (
     balance_to_core,
     check_reflection_hook_identities,
     dim_exact,
-    partition_count,
-    partitions,
     reflection_hooks_sweep,
     symmetrize,
     symmetrize_sweep,
+    tree_sweep,
 )
+from youngdim import dimension, transforms
 from youngdim.errors import (
     AsymmetricBoxesNotIsolated,
     BalanceNotApplicable,
     DegenerateOverlap,
+    InvalidResultShape,
     NotAddable,
     ShapeBlocked,
 )
 
-from conftest import partition_diagrams
+from conftest import partition_count, partition_diagrams, partitions, symmetrize_by_boxes
 
 
 def test_symmetrize_strict_example():
@@ -76,6 +77,24 @@ def test_symmetrize_properties(d):
         assert rep.dim_output > rep.dim_input
     else:
         assert rep.dim_output == rep.dim_input
+
+
+def test_symmetrize_rows_match_box_sets_exhaustively():
+    seen = 0
+    for n in range(1, 23):
+        for lam in partitions(n):
+            if not lam.has_isolated_asymmetric_boxes():
+                continue
+            rep = symmetrize(lam)
+            assert (rep.output.rows, rep.strict_expected) == symmetrize_by_boxes(lam)
+            seen += 1
+    assert seen == 509
+
+
+def test_symmetrize_rows_reject_a_non_diagram_result():
+    # Unreachable from an isolated diagram; a wrong conjugate reaches it.
+    with pytest.raises(InvalidResultShape):
+        transforms._symmetrized((2, 2, 2), (3, 3, 1))
 
 
 def test_symmetrize_strict_exhaustive_small():
@@ -194,3 +213,31 @@ def test_balance_sweep_small_records_no_decrease():
     assert sweep.decreased == []
     assert sweep.checked == sum(partition_count(n) for n in range(1, 13))
     assert sweep.increased > 0
+
+
+def test_sweeps_compute_no_hook_products(monkeypatch):
+    calls = []
+    real = dimension.hook_product
+
+    def counting(diagram):
+        calls.append(diagram.rows)
+        return real(diagram)
+
+    monkeypatch.setattr(dimension, "hook_product", counting)
+    symmetrize_sweep(14)
+    balance_sweep(14)
+    tree_sweep(12)
+    assert calls == []
+    # [6,5,1,1] takes several moves, and only its report computes dimensions.
+    moves = []
+    real_move = transforms._balanced
+
+    def counting_move(diagram, index):
+        moves.append(index)
+        return real_move(diagram, index)
+
+    monkeypatch.setattr(transforms, "_balanced", counting_move)
+    rep = balance_to_core(YoungDiagram([6, 5, 1, 1]))
+    assert len(moves) > 1
+    assert calls == [(6, 5, 1, 1), (5, 4, 2, 1, 1)]
+    assert (rep.dim_input, rep.dim_output) == (5720, 21450)
