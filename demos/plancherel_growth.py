@@ -21,7 +21,7 @@ from youngdim import (
     log_factorial,
     max_dimension_diagrams,
     path_cost,
-    shake,
+    shake_variant,
     transition_edges,
 )
 
@@ -50,10 +50,11 @@ for d in seq:
     print("n=%2d  %-22s dim %8d  max %8d%s" % (d.size, str(d.rows), dim_exact(d), best, mark))
 
 # Shaking re-routes a stuck shape: add the k best boxes, then drop the
-# k weakest corners.  Branch search shakes the start m ways (seeded),
+# k weakest corners (m = 1 candidate per step, so the seed is moot).
+# Branch search shakes the start m ways (seeded),
 # grows each greedily, and keeps the best diagram per size.
 start = seq[9]
-print("shake(2):", start.rows, "->", shake(start, 2).rows)
+print("shake(2):", start.rows, "->", shake_variant(start, 2, 1, 0).rows)
 best_per_size = branches(start, 3, 2, 15, seed_base=7)
 final = best_per_size[-1]
 print("branches final: %s dim %d (greedy had %d)" % (

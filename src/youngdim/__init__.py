@@ -35,7 +35,6 @@ from .plancherel import (
     greedy_sequence,
     greedy_step,
     path_cost,
-    shake,
     shake_variant,
     transition_edges,
     transition_prob,
@@ -53,9 +52,8 @@ from .search import (
     SearchResult,
     astar,
     local_improve,
-    remaining_cost_estimate,
+    search_from,
     sequence_improve,
-    tree_children,
     tree_sweep,
 )
 from .transforms import (
@@ -110,15 +108,13 @@ __all__ = [
     "record_for",
     "reflected",
     "reflection_hooks_sweep",
-    "remaining_cost_estimate",
+    "search_from",
     "sequence_improve",
-    "shake",
     "shake_variant",
     "symmetrize",
     "symmetrize_sweep",
     "transition_edges",
     "transition_prob",
-    "tree_children",
     "tree_sweep",
     "verify_max_geometry",
     "verify_one_box_claim",

@@ -2,9 +2,9 @@
 
 Subcommands: dim, seq, search, improve, oracle, verify, ratios.  Growth
 and improvement commands emit JSON-lines run records; oracle table rows
-and search results are single JSON objects; ratios are CSV.  Global
-flags --seed and --max-exact-n may appear before or after the
-subcommand.
+and search results are single JSON objects; ratios are CSV.  No stdout
+byte depends on timing.  Global flags --seed and --max-exact-n may
+appear before or after the subcommand.
 
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
 input, 3 internal failure, which includes `verify theorem` finding a
@@ -47,7 +47,7 @@ from .records import (
     load_records,
     ratios_csv,
 )
-from .search import astar, core_start, sequence_improve
+from .search import search_from, sequence_improve
 from .transforms import balance_sweep, reflection_hooks_sweep, symmetrize_sweep
 
 _INPUT_ERRORS = (
@@ -141,21 +141,20 @@ def _cmd_search_astar(args) -> int:
         return 2
     if args.depth is not None and args.depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {args.depth}")
-    start, flipped = core_start(_parse_start(args.start))
+    start = _parse_start(args.start)
     n_target = args.n if args.n is not None else start.size + args.depth
-    result = astar(n_target, start=start, uniform_cost=args.uniform_cost)
-    found = result.diagram.conjugate() if flipped else result.diagram
+    found, result = search_from(start, n_target, uniform_cost=args.uniform_cost)
+    record = record_for(found, "astar", args.max_exact_n, dim=result.dim)
     payload = {
-        "rows": format_partition(found),
-        "n": found.size,
-        "dim": str(result.dim) if found.size <= args.max_exact_n else None,
-        "log_dim": result.log_dim,
-        "c": result.normalized,
+        "rows": record.rows,
+        "n": record.n,
+        "dim": record.dim,
+        "log_dim": record.log_dim,
+        "c": record.c,
         "cost": result.cost,
         "nodes_expanded": result.nodes_expanded,
         "frontier_peak": result.frontier_peak,
         "mode": result.mode,
-        "wall_time_s": result.elapsed,
     }
     print(json.dumps(payload))
     return 0

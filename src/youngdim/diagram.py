@@ -10,7 +10,6 @@ cache keys and to share between search nodes.
 from __future__ import annotations
 
 import operator
-from itertools import zip_longest
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -33,6 +32,20 @@ class Box(NamedTuple):
 def _core_row_ok(i: int, r: int, c: int) -> bool:
     """The core-subgraph test for row i of length r over column height c."""
     return r <= c or (r == c + 1 and r < i)
+
+
+def _bad_rows(rows: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
+    """The rows of a diagram that fail the core test, 1-based; none in the core."""
+    k = len(rows)
+    width = len(conj)
+    bad = [
+        i
+        for i, r, c in zip(range(1, k + 1), rows, conj)
+        if not _core_row_ok(i, r, c)
+    ]
+    # rows past the width have conj_i = 0 and fail only when longer than 1
+    bad += [i for i in range(width + 1, k + 1) if rows[i - 1] > 1]
+    return bad
 
 
 def reflected(box: Box) -> Box:
@@ -255,11 +268,14 @@ class YoungDiagram:
 
         Row i carries rows_i - conj_i asymmetric boxes when that is
         positive, and column i carries conj_i - rows_i, so the test is
-        |rows_i - conj_i| <= 1 with both tuples padded by zeros.
+        |rows_i - conj_i| <= 1 with both tuples padded by zeros.  Past
+        the shorter tuple the longer one faces zeros, and it does not
+        increase, so its first entry there decides.
         """
-        return all(
-            -1 <= r - c <= 1
-            for r, c in zip_longest(self._rows, self.conjugate_rows(), fillvalue=0)
+        rows, conj = self._rows, self.conjugate_rows()
+        past = (rows if len(rows) > len(conj) else conj)[min(len(rows), len(conj)):]
+        return (not past or past[0] <= 1) and all(
+            -1 <= r - c <= 1 for r, c in zip(rows, conj)
         )
 
     def in_core_subgraph(self) -> bool:
@@ -271,9 +287,4 @@ class YoungDiagram:
         (rows_i = conj_i + 1) in a column left of the diagonal
         (rows_i < i).  conj_i is zero past the width.
         """
-        conj = self.conjugate_rows()
-        width = len(conj)
-        return all(
-            _core_row_ok(i, r, conj[i - 1] if i <= width else 0)
-            for i, r in enumerate(self._rows, 1)
-        )
+        return not _bad_rows(self._rows, self.conjugate_rows())

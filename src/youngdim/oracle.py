@@ -7,10 +7,10 @@ exact dimension costs a few multiplications and one exact division
 (a nonzero remainder raises).  The argmax over each size gives the
 whole table 1..N in one pass, with one stack frame per row.  The
 results anchor the heuristics and the search, which must never beat or
-contradict them.  The default size bound keeps a full table run under
-half a minute.  The sweep is the library's one partition enumeration:
-`all_dimensions` reads a single size from it, for the transform and
-tree sweeps.
+contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
+exhaustive query and keeps a full table run under half a minute.  The
+sweep is the library's one partition enumeration: `all_dimensions`
+reads a single size from it, for the transform and tree sweeps.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .errors import NonDivisibleHookProduct, SizeBoundExceeded
 DEFAULT_BOUND = 60
 
 
-def _check_size(n: int, bound: int = DEFAULT_BOUND, lo: int = 1) -> None:
-    """Raise SizeBoundExceeded unless lo <= n <= bound; call before any work."""
-    if not lo <= n <= bound:
-        raise SizeBoundExceeded(f"n={n} outside exhaustive range {lo}..{bound}")
+def _check_size(n: int, lo: int = 1) -> None:
+    """Raise SizeBoundExceeded unless lo <= n <= DEFAULT_BOUND; call first."""
+    if not lo <= n <= DEFAULT_BOUND:
+        raise SizeBoundExceeded(f"n={n} outside exhaustive range {lo}..{DEFAULT_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,14 @@ def all_dimensions(n: int) -> dict[tuple[int, ...], int]:
     return dict(sorted(((rows, dim) for _, rows, dim in _sweep(n, n)), reverse=True))
 
 
-def _max_entries(lo: int, hi: int, bound: int, keep=None) -> list[MaxTableEntry]:
+def _max_entries(lo: int, hi: int, keep=None) -> list[MaxTableEntry]:
     """Maximum entries for sizes lo..hi (lo is 1 or hi) from one sweep.
 
     Maximizers are sorted by rows.  `keep`, if given, filters row
     tuples; it is asked only about partitions that would tie or beat
     the best kept so far.  The bound is checked before any work.
     """
-    _check_size(hi, bound)
+    _check_size(hi)
     best = [-1] * (hi + 1)
     arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
     for size, rows, dim in _sweep(hi, lo):
@@ -119,25 +119,25 @@ def _max_entries(lo: int, hi: int, bound: int, keep=None) -> list[MaxTableEntry]
     ]
 
 
-def max_dimension_diagrams(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEntry:
+def max_dimension_diagrams(n: int) -> MaxTableEntry:
     """Exact argmax of dimension over all partitions of n.
 
     Returns every maximizer; the set is closed under conjugation since
     conjugates share a dimension.
     """
-    return _max_entries(n, n, bound)[0]
+    return _max_entries(n, n)[0]
 
 
-def max_dimension_core(n: int, *, bound: int = DEFAULT_BOUND) -> MaxTableEntry:
+def max_dimension_core(n: int) -> MaxTableEntry:
     """Argmax of dimension over the partitions of n inside the core subgraph."""
     return _max_entries(
-        n, n, bound, keep=lambda rows: YoungDiagram._from_valid(rows).in_core_subgraph()
+        n, n, keep=lambda rows: YoungDiagram._from_valid(rows).in_core_subgraph()
     )[0]
 
 
-def max_table(max_n: int, *, bound: int = DEFAULT_BOUND) -> list[MaxTableEntry]:
+def max_table(max_n: int) -> list[MaxTableEntry]:
     """Maximum-dimension table for every size 1..max_n, from one sweep."""
-    return _max_entries(1, max_n, bound)
+    return _max_entries(1, max_n)
 
 
 @dataclass
@@ -152,7 +152,6 @@ def verify_max_geometry(
     n_max: int,
     *,
     table: list[MaxTableEntry] | None = None,
-    bound: int = DEFAULT_BOUND,
 ) -> GeometryReport:
     """Check that every maximizer sits in the core subgraph up to conjugation.
 
@@ -161,7 +160,7 @@ def verify_max_geometry(
     observed regularities, not proven facts.
     """
     if table is None:
-        table = max_table(n_max, bound=bound)
+        table = max_table(n_max)
     checked = 0
     failures = []
     for entry in table:
@@ -188,11 +187,10 @@ def verify_one_box_claim(
     n_max: int,
     *,
     table: list[MaxTableEntry] | None = None,
-    bound: int = DEFAULT_BOUND,
 ) -> OneBoxReport:
     """Check that every maximizer has at most one box outside its base subdiagram."""
     if table is None:
-        table = max_table(n_max, bound=bound)
+        table = max_table(n_max)
     checked = 0
     exceptions = []
     for entry in table:

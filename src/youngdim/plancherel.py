@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Box, YoungDiagram, _core_row_ok
+from .diagram import Box, YoungDiagram, _bad_rows, _core_row_ok
 from .dimension import dim_exact
 from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
 
@@ -147,20 +147,6 @@ def _grow(
     xs = [e[0] for e in out] + [z for z, _, _ in fresh]
     out[at:at] = [(z, zr, zc, *_prob(z, xs, ys)) for z, zr, zc in fresh]
     return out, ys
-
-
-def _bad_rows(rows: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
-    """The rows of a diagram that fail the core test, 1-based; none in the core."""
-    k = len(rows)
-    width = len(conj)
-    bad = [
-        i
-        for i, r, c in zip(range(1, k + 1), rows, conj)
-        if not _core_row_ok(i, r, c)
-    ]
-    # rows past the width have conj_i = 0 and fail only when longer than 1
-    bad += [i for i in range(width + 1, k + 1) if rows[i - 1] > 1]
-    return bad
 
 
 def _edges(
@@ -315,28 +301,17 @@ def _removal_ranking(diagram: YoungDiagram, dims: dict) -> list[Box]:
     )
 
 
-def shake(diagram: YoungDiagram, k: int) -> YoungDiagram:
-    """Add the k most probable boxes, then drop the k weakest corners.
-
-    The result has the original size but usually a different shape.  No
-    dimension guarantee is made; shaking can lower it.
-    """
-    if not 1 <= k <= diagram.size:
-        raise InvalidK(f"k must be in 1..{diagram.size}, got {k}")
-    cur = diagram
-    for _ in range(k):
-        cur = cur.add_box(greedy_step(cur).box)
-    for _ in range(k):
-        cur = cur.remove_box(_removal_ranking(cur, {})[0])
-    return cur
-
-
 def shake_variant(
     diagram: YoungDiagram, k: int, m: int, seed: int, *, dims: dict | None = None
 ) -> YoungDiagram:
-    """Shake, but draw each step uniformly from the m best candidates.
+    """Shake a diagram: add k boxes one by one, then remove k corners.
 
-    Seeded and fully deterministic; m = 1 reproduces shake exactly.
+    Each added box is drawn uniformly from the m most probable ones, and
+    each removed corner from the m whose removal leaves the lowest
+    dimension.  The result has the original size but usually a
+    different shape; no dimension guarantee is made, since shaking can
+    lower it.  Seeded and fully deterministic; with m = 1 every draw has
+    one candidate, so the result does not depend on the seed.
     `dims`, if given, is a diagram -> exact dimension memo that the
     corner ranking reads and fills.
     """

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ SOURCES = ("greedy", "shake", "branches", "astar", "improve", "oracle")
 
 DEFAULT_MAX_EXACT_N = 300
 
+_ROW_LENGTH = re.compile(r"-?[0-9]+")
+
 
 def format_partition(diagram: YoungDiagram) -> str:
     """Render row lengths as comma-separated text; empty diagram is ""."""
@@ -35,19 +38,21 @@ def format_partition(diagram: YoungDiagram) -> str:
 
 
 def parse_partition(text: str) -> YoungDiagram:
-    """Parse "4,2,2" (whitespace tolerated) into a diagram."""
+    """Parse "4,2,2" (whitespace tolerated) into a diagram.
+
+    Each row length is an optional minus sign and ASCII digits, so
+    negative lengths reach the diagram's own check and "1_0" or
+    non-ASCII digits are rejected.
+    """
     stripped = text.strip()
     if not stripped:
         return YoungDiagram(())
     parts = []
     for token in stripped.split(","):
         token = token.strip()
-        try:
-            parts.append(int(token, 10))
-        except ValueError:
-            raise PartitionParseError(
-                f"row length {token!r} is not an integer"
-            ) from None
+        if not _ROW_LENGTH.fullmatch(token):
+            raise PartitionParseError(f"row length {token!r} is not an integer")
+        parts.append(int(token, 10))
     return YoungDiagram(parts)
 
 
@@ -111,6 +116,19 @@ def _schema_error(line_number, message):
     return RecordSchemaError(f"line {line_number}: {message}", line_number=line_number)
 
 
+def _finite_float(obj, key, line_number) -> float:
+    value = obj[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise _schema_error(line_number, f"field {key} is not a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _schema_error(line_number, f"field {key} is not finite")
+    return value
+
+
 def _parse_record(obj, line_number) -> RunRecord:
     if not isinstance(obj, dict):
         raise _schema_error(line_number, "record is not an object")
@@ -122,9 +140,8 @@ def _parse_record(obj, line_number) -> RunRecord:
         raise _schema_error(line_number, "field n is not an integer")
     if not isinstance(obj["rows"], str):
         raise _schema_error(line_number, "field rows is not a string")
-    for key in ("log_dim", "c"):
-        if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-            raise _schema_error(line_number, f"field {key} is not a number")
+    log = _finite_float(obj, "log_dim", line_number)
+    c = _finite_float(obj, "c", line_number)
     if obj["dim"] is not None and not isinstance(obj["dim"], str):
         raise _schema_error(line_number, "field dim is neither null nor a string")
     if obj["source"] not in SOURCES:
@@ -137,7 +154,6 @@ def _parse_record(obj, line_number) -> RunRecord:
         raise _schema_error(
             line_number, f"rows sum to {diagram.size}, field n says {obj['n']}"
         )
-    log = float(obj["log_dim"])
     if obj["dim"] is not None:
         try:
             value = int(obj["dim"], 10)
@@ -152,7 +168,7 @@ def _parse_record(obj, line_number) -> RunRecord:
         rows=obj["rows"],
         log_dim=log,
         dim=obj["dim"],
-        c=float(obj["c"]),
+        c=c,
         source=obj["source"],
     )
 

@@ -16,7 +16,10 @@ with its siblings, plus the box it adds; its own measure is grown from
 those in O(m) (`plancherel._grow`) only when needed.  Since each
 diagram is pushed once, no per-diagram cache is kept.  `tree_children`
 is the one child builder with the freeze rule, for `astar` and
-`tree_sweep` alike.
+`tree_sweep` alike.  `search_from` searches from any diagram that is in
+the core subgraph up to conjugation; a result reports the found
+diagram, its exact dimension, the path cost, two node counts and the
+mode, and nothing that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -29,12 +32,10 @@ the oracle comparisons test against.
 from __future__ import annotations
 
 import heapq
-import itertools
-import time
 from dataclasses import dataclass
 
 from .diagram import YoungDiagram
-from .dimension import _normalized, dim_exact, log_dim
+from .dimension import dim_exact
 from .errors import (
     CoreMembershipError,
     EmptySearchSpace,
@@ -50,12 +51,9 @@ from .plancherel import _edges, _grow, _measure, _memo_dim
 class SearchResult:
     diagram: YoungDiagram
     dim: int
-    log_dim: float
-    normalized: float
     cost: float
     nodes_expanded: int
     frontier_peak: int
-    elapsed: float
     mode: str
 
 
@@ -114,11 +112,12 @@ def astar(
     popped diagram at the target level has the maximum dimension among
     all core diagrams of that size reachable from `start`.
 
-    A heap entry is (f, -g, rows, tick, conj, size, frozen, g, measure,
-    box, edges): `measure` is the parent's (the start's own, with box
-    None), grown at expansion, and in heuristic mode also at push, where
-    h reads the edges.  Every node is a core diagram, so `_edges` gets
-    no bad rows.
+    A heap entry is (f, -g, rows, conj, size, frozen, measure, box,
+    edges): `measure` is the parent's (the start's own, with box None),
+    grown at expansion, and in heuristic mode also at push, where h
+    reads the edges.  Rows are unique in the heap, so comparisons never
+    reach past them.  Every node is a core diagram, so `_edges` gets no
+    bad rows.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -128,36 +127,30 @@ def astar(
         raise EmptySearchSpace(
             f"target level {n_target} is below the start size {start.size}"
         )
-    t0 = time.perf_counter()
-    tick = itertools.count()
     rows = start.rows
     # the start is popped first whatever its f, so its h is never needed
     heap = [
-        (0.0, -0.0, rows, next(tick), start.conjugate_rows(), start.size, 0, 0.0,
-         _measure(rows), None, None)
+        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows),
+         None, None)
     ]
     # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
     nodes_expanded = 0
     frontier_peak = 1
     while heap:
-        entry = heapq.heappop(heap)
-        _, _, rows, _, conj, size, frozen, g, measure, box, edges = entry
+        _, g, rows, conj, size, frozen, measure, box, edges = heapq.heappop(heap)
+        g = -g  # the entry keeps only -g; negation is exact
         if rows in closed:
             raise InvariantViolation(f"tree path uniqueness violated at {rows}")
         closed.add(rows)
         if size == n_target:
             diagram = YoungDiagram._from_valid(rows, conj)
-            ld = log_dim(diagram)
             return SearchResult(
                 diagram=diagram,
                 dim=dim_exact(diagram),
-                log_dim=ld,
-                normalized=_normalized(size, ld),
                 cost=g,
                 nodes_expanded=nodes_expanded,
                 frontier_peak=frontier_peak,
-                elapsed=time.perf_counter() - t0,
                 mode="uniform-cost" if uniform_cost else "heuristic",
             )
         nodes_expanded += 1
@@ -179,8 +172,7 @@ def astar(
                 f += remaining_cost_estimate(levels, cfrozen, cedges)
             heapq.heappush(
                 heap,
-                (f, -cg, crows, next(tick), cconj, size, cfrozen, cg,
-                 measure, (r, c), cedges),
+                (f, -cg, crows, cconj, size, cfrozen, measure, (r, c), cedges),
             )
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
@@ -237,40 +229,39 @@ def tree_sweep(max_n: int) -> TreeSweep:
     )
 
 
-def core_start(diagram: YoungDiagram) -> tuple[YoungDiagram, bool]:
-    """A search start for `diagram` and whether it is the conjugate.
+def search_from(
+    diagram: YoungDiagram, n_target: int, *, uniform_cost: bool = False
+) -> tuple[YoungDiagram, SearchResult]:
+    """`astar` from a diagram in the core subgraph up to conjugation.
 
-    A diagram outside the core subgraph is searched through its
-    conjugate, and the result must be conjugated back; if neither side
-    is in the core subgraph the diagram is rejected.
+    A diagram outside the core subgraph is searched from its conjugate,
+    and the found diagram is conjugated back; the result itself
+    describes the search as run.  Returns (found diagram, result).  If
+    neither side is in the core subgraph the diagram is rejected.
     """
-    if diagram.in_core_subgraph():
-        return diagram, False
-    flipped = diagram.conjugate()
-    if not flipped.in_core_subgraph():
-        raise CoreMembershipError(
-            f"neither {diagram.rows} nor its conjugate is in the core subgraph"
-        )
-    return flipped, True
+    start = diagram
+    if not start.in_core_subgraph():
+        start = diagram.conjugate()
+        if not start.in_core_subgraph():
+            raise CoreMembershipError(
+                f"neither {diagram.rows} nor its conjugate is in the core subgraph"
+            )
+    result = astar(n_target, start=start, uniform_cost=uniform_cost)
+    found = result.diagram if start is diagram else result.diagram.conjugate()
+    return found, result
 
 
 def local_improve(
-    diagram: YoungDiagram,
-    depth: int = 3,
-    *,
-    uniform_cost: bool = False,
-    dims: dict | None = None,
+    diagram: YoungDiagram, depth: int = 3, *, dims: dict | None = None
 ) -> YoungDiagram:
-    """Grow a diagram by `depth` levels via the tree search from `core_start`.
+    """Grow a diagram by `depth` levels with a heuristic `search_from`.
 
     `dims`, if given, is a diagram -> exact dimension memo that receives
     the found diagram's dimension, as the search computed it.
     """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
-    start, flipped = core_start(diagram)
-    result = astar(start.size + depth, start=start, uniform_cost=uniform_cost)
-    found = result.diagram.conjugate() if flipped else result.diagram
+    found, result = search_from(diagram, diagram.size + depth)
     if dims is not None:
         dims[found] = result.dim
     return found
@@ -284,11 +275,7 @@ class ImproveOutcome:
 
 
 def sequence_improve(
-    seq: list[YoungDiagram],
-    depth: int,
-    *,
-    uniform_cost: bool = False,
-    dims: dict | None = None,
+    seq: list[YoungDiagram], depth: int, *, dims: dict | None = None
 ) -> ImproveOutcome:
     """Try to replace each sequence element by a deep-searched competitor.
 
@@ -318,7 +305,7 @@ def sequence_improve(
         if tgt >= len(seq):
             break
         try:
-            cand = local_improve(lam, depth, uniform_cost=uniform_cost, dims=dims)
+            cand = local_improve(lam, depth, dims=dims)
         except CoreMembershipError:
             skipped.append(lam.size)
             continue

@@ -13,7 +13,7 @@ from youngdim import (
     transition_prob,
 )
 from youngdim.errors import NoCoreChild
-from youngdim.oracle import DEFAULT_BOUND, MaxTableEntry, _max_entries
+from youngdim.oracle import MaxTableEntry, _max_entries
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -216,7 +216,6 @@ def core_table_40():
     return _max_entries(
         1,
         40,
-        DEFAULT_BOUND,
         keep=lambda rows: YoungDiagram._from_valid(rows).in_core_subgraph(),
     )
 

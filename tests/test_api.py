@@ -1,0 +1,82 @@
+import dataclasses
+import inspect
+
+import youngdim
+
+PUBLIC = [
+    "Box",
+    "GrowthPath",
+    "MaxTableEntry",
+    "RunRecord",
+    "SearchResult",
+    "TransformReport",
+    "TransitionEdge",
+    "YoungDiagram",
+    "all_dimensions",
+    "astar",
+    "balance",
+    "balance_sweep",
+    "balance_to_core",
+    "branches",
+    "check_reflection_hook_identities",
+    "count_syt_enumeration",
+    "dim_exact",
+    "dim_recursive",
+    "emit_records",
+    "format_partition",
+    "greedy_grow",
+    "greedy_sequence",
+    "greedy_step",
+    "hook_product",
+    "load_records",
+    "local_improve",
+    "log_dim",
+    "log_factorial",
+    "max_dimension_core",
+    "max_dimension_diagrams",
+    "max_table",
+    "normalized_dim",
+    "parse_partition",
+    "path_cost",
+    "ratios_csv",
+    "record_for",
+    "reflected",
+    "reflection_hooks_sweep",
+    "search_from",
+    "sequence_improve",
+    "shake_variant",
+    "symmetrize",
+    "symmetrize_sweep",
+    "transition_edges",
+    "transition_prob",
+    "tree_sweep",
+    "verify_max_geometry",
+    "verify_one_box_claim",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(youngdim.__all__) == PUBLIC
+    assert len(set(youngdim.__all__)) == len(youngdim.__all__)
+    for name in youngdim.__all__:
+        assert getattr(youngdim, name) is not None
+
+
+def test_search_result_carries_no_timing_or_derived_fields():
+    fields = [f.name for f in dataclasses.fields(youngdim.SearchResult)]
+    assert fields == [
+        "diagram", "dim", "cost", "nodes_expanded", "frontier_peak", "mode"
+    ]
+
+
+def test_size_queries_take_no_bound():
+    for fn in (
+        youngdim.max_dimension_diagrams,
+        youngdim.max_dimension_core,
+        youngdim.max_table,
+        youngdim.verify_max_geometry,
+        youngdim.verify_one_box_claim,
+    ):
+        assert "bound" not in inspect.signature(fn).parameters
+    for fn in (youngdim.local_improve, youngdim.sequence_improve):
+        assert "uniform_cost" not in inspect.signature(fn).parameters

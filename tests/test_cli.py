@@ -142,6 +142,41 @@ def test_search_astar_conjugates_outside_core(capsys):
     assert obj["dim"] == "6"
 
 
+SEARCH_GOLDEN = (
+    (
+        ["--n", "30", "--uniform-cost"],
+        '{"rows": "8,6,5,4,3,2,1,1", "n": 30, "dim": "1865134921890240",'
+        ' "log_dim": 35.16210978956681, "c": 0.3956397915614105,'
+        ' "cost": 39.49612655926334, "nodes_expanded": 2464, "frontier_peak": 619,'
+        ' "mode": "uniform-cost"}',
+    ),
+    (
+        ["--n", "60"],
+        '{"rows": "12,10,8,7,5,5,4,3,2,2,1,1", "n": 60,'
+        ' "dim": "2024412539888115680031267741229547520000",'
+        ' "log_dim": 90.5060981814791, "c": 0.4916092053540112,'
+        ' "cost": 98.1220752421925, "nodes_expanded": 394, "frontier_peak": 518,'
+        ' "mode": "heuristic"}',
+    ),
+    (
+        # (3, 1) is outside the core, so this searches from its conjugate
+        ["--depth", "1", "--start", "3,1"],
+        '{"rows": "3,1,1", "n": 5, "dim": "6", "log_dim": 1.791759469228055,'
+        ' "c": 0.26921650335338454, "cost": 0.916290731874155,'
+        ' "nodes_expanded": 1, "frontier_peak": 3, "mode": "heuristic"}',
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "args,line", SEARCH_GOLDEN, ids=["uniform-cost-30", "heuristic-60", "conjugate"]
+)
+def test_search_astar_stdout_is_golden_and_deterministic(capsys, args, line):
+    # no stdout byte may depend on timing, so two runs print the same bytes
+    outputs = [run(capsys, ["search", "astar", *args]) for _ in range(2)]
+    assert outputs[0] == outputs[1] == (0, line + "\n", "")
+
+
 def test_search_astar_argument_errors(capsys):
     rc, _, err = run(capsys, ["search", "astar"])
     assert rc == 2
@@ -275,6 +310,27 @@ def test_ratios_subcommand(tmp_path, capsys):
     rc, _, _ = run(capsys, ["ratios", "--old", str(old), "--new", str(new), "--out", str(csv)])
     assert rc == 0
     assert csv.read_text().splitlines()[1].startswith("8,1.25,")
+
+
+@pytest.mark.parametrize("key", ["log_dim", "c"])
+def test_non_finite_record_floats_exit_2(tmp_path, capsys, key):
+    lines = [record_to_json(record_for(d, "greedy")) for d in greedy_sequence(4)]
+    obj = json.loads(lines[2])
+    obj[key] = float("nan")
+    lines[2] = json.dumps(obj)
+    bad = tmp_path / "bad.jsonl"
+    good = tmp_path / "good.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    good.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    csv = tmp_path / "r.csv"
+    message = f"error: line 3: field {key} is not finite\n"
+    for argv in (
+        ["ratios", "--old", str(bad), "--new", str(good), "--out", str(csv)],
+        ["ratios", "--old", str(good), "--new", str(bad), "--out", str(csv)],
+        ["improve", "--in", str(bad), "--depth", "1", "--ratios-out", str(csv)],
+    ):
+        assert run(capsys, argv) == (2, "", message)
+    assert not csv.exists()
 
 
 def test_global_flags_work_on_either_side(capsys):

@@ -85,7 +85,7 @@ def test_max_dimension_bound_guard():
     for bad in (0, -3, 61):
         with pytest.raises(SizeBoundExceeded):
             max_table(bad)
-    entry = max_dimension_diagrams(8, bound=8)
+    entry = max_dimension_diagrams(8)
     assert entry.dim == 90
 
 

@@ -17,6 +17,7 @@ from youngdim.dimension import log_dim
 from youngdim.errors import (
     EmptyDiagramError,
     KeyMismatch,
+    NegativeRowLength,
     NonMonotoneRows,
     PartitionParseError,
     RecordSchemaError,
@@ -38,6 +39,13 @@ def test_partition_text_roundtrip():
         parse_partition("a")
     with pytest.raises(PartitionParseError):
         parse_partition("3,,1")
+    # row lengths are ASCII digits with an optional minus sign only
+    for text in ("1_0", "+3", "3.0", "\u0663,1", "\uff13", "0x3", "--1"):
+        with pytest.raises(PartitionParseError):
+            parse_partition(text)
+    with pytest.raises(NegativeRowLength):
+        parse_partition("3,-1")
+    assert parse_partition("007,01").rows == (7, 1)
 
 
 def test_record_for_known_values():
@@ -108,6 +116,23 @@ def test_load_rejects_tampered_log_dim(tmp_path):
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(RecordSchemaError):
         load_records(path)
+
+
+@pytest.mark.parametrize("key", ["log_dim", "c"])
+@pytest.mark.parametrize(
+    "value",
+    ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("9" * 400, id="huge-int")],
+)
+def test_load_rejects_non_finite_floats(tmp_path, key, value):
+    good = record_to_json(record_for(YoungDiagram([2, 1]), "greedy"))
+    obj = json.loads(record_to_json(record_for(YoungDiagram([3, 2]), "greedy")))
+    bad = json.dumps(obj).replace(f'"{key}": {obj[key]!r}', f'"{key}": {value}')
+    assert bad != json.dumps(obj)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(RecordSchemaError, match=f"field {key} is not finite") as err:
+        load_records(path)
+    assert err.value.line_number == 2
 
 
 def test_ratios_csv_exact_and_fallback(tmp_path):

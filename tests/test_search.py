@@ -13,6 +13,7 @@ from youngdim import (
     greedy_sequence,
     local_improve,
     max_dimension_core,
+    search_from,
     sequence_improve,
     transition_prob,
     tree_sweep,
@@ -23,7 +24,8 @@ from youngdim.errors import (
     NotAGrowthSequence,
 )
 from youngdim import dimension, plancherel, search
-from youngdim.plancherel import _bad_rows, _edges, _measure
+from youngdim.diagram import _bad_rows
+from youngdim.plancherel import _edges, _measure
 from youngdim.search import remaining_cost_estimate, tree_children
 
 from conftest import forbidden_set_children, partitions
@@ -231,6 +233,21 @@ def test_local_improve_small_cases():
     assert local_improve(YoungDiagram([3, 1]), depth=1).rows == (3, 1, 1)
     with pytest.raises(CoreMembershipError):
         local_improve(YoungDiagram([4, 2, 2]), depth=2)
+
+
+def test_search_from_flips_through_the_conjugate():
+    # (4, 1) is outside the core: the search runs from (2, 1, 1, 1) and
+    # its result is conjugated back, while the result keeps the search's own
+    found, result = search_from(YoungDiagram([4, 1]), 7)
+    assert (found.rows, result.diagram.rows) == ((4, 2, 1), (3, 2, 1, 1))
+    assert result.dim == dim_exact(found) == 35
+    found, result = search_from(YoungDiagram([2, 1]), 4, uniform_cost=True)
+    assert found is result.diagram and result.mode == "uniform-cost"
+    with pytest.raises(
+        CoreMembershipError,
+        match=r"neither \(4, 2, 2\) nor its conjugate is in the core subgraph",
+    ):
+        search_from(YoungDiagram([4, 2, 2]), 9)
 
 
 def test_sequence_improve_lifts_the_first_greedy_miss():
