@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Box, YoungDiagram, _bad_rows, _core_row_ok
+from .diagram import Box, YoungDiagram, _bad_rows, _child_core_ok
 from .dimension import dim_exact
 from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
 
@@ -168,25 +168,17 @@ def _edges(
     has none), and only boxes whose child lies in the core subgraph are
     kept.  Adding box (r, c) changes only row r (to length c) and column
     c (to height r), so the child is in the core exactly when every bad
-    row is row r or row c, and rows r and c pass in the child.
+    row is row r or row c, and rows r and c pass in the child
+    (`diagram._child_core_ok`, which the search's estimate shares).
     """
-    if bad is not None:
-        k = len(rows)
-        width = len(conj)
-        kept = []
-        for e in addables:
-            r, c = e[1], e[2]
-            if bad and any(b != r and b != c for b in bad):
-                continue
-            # the child's row r has length c and its column c height r
-            conj_r = r if r == c else (conj[r - 1] if r <= width else 0)
-            rows_c = c if c == r else (rows[c - 1] if c <= k else 0)
-            if _core_row_ok(r, c, conj_r) and _core_row_ok(c, rows_c, r):
-                kept.append(e)
-        addables = kept
     out = [
         (math.log(den) - math.log(num), r, c, num, den)
         for _, r, c, num, den in addables
+        if bad is None
+        or (
+            not (bad and any(b != r and b != c for b in bad))
+            and _child_core_ok(rows, conj, r, c)
+        )
     ]
     if len(out) > 1:
         common = math.lcm(*[e[4] for e in out])

@@ -30,6 +30,7 @@ SOURCES = ("greedy", "shake", "branches", "astar", "improve", "oracle")
 DEFAULT_MAX_EXACT_N = 300
 
 _ROW_LENGTH = re.compile(r"-?[0-9]+")
+_DIM = re.compile(r"[0-9]+")
 
 
 def format_partition(diagram: YoungDiagram) -> str:
@@ -129,6 +130,11 @@ def _finite_float(obj, key, line_number) -> float:
     return value
 
 
+def _close(value: float, want: float) -> bool:
+    """Equal to a relative tolerance of 1e-9 (absolute below 1)."""
+    return abs(value - want) <= 1e-9 * max(1.0, abs(value))
+
+
 def _parse_record(obj, line_number) -> RunRecord:
     if not isinstance(obj, dict):
         raise _schema_error(line_number, "record is not an object")
@@ -154,15 +160,21 @@ def _parse_record(obj, line_number) -> RunRecord:
         raise _schema_error(
             line_number, f"rows sum to {diagram.size}, field n says {obj['n']}"
         )
-    if obj["dim"] is not None:
-        try:
-            value = int(obj["dim"], 10)
-        except ValueError:
+    if diagram.size == 0:
+        raise _schema_error(line_number, "record has no boxes")
+    if obj["dim"] is None:
+        want, name = log_dim(diagram), "rows"
+    else:
+        if not _DIM.fullmatch(obj["dim"]):
             raise _schema_error(line_number, "field dim is not a decimal integer")
+        value = int(obj["dim"], 10)
         if value < 1:
             raise _schema_error(line_number, "field dim is not positive")
-        if abs(log - math.log(value)) > 1e-9 * max(1.0, abs(log)):
-            raise _schema_error(line_number, "log_dim disagrees with dim")
+        want, name = math.log(value), "dim"
+    if not _close(log, want):
+        raise _schema_error(line_number, f"log_dim disagrees with {name}")
+    if not _close(c, _normalized(diagram.size, log)):
+        raise _schema_error(line_number, "c disagrees with log_dim")
     return RunRecord(
         n=obj["n"],
         rows=obj["rows"],

@@ -11,15 +11,19 @@ tree covers each core diagram exactly once and A* needs no
 re-expansion logic.
 
 A search node is a plain tuple: rows, conjugate, size, frozen rows,
-path cost, and a reference to its parent's transition measure shared
-with its siblings, plus the box it adds; its own measure is grown from
-those in O(m) (`plancherel._grow`) only when needed.  Since each
-diagram is pushed once, no per-diagram cache is kept.  `tree_children`
-is the one child builder with the freeze rule, for `astar` and
-`tree_sweep` alike.  `search_from` searches from any diagram that is in
-the core subgraph up to conjugation; a result reports the found
-diagram, its exact dimension, the path cost, two node counts and the
-mode, and nothing that depends on timing.
+path cost and a transition measure.  A uniform-cost child holds a
+reference to its parent's measure, shared with its siblings, plus the
+box it adds, and grows its own in O(m) (`plancherel._grow`) when it is
+expanded.  A heuristic child below the target level carries its own
+measure, grown once at push, and its estimate is one scan over it; a
+heuristic child at the target level has h = 0 and is never expanded,
+so it costs nothing.  Edges are ranked only on expansion, once per
+node.  Since each diagram is pushed once, no per-diagram cache is
+kept.  `tree_children` is the one child builder with the freeze rule,
+for `astar` and `tree_sweep` alike.  `search_from` searches from any
+diagram that is in the core subgraph up to conjugation; a result
+reports the found diagram, its exact dimension, the path cost, two
+node counts and the mode, and nothing that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -32,9 +36,10 @@ the oracle comparisons test against.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
-from .diagram import YoungDiagram
+from .diagram import YoungDiagram, _child_core_ok
 from .dimension import dim_exact
 from .errors import (
     CoreMembershipError,
@@ -43,7 +48,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .oracle import _check_size, all_dimensions
+from .oracle import _by_size, _check_size
 from .plancherel import _edges, _grow, _measure, _memo_dim
 
 
@@ -84,19 +89,31 @@ def tree_children(
     return out
 
 
-def remaining_cost_estimate(levels: int, frozen: int, candidates: list) -> float:
-    """Cheapest unfrozen outgoing edge times the number of levels left.
+def remaining_cost_estimate(
+    levels: int,
+    rows: tuple[int, ...],
+    conj: tuple[int, ...],
+    frozen: int,
+    addables: list[tuple],
+) -> float:
+    """Cheapest unfrozen core edge out of a node times the levels left.
 
-    `candidates` are a node's `plancherel._edges` tuples and `frozen` its
-    frozen-row mask.  Zero at the target level and at dead ends.  Not
-    admissible in general: deeper levels can have cheaper edges.
+    `addables` is the node's transition measure (`plancherel._grow`),
+    `frozen` its frozen-row mask.  One scan, with no edge list and no
+    sort: each unfrozen box whose child is in the core subgraph has the
+    weight log(den) - log(num) that `plancherel._edges` would give it.
+    Zero at the target level and at dead ends.  Not admissible in
+    general: deeper levels can have cheaper edges.
     """
     if levels <= 0:
         return 0.0
-    usable = [w for w, r, _, _, _ in candidates if not frozen & 1 << r]
-    if not usable:
-        return 0.0
-    return min(usable) * levels
+    best = math.inf
+    for _, r, c, num, den in addables:
+        if not frozen & 1 << r and _child_core_ok(rows, conj, r, c):
+            weight = math.log(den) - math.log(num)
+            if weight < best:
+                best = weight
+    return 0.0 if best == math.inf else best * levels
 
 
 def astar(
@@ -112,12 +129,16 @@ def astar(
     popped diagram at the target level has the maximum dimension among
     all core diagrams of that size reachable from `start`.
 
-    A heap entry is (f, -g, rows, conj, size, frozen, measure, box,
-    edges): `measure` is the parent's (the start's own, with box None),
-    grown at expansion, and in heuristic mode also at push, where h
-    reads the edges.  Rows are unique in the heap, so comparisons never
-    reach past them.  Every node is a core diagram, so `_edges` gets no
-    bad rows.
+    A heap entry is (f, -g, rows, conj, size, frozen, measure, box).
+    With box None, `measure` is the node's own: the start's, and a
+    heuristic child's below the target level, grown once at push for h.
+    Otherwise it is the parent's, shared with the siblings and grown
+    through box only at expansion: uniform-cost children, and heuristic
+    ones at the target level, where h is 0 and which are never expanded,
+    so they cost no measure work.  A node's ranked edges are built once,
+    when it is expanded.  Rows are unique in the heap, so comparisons
+    never reach past them.  Every node is a core diagram, so `_edges`
+    gets no bad rows.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -130,15 +151,14 @@ def astar(
     rows = start.rows
     # the start is popped first whatever its f, so its h is never needed
     heap = [
-        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows),
-         None, None)
+        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None)
     ]
     # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
     nodes_expanded = 0
     frontier_peak = 1
     while heap:
-        _, g, rows, conj, size, frozen, measure, box, edges = heapq.heappop(heap)
+        _, g, rows, conj, size, frozen, measure, box = heapq.heappop(heap)
         g = -g  # the entry keeps only -g; negation is exact
         if rows in closed:
             raise InvariantViolation(f"tree path uniqueness violated at {rows}")
@@ -156,24 +176,21 @@ def astar(
         nodes_expanded += 1
         if box is not None:
             measure = _grow(*measure, *box)
-        if edges is None:
-            # never empty: a new bottom row keeps a core diagram in the core
-            edges = _edges(rows, conj, measure[0], ())
+        # never empty: a new bottom row keeps a core diagram in the core
+        edges = _edges(rows, conj, measure[0], ())
         size += 1
         levels = n_target - size
         for crows, cconj, cfrozen, weight, r, c in tree_children(
             rows, conj, frozen, edges
         ):
             cg = g + weight
-            f = cg
-            cedges = None
-            if not uniform_cost:
-                cedges = _edges(crows, cconj, _grow(*measure, r, c)[0], ())
-                f += remaining_cost_estimate(levels, cfrozen, cedges)
-            heapq.heappush(
-                heap,
-                (f, -cg, crows, cconj, size, cfrozen, measure, (r, c), cedges),
-            )
+            if uniform_cost or not levels:
+                entry = (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c))
+            else:
+                grown = _grow(*measure, r, c)
+                h = remaining_cost_estimate(levels, crows, cconj, cfrozen, grown[0])
+                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None)
+            heapq.heappush(heap, entry)
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
         f"no diagram of size {n_target} reachable from {start.rows}"
@@ -197,8 +214,8 @@ def tree_sweep(max_n: int) -> TreeSweep:
     once.  Dead ends (nodes below the last level with no children) are
     recorded; the frozen rows make these possible, and the heuristic
     relies on them reporting a zero remaining-cost estimate.  The
-    census reads each size from `oracle.all_dimensions`, so max_n must
-    lie in its range; that is checked before the walk.
+    census reads every size from one oracle sweep (`oracle._by_size`),
+    so max_n must lie in its range; that is checked before the walk.
     """
     _check_size(max_n)
     counts: dict[tuple, int] = {}
@@ -217,8 +234,8 @@ def tree_sweep(max_n: int) -> TreeSweep:
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
     missing = [
         rows
-        for n in range(1, max_n + 1)
-        for rows in all_dimensions(n)
+        for dims in _by_size(max_n)
+        for rows in dims
         if YoungDiagram._from_valid(rows).in_core_subgraph() and rows not in counts
     ]
     return TreeSweep(

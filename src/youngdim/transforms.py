@@ -16,8 +16,8 @@ core subgraph; the dimension is expected, but not proven, to rise.
 `symmetrize` computes its output from the rows and their conjugate,
 and `balance_to_core` moves boxes without computing any dimension
 until its report.  The exhaustive sweeps read every partition of a
-size with its exact dimension from `oracle.all_dimensions`, so they
-compute no hook products.
+size with its exact dimension from one oracle sweep (`oracle._by_size`),
+so they compute no hook products.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NotAddable,
     ShapeBlocked,
 )
-from .oracle import _check_size, all_dimensions
+from .oracle import _by_size, _check_size
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,7 @@ def symmetrize_sweep(max_n: int) -> ReflectionSweep:
     """
     _check_size(max_n)
     sweep = ReflectionSweep()
-    for n in range(1, max_n + 1):
-        dims = all_dimensions(n)
+    for dims in _by_size(max_n):
         for rows, dim_in in dims.items():
             lam = YoungDiagram._from_valid(rows)
             if not lam.has_isolated_asymmetric_boxes():
@@ -304,8 +303,8 @@ def reflection_hooks_sweep(max_base_size: int) -> tuple[int, list]:
     _check_size(max_base_size, lo=0)
     checked = 0
     failures = []
-    for n in range(0, max_base_size + 1):
-        for rows in all_dimensions(n) if n else [()]:
+    for dims in _by_size(max_base_size, 0):
+        for rows in dims:
             base = YoungDiagram._from_valid(rows)
             if not base.is_symmetric():
                 continue
@@ -337,8 +336,7 @@ def balance_sweep(max_n: int) -> BalanceSweep:
     """Run balance_to_core on every diagram of every size up to max_n."""
     _check_size(max_n)
     sweep = BalanceSweep()
-    for n in range(1, max_n + 1):
-        dims = all_dimensions(n)
+    for dims in _by_size(max_n):
         for rows, dim_in in dims.items():
             sweep.checked += 1
             try:

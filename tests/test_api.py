@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import inspect
+import pathlib
+import sys
 
 import youngdim
 
@@ -80,3 +83,25 @@ def test_size_queries_take_no_bound():
         assert "bound" not in inspect.signature(fn).parameters
     for fn in (youngdim.local_improve, youngdim.sequence_improve):
         assert "uniform_cost" not in inspect.signature(fn).parameters
+
+
+def test_runtime_imports_are_standard_library_only():
+    # zero runtime dependencies: every absolute import in the package
+    # names a standard-library module
+    sources = sorted(pathlib.Path(youngdim.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -333,6 +333,26 @@ def test_non_finite_record_floats_exit_2(tmp_path, capsys, key):
     assert not csv.exists()
 
 
+def test_bad_record_dims_exit_2(tmp_path, capsys):
+    # 4,2,1 has dimension 35, so int("3_5", 10) would match it; a record
+    # without its exact dimension must still match its rows
+    lines = [record_to_json(record_for(d, "greedy")) for d in greedy_sequence(7)]
+    good = tmp_path / "good.jsonl"
+    good.write_text("\n".join(lines) + "\n")
+    obj = json.loads(lines[6])
+    assert obj["rows"] == "4,2,1"
+    csv = tmp_path / "r.csv"
+    for change, message in (
+        ({"dim": "3_5"}, "field dim is not a decimal integer"),
+        ({"dim": None, "log_dim": 50.0, "c": 123.0}, "log_dim disagrees with rows"),
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:6] + [json.dumps({**obj, **change})]) + "\n")
+        argv = ["ratios", "--old", str(good), "--new", str(bad), "--out", str(csv)]
+        assert run(capsys, argv) == (2, "", f"error: line 7: {message}\n")
+        assert not csv.exists()
+
+
 def test_global_flags_work_on_either_side(capsys):
     rc, before, _ = run(capsys, ["--max-exact-n", "0", "dim", "4,2,1"])
     assert rc == 0

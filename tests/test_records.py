@@ -118,6 +118,43 @@ def test_load_rejects_tampered_log_dim(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize(
+    "dim",
+    ["3_5", pytest.param("\u0663\u0665", id="arabic-indic"), "+35", " 35", "35.0", "0x23"],
+)
+def test_load_rejects_dim_that_is_not_ascii_digits(tmp_path, dim):
+    # 4,2,1 has dimension 35, so only the digits check can reject these
+    obj = json.loads(record_to_json(record_for(YoungDiagram([4, 2, 1]), "greedy")))
+    assert obj["dim"] == "35"
+    obj["dim"] = dim
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(RecordSchemaError, match="field dim is not a decimal integer"):
+        load_records(path)
+
+
+def test_load_checks_log_dim_and_c_in_every_record(tmp_path):
+    lam = YoungDiagram([4, 2, 1])
+    path = tmp_path / "runs.jsonl"
+    for max_exact_n in (0, 300):
+        rec = record_for(lam, "greedy", max_exact_n)
+        emit_records([rec], path)
+        assert load_records(path) == [rec]
+    obj = json.loads(record_to_json(record_for(lam, "greedy", 0)))
+    assert obj["dim"] is None
+    cases = [
+        ({"log_dim": 50.0, "c": 123.0}, "log_dim disagrees with rows"),
+        ({"log_dim": obj["log_dim"] + 1e-6}, "log_dim disagrees with rows"),
+        ({"c": obj["c"] + 1e-6}, "c disagrees with log_dim"),
+        ({"dim": "35", "c": 123.0}, "c disagrees with log_dim"),
+        ({"n": 0, "rows": "", "log_dim": 0.0, "dim": "1", "c": 0.0}, "no boxes"),
+    ]
+    for change, message in cases:
+        path.write_text(json.dumps({**obj, **change}) + "\n")
+        with pytest.raises(RecordSchemaError, match=message):
+            load_records(path)
+
+
 @pytest.mark.parametrize("key", ["log_dim", "c"])
 @pytest.mark.parametrize(
     "value",

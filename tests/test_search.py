@@ -73,13 +73,17 @@ def test_tree_children_respect_frozen_rows():
     assert kids[0][2] == 1 << 3
 
 
+def _estimate(levels, rows, frozen):
+    conj = YoungDiagram(rows).conjugate_rows()
+    return remaining_cost_estimate(levels, rows, conj, frozen, _measure(rows)[0])
+
+
 def test_remaining_cost_estimate_values():
     # from [1]: to level 3 is two levels, to level 1 none
-    cands = _core_edges((1,))
-    assert remaining_cost_estimate(2, 0, cands) == pytest.approx(2 * math.log(2))
-    assert remaining_cost_estimate(0, 0, cands) == 0.0
+    assert _estimate(2, (1,), 0) == pytest.approx(2 * math.log(2))
+    assert _estimate(0, (1,), 0) == 0.0
     # [2, 2] with row 3 frozen has no usable edge
-    assert remaining_cost_estimate(5, 1 << 3, _core_edges((2, 2))) == 0.0
+    assert _estimate(5, (2, 2), 1 << 3) == 0.0
 
 
 def test_frozen_rows_match_forbidden_sets_to_level_16():
@@ -142,6 +146,34 @@ def test_search_builds_children_without_per_box_work(monkeypatch):
             "in_core_subgraph": 1,
             "_measure": 1,
         }
+
+
+def test_search_builds_each_nodes_edges_once(monkeypatch):
+    # a node's ranked edges are built when it is expanded and only then;
+    # a heuristic child below the target level grows its measure once, at
+    # push, and a child at the target level (h = 0) costs no measure work
+    calls = {"_grow": 0, "_edges": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+    depth_3 = YoungDiagram((9, 7, 6, 5, 4, 3, 2, 2, 1, 1, 1))
+    for n, start, uniform_cost, expanded, grown in (
+        (22, None, True, 592, 591),
+        (30, None, True, 2464, 2463),
+        (60, None, False, 394, 906),
+        (44, depth_3, False, 5, 14),
+    ):
+        calls.update(_grow=0, _edges=0)
+        res = astar(n, start=start, uniform_cost=uniform_cost)
+        assert res.nodes_expanded == expanded
+        assert calls == {"_grow": grown, "_edges": expanded}
 
 
 def test_astar_builds_children_through_tree_children(monkeypatch):
