@@ -163,7 +163,8 @@ def _cmd_search_astar(args) -> int:
 def _cmd_improve(args) -> int:
     old = sorted(load_records(args.infile), key=lambda r: r.n)
     seq = [parse_partition(r.rows) for r in old]
-    dims = {}
+    # load_records checked each exact dim against its rows
+    dims = {d: int(r.dim, 10) for d, r in zip(seq, old) if r.dim is not None}
     outcome = sequence_improve(seq, args.depth, dims=dims)
     new_records = [
         record_for(d, "improve", args.max_exact_n, dim=dims.get(d))

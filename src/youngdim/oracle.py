@@ -5,13 +5,19 @@ visits every partition with at most N boxes once, building it from the
 bottom row up and updating its first-column hooks row by row, so each
 exact dimension costs a few multiplications and one exact division
 (a nonzero remainder raises).  The argmax over each size gives the
-whole table 1..N in one pass, with one stack frame per row.  The
-results anchor the heuristics and the search, which must never beat or
+whole table 1..N in one pass, with one stack frame per row.  Since
+dim λ = dim λ′, the maximum tables take the half sweep: it yields only
+partitions whose top row is at least their row count, one of each
+conjugate pair, and prunes every frame that cannot reach one; a
+partition that ties or beats its size's best brings its conjugate in
+as a candidate, so every maximizer set is found whole.  The results
+anchor the heuristics and the search, which must never beat or
 contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
-exhaustive query and keeps a full table run under half a minute.  The
-sweep is the library's one partition enumeration: `_by_size` groups
-one sweep by size for the transform and tree sweeps, and
-`all_dimensions` reads a single size from it.
+exhaustive query; it also caps the memory of `_by_size`, which holds
+every partition up to it.  The sweep is the library's one
+partition enumeration: `_by_size` groups one full sweep by size for
+the transform and tree sweeps, and `all_dimensions` reads a single
+size from it.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class MaxTableEntry:
     dim: int
 
 
-def _sweep(max_n: int, min_n: int = 1):
+def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     """Yield (size, rows, dim) once for every partition with min_n..max_n boxes.
 
     Depth first, building each partition from its bottom row up.  With
@@ -53,10 +59,16 @@ def _sweep(max_n: int, min_n: int = 1):
     bookkeeping and raises.  Smaller partitions are still visited, as
     the bottom rows of larger ones, but not divided.  The stack holds
     one frame per row.
+
+    With `half` set, only partitions whose top row is at least their
+    row count are yielded: one of each conjugate pair, since conjugates
+    share a dimension.  A child with top row r and k rows is divided
+    only if it is yielded, and pushed only if a partition above it can
+    be: every one has a top row of at least max(r, k + 1).
     """
     fact = [1]
-    for k in range(1, max_n + 1):
-        fact.append(fact[-1] * k)
+    for i in range(1, max_n + 1):
+        fact.append(fact[-1] * i)
     # frame: size, rows (top first), hooks (top first), Delta, F, next top row
     stack = [[0, (), (), 1, 1, 1]]
     while stack:
@@ -67,19 +79,28 @@ def _sweep(max_n: int, min_n: int = 1):
             stack.pop()
             continue
         frame[5] = r + 1
-        h = r + len(rows)
+        k = len(rows) + 1
+        if half:
+            out = s >= min_n and r >= k
+            push = s + max(r, k + 1) <= max_n
+        else:
+            out = s >= min_n
+            push = s + r <= max_n
+        if not (out or push):
+            continue
+        h = r + k - 1
         for x in hooks:
             delta *= h - x
         fprod *= fact[h]
         child = (r,) + rows
-        if s >= min_n:
+        if out:
             dim, rem = divmod(fact[s] * delta, fprod)
             if rem:
                 raise NonDivisibleHookProduct(
                     f"hook product does not divide {s}! for {child}"
                 )
             yield s, child, dim
-        if s + r <= max_n:
+        if push:
             stack.append([s, child, (h,) + hooks, delta, fprod, r])
 
 
@@ -110,26 +131,33 @@ def all_dimensions(n: int) -> dict[tuple[int, ...], int]:
 
 
 def _max_entries(lo: int, hi: int, keep=None) -> list[MaxTableEntry]:
-    """Maximum entries for sizes lo..hi (lo is 1 or hi) from one sweep.
+    """Maximum entries for sizes lo..hi (lo is 1 or hi) from one half sweep.
 
-    Maximizers are sorted by rows.  `keep`, if given, filters row
-    tuples; it is asked only about partitions that would tie or beat
-    the best kept so far.  The bound is checked before any work.
+    The sweep yields one of each conjugate pair; a swept partition that
+    ties or beats its size's best brings its conjugate in as a second
+    candidate.  `keep`, if given, filters row tuples and is asked only
+    about those candidates.  Maximizers are deduplicated and sorted by
+    rows.  The bound is checked before any work.
     """
     _check_size(hi)
     best = [-1] * (hi + 1)
     arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
-    for size, rows, dim in _sweep(hi, lo):
-        if dim < best[size] or (keep is not None and not keep(rows)):
+    for size, rows, dim in _sweep(hi, lo, half=True):
+        if dim < best[size]:
             continue
-        if dim > best[size]:
-            best[size], arg[size] = dim, [rows]
-        else:
-            arg[size].append(rows)
+        for cand in (rows, YoungDiagram._from_valid(rows).conjugate_rows()):
+            if keep is not None and not keep(cand):
+                continue
+            if dim > best[size]:
+                best[size], arg[size] = dim, [cand]
+            else:
+                arg[size].append(cand)
     return [
         MaxTableEntry(
             n=n,
-            maximizers=tuple(YoungDiagram._from_valid(r) for r in sorted(arg[n])),
+            maximizers=tuple(
+                YoungDiagram._from_valid(r) for r in sorted(set(arg[n]))
+            ),
             dim=best[n],
         )
         for n in range(lo, hi + 1)

@@ -170,6 +170,8 @@ def _parse_record(obj, line_number) -> RunRecord:
         value = int(obj["dim"], 10)
         if value < 1:
             raise _schema_error(line_number, "field dim is not positive")
+        if value != dim_exact(diagram):
+            raise _schema_error(line_number, "field dim disagrees with rows")
         want, name = math.log(value), "dim"
     if not _close(log, want):
         raise _schema_error(line_number, f"log_dim disagrees with {name}")

@@ -20,7 +20,8 @@ heuristic child at the target level has h = 0 and is never expanded,
 so it costs nothing.  Edges are ranked only on expansion, once per
 node.  Since each diagram is pushed once, no per-diagram cache is
 kept.  `tree_children` is the one child builder with the freeze rule,
-for `astar` and `tree_sweep` alike.  `search_from` searches from any
+for `astar` and `tree_sweep` alike, and both grow each node's measure
+from its parent's.  `search_from` searches from any
 diagram that is in the core subgraph up to conjugation; a result
 reports the found diagram, its exact dimension, the path cost, two
 node counts and the mode, and nothing that depends on timing.
@@ -121,13 +122,17 @@ def astar(
     *,
     start: YoungDiagram | None = None,
     uniform_cost: bool = False,
+    dims: dict | None = None,
 ) -> SearchResult:
     """Search the greedy path tree for a minimum-cost diagram at a level.
 
     Pops the frontier by f = g + h, ties broken toward larger g and then
     lexicographically smaller rows.  In uniform-cost mode the first
     popped diagram at the target level has the maximum dimension among
-    all core diagrams of that size reachable from `start`.
+    all core diagrams of that size reachable from `start`.  `dims`, if
+    given, is a diagram -> exact dimension memo that the result's
+    dimension is read from, under either side of its conjugate pair,
+    or computed into.
 
     A heap entry is (f, -g, rows, conj, size, frozen, measure, box).
     With box None, `measure` is the node's own: the start's, and a
@@ -165,9 +170,15 @@ def astar(
         closed.add(rows)
         if size == n_target:
             diagram = YoungDiagram._from_valid(rows, conj)
+            if dims is None:
+                dim = dim_exact(diagram)
+            else:
+                # conjugates share a dimension, so either side's entry serves
+                mirror = YoungDiagram._from_valid(conj, rows)
+                dim = dims.get(mirror) or _memo_dim(diagram, dims)
             return SearchResult(
                 diagram=diagram,
-                dim=dim_exact(diagram),
+                dim=dim,
                 cost=g,
                 nodes_expanded=nodes_expanded,
                 frontier_peak=frontier_peak,
@@ -216,21 +227,25 @@ def tree_sweep(max_n: int) -> TreeSweep:
     relies on them reporting a zero remaining-cost estimate.  The
     census reads every size from one oracle sweep (`oracle._by_size`),
     so max_n must lie in its range; that is checked before the walk.
+    As in `astar`, a child holds its parent's transition measure and
+    the box it adds, and grows its own only when it is expanded.
     """
     _check_size(max_n)
     counts: dict[tuple, int] = {}
     dead_ends = []
-    stack = [((1,), (1,), 0)]
+    stack = [((1,), (1,), 0, _measure((1,)), None)]
     while stack:
-        rows, conj, frozen = stack.pop()
+        rows, conj, frozen, measure, box = stack.pop()
         counts[rows] = counts.get(rows, 0) + 1
         if sum(rows) >= max_n:
             continue
-        edges = _edges(rows, conj, _measure(rows)[0], ())
+        if box is not None:
+            measure = _grow(*measure, *box)
+        edges = _edges(rows, conj, measure[0], ())
         kids = tree_children(rows, conj, frozen, edges)
         if not kids:
             dead_ends.append(rows)
-        stack.extend(kid[:3] for kid in kids)
+        stack.extend((*kid[:3], measure, kid[4:]) for kid in kids)
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
     missing = [
         rows
@@ -247,7 +262,11 @@ def tree_sweep(max_n: int) -> TreeSweep:
 
 
 def search_from(
-    diagram: YoungDiagram, n_target: int, *, uniform_cost: bool = False
+    diagram: YoungDiagram,
+    n_target: int,
+    *,
+    uniform_cost: bool = False,
+    dims: dict | None = None,
 ) -> tuple[YoungDiagram, SearchResult]:
     """`astar` from a diagram in the core subgraph up to conjugation.
 
@@ -255,6 +274,7 @@ def search_from(
     and the found diagram is conjugated back; the result itself
     describes the search as run.  Returns (found diagram, result).  If
     neither side is in the core subgraph the diagram is rejected.
+    `dims` is passed on to `astar`.
     """
     start = diagram
     if not start.in_core_subgraph():
@@ -263,7 +283,7 @@ def search_from(
             raise CoreMembershipError(
                 f"neither {diagram.rows} nor its conjugate is in the core subgraph"
             )
-    result = astar(n_target, start=start, uniform_cost=uniform_cost)
+    result = astar(n_target, start=start, uniform_cost=uniform_cost, dims=dims)
     found = result.diagram if start is diagram else result.diagram.conjugate()
     return found, result
 
@@ -273,12 +293,12 @@ def local_improve(
 ) -> YoungDiagram:
     """Grow a diagram by `depth` levels with a heuristic `search_from`.
 
-    `dims`, if given, is a diagram -> exact dimension memo that receives
-    the found diagram's dimension, as the search computed it.
+    `dims`, if given, is a diagram -> exact dimension memo that the
+    search reads the found diagram's dimension from, or computes it into.
     """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
-    found, result = search_from(diagram, diagram.size + depth)
+    found, result = search_from(diagram, diagram.size + depth, dims=dims)
     if dims is not None:
         dims[found] = result.dim
     return found

@@ -13,7 +13,7 @@ from youngdim import (
     transition_prob,
 )
 from youngdim.errors import NoCoreChild
-from youngdim.oracle import MaxTableEntry, _max_entries
+from youngdim.oracle import MaxTableEntry, _max_entries, _sweep
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -145,6 +145,34 @@ def argmax_by_hook_product(n, keep=None):
             arg.append(lam)
     arg.sort(key=lambda lam: lam.rows)
     return MaxTableEntry(n=n, maximizers=tuple(arg), dim=best)
+
+
+def argmax_over_full_sweep(max_n, keep=None):
+    """Maximum entries for sizes 1..max_n from one full oracle sweep.
+
+    Every partition is a candidate in its own right, both sides of each
+    conjugate pair divided out, and `keep` filters row tuples that tie
+    or beat the best kept so far; maximizers are sorted by rows.  The
+    library's tables take the half sweep, one side of each pair, and
+    bring in conjugates instead; this form is the cross-check.
+    """
+    best = [-1] * (max_n + 1)
+    arg = [[] for _ in range(max_n + 1)]
+    for size, rows, dim in _sweep(max_n):
+        if dim < best[size] or (keep is not None and not keep(rows)):
+            continue
+        if dim > best[size]:
+            best[size], arg[size] = dim, [rows]
+        else:
+            arg[size].append(rows)
+    return [
+        MaxTableEntry(
+            n=n,
+            maximizers=tuple(YoungDiagram(r) for r in sorted(arg[n])),
+            dim=best[n],
+        )
+        for n in range(1, max_n + 1)
+    ]
 
 
 def edges_by_children(diagram, restrict_core=False):

@@ -16,7 +16,7 @@ from youngdim import (
     max_dimension_core,
     parse_partition,
 )
-from youngdim import cli, oracle, plancherel, records
+from youngdim import cli, dimension, oracle, plancherel, records
 from youngdim.cli import main
 from youngdim.errors import NonDivisibleHookProduct
 from youngdim.records import record_to_json, record_for
@@ -335,22 +335,55 @@ def test_non_finite_record_floats_exit_2(tmp_path, capsys, key):
 
 def test_bad_record_dims_exit_2(tmp_path, capsys):
     # 4,2,1 has dimension 35, so int("3_5", 10) would match it; a record
-    # without its exact dimension must still match its rows
+    # without its exact dimension must still match its rows, and so must
+    # one whose dim, log_dim and c agree with each other on 36
     lines = [record_to_json(record_for(d, "greedy")) for d in greedy_sequence(7)]
     good = tmp_path / "good.jsonl"
     good.write_text("\n".join(lines) + "\n")
     obj = json.loads(lines[6])
     assert obj["rows"] == "4,2,1"
     csv = tmp_path / "r.csv"
+    log36 = math.log(36)
     for change, message in (
         ({"dim": "3_5"}, "field dim is not a decimal integer"),
         ({"dim": None, "log_dim": 50.0, "c": 123.0}, "log_dim disagrees with rows"),
+        (
+            {"dim": "36", "log_dim": log36, "c": records._normalized(7, log36)},
+            "field dim disagrees with rows",
+        ),
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines[:6] + [json.dumps({**obj, **change})]) + "\n")
-        argv = ["ratios", "--old", str(good), "--new", str(bad), "--out", str(csv)]
-        assert run(capsys, argv) == (2, "", f"error: line 7: {message}\n")
-        assert not csv.exists()
+        for argv in (
+            ["ratios", "--old", str(good), "--new", str(bad), "--out", str(csv)],
+            ["improve", "--in", str(bad), "--depth", "1", "--ratios-out", str(csv)],
+        ):
+            assert run(capsys, argv) == (2, "", f"error: line 7: {message}\n")
+            assert not csv.exists()
+
+
+def test_improve_computes_each_dimension_once(tmp_path, capsys, monkeypatch):
+    # the checked input records seed the memo, and each search reads its
+    # found diagram's dimension from it, under either side
+    runs = tmp_path / "runs.jsonl"
+    better = tmp_path / "better.jsonl"
+    rc, _, _ = run(capsys, ["seq", "--n", "40", "--out", str(runs)])
+    assert rc == 0
+    calls = Counter()
+    hook_product = dimension.hook_product
+
+    def counting_hook_product(diagram):
+        calls[diagram.rows] += 1
+        return hook_product(diagram)
+
+    monkeypatch.setattr(dimension, "hook_product", counting_hook_product)
+    rc, _, _ = run(capsys, ["improve", "--in", str(runs), "--depth", "3", "--out", str(better)])
+    assert rc == 0
+    assert len(calls) >= 40 and max(calls.values()) == 1
+    # conjugates share a dimension, so no pair has both sides computed
+    for rows in calls:
+        mirror = YoungDiagram(rows).conjugate_rows()
+        assert mirror == rows or mirror not in calls
 
 
 def test_global_flags_work_on_either_side(capsys):

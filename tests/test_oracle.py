@@ -16,7 +16,12 @@ from youngdim import (
 from youngdim import oracle
 from youngdim.errors import SizeBoundExceeded
 
-from conftest import argmax_by_hook_product, partition_count, partitions
+from conftest import (
+    argmax_by_hook_product,
+    argmax_over_full_sweep,
+    partition_count,
+    partitions,
+)
 
 
 def test_partitions_of_four_in_order():
@@ -107,6 +112,32 @@ def test_sweep_yields_each_partition_once_with_its_dimension():
     # a lower size bound drops the smaller sizes and nothing else
     tail = [(rows, dim) for size, rows, dim in oracle._sweep(22, 20)]
     assert sorted(tail) == sorted((r, d) for r, d in seen.items() if sum(r) >= 20)
+
+
+def test_half_sweep_yields_one_side_of_each_conjugate_pair():
+    full = {rows: dim for size, rows, dim in oracle._sweep(22)}
+    for lo in (1, 20):
+        half = list(oracle._sweep(22, lo, half=True))
+        assert all(sum(rows) == size for size, rows, _ in half)
+        got = {rows: dim for _, rows, dim in half}
+        assert len(got) == len(half)
+        assert got == {
+            rows: dim
+            for rows, dim in full.items()
+            if rows[0] >= len(rows) and sum(rows) >= lo
+        }
+
+
+def test_half_sweep_tables_match_full_sweep_argmax(core_table_40):
+    # Cross-check: the tables take the half sweep plus conjugates; the
+    # full sweep makes every partition a candidate in its own right.
+    assert max_table(40) == argmax_over_full_sweep(40)
+    want = argmax_over_full_sweep(
+        40, keep=lambda rows: YoungDiagram(rows).in_core_subgraph()
+    )
+    assert core_table_40 == want
+    for entry in want:
+        assert max_dimension_core(entry.n) == entry
 
 
 def test_max_table_matches_per_size_hook_oracle():

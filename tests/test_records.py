@@ -13,7 +13,7 @@ from youngdim import (
     ratios_csv,
     record_for,
 )
-from youngdim.dimension import log_dim
+from youngdim.dimension import _normalized, log_dim
 from youngdim.errors import (
     EmptyDiagramError,
     KeyMismatch,
@@ -115,6 +115,16 @@ def test_load_rejects_tampered_log_dim(tmp_path):
     path = tmp_path / "skew.jsonl"
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(RecordSchemaError):
+        load_records(path)
+
+
+def test_load_rejects_dim_that_disagrees_with_rows(tmp_path):
+    # 4,2,1 has dimension 35; dim, log_dim and c agree with each other on 36
+    obj = json.loads(record_to_json(record_for(YoungDiagram([4, 2, 1]), "greedy")))
+    obj.update(dim="36", log_dim=math.log(36), c=_normalized(7, math.log(36)))
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(RecordSchemaError, match="field dim disagrees with rows"):
         load_records(path)
 
 

@@ -176,6 +176,25 @@ def test_search_builds_each_nodes_edges_once(monkeypatch):
         assert calls == {"_grow": grown, "_edges": expanded}
 
 
+def test_tree_sweep_grows_each_measure_from_its_parent(monkeypatch):
+    # only the root's measure comes from the full formula; every other
+    # expanded node grows its own once, and the leaves at level 18 grow none
+    calls = {"_measure": 0, "_grow": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+    sweep = tree_sweep(18)
+    assert (sweep.visited, len(sweep.dead_ends)) == (425, 27)
+    assert calls == {"_measure": 1, "_grow": 340}
+
+
 def test_astar_builds_children_through_tree_children(monkeypatch):
     # one call per expansion through the module-level name, so a wrapper
     # installed there sees every child the search builds
@@ -309,8 +328,10 @@ def test_sequence_improve_computes_each_dimension_once(monkeypatch):
     assert out.improved_sizes == (15, 22, 37, 38, 39)
     # one hook product per distinct diagram, each kept in the memo: 37
     # searches and the 37 elements they compete with, 21 of which the
-    # search found again
-    assert len(calls) == len(set(calls)) == len(dims) == 53
+    # search found again; the 22 searches run from a conjugate also keep
+    # the side they searched, which adds 12 entries
+    assert len(calls) == len(set(calls)) == 53
+    assert set(calls) <= {d.rows for d in dims} and len(dims) == 65
     assert set(out.sequence[3:]) <= set(dims)
     for d, dim in dims.items():
         assert dim == dim_recursive(d)
