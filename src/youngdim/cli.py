@@ -7,8 +7,8 @@ byte depends on timing.  Global flags --seed and --max-exact-n may
 appear before or after the subcommand.
 
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
-input, 3 internal failure, which includes `verify theorem` finding a
-violation of a proven claim.
+input (an `errors.InputError` or `OSError`), 3 internal failure, which
+includes `verify theorem` finding a violation of a proven claim.
 """
 
 from __future__ import annotations
@@ -18,23 +18,7 @@ import json
 import sys
 
 from .diagram import YoungDiagram
-from .errors import (
-    BalanceNotApplicable,
-    CoreMembershipError,
-    EmptyDiagramError,
-    EmptySearchSpace,
-    InvalidDepth,
-    InvalidK,
-    InvalidM,
-    InvalidPath,
-    KeyMismatch,
-    NoCoreChild,
-    NotAGrowthSequence,
-    PartitionError,
-    RecordSchemaError,
-    ShapeBlocked,
-    SizeBoundExceeded,
-)
+from .errors import EmptyDiagramError, InputError, InvalidDepth, UsageError
 from .oracle import _check_size, max_dimension_diagrams, max_table
 from .plancherel import branches, greedy_grow
 from .records import (
@@ -49,25 +33,6 @@ from .records import (
 )
 from .search import search_from, sequence_improve
 from .transforms import balance_sweep, reflection_hooks_sweep, symmetrize_sweep
-
-_INPUT_ERRORS = (
-    PartitionError,
-    InvalidK,
-    InvalidM,
-    InvalidPath,
-    SizeBoundExceeded,
-    CoreMembershipError,
-    EmptySearchSpace,
-    InvalidDepth,
-    RecordSchemaError,
-    KeyMismatch,
-    NoCoreChild,
-    NotAGrowthSequence,
-    BalanceNotApplicable,
-    EmptyDiagramError,
-    ShapeBlocked,
-    OSError,
-)
 
 
 def _add_global_flags(parser, suppress: bool) -> None:
@@ -113,11 +78,9 @@ def _cmd_dim(args) -> int:
 def _cmd_seq(args) -> int:
     start = _parse_start(args.start)
     if args.variant is not None and args.shake is None:
-        print("error: --variant requires --shake", file=sys.stderr)
-        return 2
+        raise UsageError("--variant requires --shake")
     if args.shake is not None and args.restrict_core:
-        print("error: --shake cannot be combined with --restrict-core", file=sys.stderr)
-        return 2
+        raise UsageError("--shake cannot be combined with --restrict-core")
     dims = {}
     if args.shake is None:
         seq = greedy_grow(start, args.n, args.restrict_core)
@@ -126,19 +89,14 @@ def _cmd_seq(args) -> int:
         m = args.variant if args.variant is not None else 1
         seq = branches(start, m, args.shake, args.n, seed_base=args.seed, dims=dims)
         source = "shake" if m == 1 else "branches"
-    records = [
-        record_for(d, source, args.max_exact_n, dim=dims.get(d))
-        for d in seq
-        if d.size >= 1
-    ]
+    records = [record_for(d, source, args.max_exact_n, dim=dims.get(d)) for d in seq]
     _write_records(records, args.out)
     return 0
 
 
 def _cmd_search_astar(args) -> int:
     if (args.n is None) == (args.depth is None):
-        print("error: give exactly one of --n and --depth", file=sys.stderr)
-        return 2
+        raise UsageError("give exactly one of --n and --depth")
     if args.depth is not None and args.depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {args.depth}")
     start = _parse_start(args.start)
@@ -418,14 +376,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     _reject_unknown_leading_flag(parser, argv)
     args = parser.parse_args(argv)
+    # exact dimensions outgrow CPython's int/str digit limit, which
+    # builds before 3.10.7 do not have
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

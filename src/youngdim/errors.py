@@ -1,7 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class that also derives from `InputError` reports bad input: the
+command line prints its message on one `error:` line and exits 2, as it
+does for an `OSError`.  Any other exception is an internal failure and
+exits 3.  Each class keeps its builtin base (`ValueError` or
+`RuntimeError`), which library callers catch.
+"""
 
 
-class PartitionError(ValueError):
+class InputError(Exception):
+    """Marker base: the input was bad, not the program."""
+
+
+class UsageError(InputError, ValueError):
+    """Command-line arguments that conflict."""
+
+
+class PartitionError(InputError, ValueError):
     """Invalid partition data."""
 
 
@@ -29,11 +44,11 @@ class NotRemovable(ValueError):
     """The box is not a removable corner of the diagram."""
 
 
-class EmptyDiagramError(ValueError):
+class EmptyDiagramError(InputError, ValueError):
     """The operation is undefined for the empty diagram."""
 
 
-class SizeBoundExceeded(ValueError):
+class SizeBoundExceeded(InputError, ValueError):
     """The diagram is larger than the configured bound for this routine."""
 
 
@@ -45,23 +60,23 @@ class NonDivisibleHookProduct(RuntimeError):
     """Internal failure: n! was not divisible by the hook product."""
 
 
-class InvalidK(ValueError):
+class InvalidK(InputError, ValueError):
     """Shake step count out of range."""
 
 
-class InvalidM(ValueError):
+class InvalidM(InputError, ValueError):
     """Candidate pool or branch count out of range."""
 
 
-class InvalidPath(ValueError):
+class InvalidPath(InputError, ValueError):
     """A growth path contains a step that is not a valid box addition."""
 
 
-class InvalidDepth(ValueError):
+class InvalidDepth(InputError, ValueError):
     """Search depth below 1."""
 
 
-class NoCoreChild(RuntimeError):
+class NoCoreChild(InputError, RuntimeError):
     """No addable box keeps the diagram inside the core subgraph."""
 
 
@@ -73,11 +88,11 @@ class InvalidResultShape(RuntimeError):
     """Internal failure: a transform produced a non-diagram box set."""
 
 
-class BalanceNotApplicable(ValueError):
+class BalanceNotApplicable(InputError, ValueError):
     """The chosen line has no column excess to move."""
 
 
-class ShapeBlocked(RuntimeError):
+class ShapeBlocked(InputError, RuntimeError):
     """A transform step would pass through an invalid intermediate shape."""
 
     def __init__(self, message, diagram=None):
@@ -89,19 +104,19 @@ class DegenerateOverlap(ValueError):
     """The two added boxes are mirror images, so the pair is degenerate."""
 
 
-class EmptySearchSpace(RuntimeError):
+class EmptySearchSpace(InputError, RuntimeError):
     """The search frontier emptied before reaching the target level."""
 
 
-class CoreMembershipError(ValueError):
+class CoreMembershipError(InputError, ValueError):
     """Neither the diagram nor its conjugate lies in the core subgraph."""
 
 
-class NotAGrowthSequence(ValueError):
+class NotAGrowthSequence(InputError, ValueError):
     """Sequence elements are not consecutive sizes starting at 1."""
 
 
-class RecordSchemaError(ValueError):
+class RecordSchemaError(InputError, ValueError):
     """A record line failed schema validation."""
 
     def __init__(self, message, line_number=None):
@@ -109,5 +124,5 @@ class RecordSchemaError(ValueError):
         self.line_number = line_number
 
 
-class KeyMismatch(ValueError):
+class KeyMismatch(InputError, ValueError):
     """Two record sets do not cover the same sizes."""

@@ -190,15 +190,21 @@ def _parse_record(obj, line_number) -> RunRecord:
 def load_records(path) -> list[RunRecord]:
     """Read a JSON-lines record file, validating every line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        # split as text mode would, then decode line by line, so a bad
+        # byte is reported on its own line
+        lines = fh.read().splitlines()
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _schema_error(line_number, f"invalid JSON: {exc}") from exc
-            records.append(_parse_record(obj, line_number))
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # UnicodeDecodeError, JSONDecodeError and the int digit limit
+            # are ValueErrors; deep nesting is a RecursionError
+            raise _schema_error(line_number, f"invalid JSON: {exc}") from exc
+        records.append(_parse_record(obj, line_number))
     return records
 
 

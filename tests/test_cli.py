@@ -16,9 +16,9 @@ from youngdim import (
     max_dimension_core,
     parse_partition,
 )
-from youngdim import cli, dimension, oracle, plancherel, records
+from youngdim import cli, dimension, errors, oracle, plancherel, records
 from youngdim.cli import main
-from youngdim.errors import NonDivisibleHookProduct
+from youngdim.errors import InputError, NonDivisibleHookProduct
 from youngdim.records import record_to_json, record_for
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -91,11 +91,11 @@ def test_seq_shake_computes_each_dimension_once(capsys, monkeypatch):
 
 
 def test_seq_flag_conflicts(capsys):
-    rc, _, err = run(capsys, ["seq", "--n", "9", "--variant", "2"])
-    assert rc == 2
-    assert "--shake" in err
-    rc, _, err = run(capsys, ["seq", "--n", "9", "--shake", "1", "--restrict-core"])
-    assert rc == 2
+    rc, out, err = run(capsys, ["seq", "--n", "9", "--variant", "2"])
+    assert (rc, out, err) == (2, "", "error: --variant requires --shake\n")
+    rc, out, err = run(capsys, ["seq", "--n", "9", "--shake", "1", "--restrict-core"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --shake cannot be combined with --restrict-core\n"
 
 
 def test_seq_restrict_core_dead_end_start(capsys):
@@ -178,10 +178,9 @@ def test_search_astar_stdout_is_golden_and_deterministic(capsys, args, line):
 
 
 def test_search_astar_argument_errors(capsys):
-    rc, _, err = run(capsys, ["search", "astar"])
-    assert rc == 2
-    rc, _, err = run(capsys, ["search", "astar", "--n", "9", "--depth", "2"])
-    assert rc == 2
+    for argv in (["search", "astar"], ["search", "astar", "--n", "9", "--depth", "2"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (2, "", "error: give exactly one of --n and --depth\n")
     rc, _, err = run(capsys, ["search", "astar", "--n", "9", "--start", "4,2,2"])
     assert rc == 2
     assert "core" in err
@@ -362,6 +361,50 @@ def test_bad_record_dims_exit_2(tmp_path, capsys):
             assert not csv.exists()
 
 
+@pytest.mark.parametrize(
+    "head, bad",
+    [
+        (0, b"\xff\xfe"),  # a UTF-16 byte-order mark
+        (2, b"[" * 200_000),
+        (2, b'{"n": ' + b"1" * 5001 + b"}"),
+    ],
+    ids=["bom", "deep", "long-int"],
+)
+def test_unreadable_record_lines_exit_2(tmp_path, capsys, head, bad):
+    lines = [record_to_json(record_for(d, "greedy")).encode() for d in greedy_sequence(3)]
+    good = tmp_path / "good.jsonl"
+    good.write_bytes(b"\n".join(lines) + b"\n")
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(lines[:head] + [bad] + lines[head:]) + b"\n")
+    csv = tmp_path / "r.csv"
+    for argv in (
+        ["ratios", "--old", str(path), "--new", str(good), "--out", str(csv)],
+        ["improve", "--in", str(path), "--depth", "1", "--ratios-out", str(csv)],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: line {head + 1}: ") and err.count("\n") == 1
+        assert not csv.exists()
+
+
+def test_dim_prints_exact_dimensions_of_any_length(tmp_path, capsys):
+    # the staircase with 85 rows (n = 3655) has a dimension of more
+    # digits than CPython converts between int and str by default
+    stairs = ",".join(str(r) for r in range(85, 0, -1))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, out, err = run(capsys, ["dim", stairs, "--max-exact-n", "5000"])
+    assert (rc, err) == (0, "")
+    assert len(json.loads(out)["dim"]) > 4300
+    path = tmp_path / "stairs.jsonl"
+    path.write_text(out)
+    csv = tmp_path / "r.csv"
+    # reading the record back checks its dim against the rows
+    rc, _, err = run(capsys, ["ratios", "--old", str(path), "--new", str(path), "--out", str(csv)])
+    assert (rc, err) == (0, "")
+    assert csv.read_text().splitlines()[1] == "3655,1.0,0.0,false"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_improve_computes_each_dimension_once(tmp_path, capsys, monkeypatch):
     # the checked input records seed the memo, and each search reads its
     # found diagram's dimension from it, under either side
@@ -404,6 +447,51 @@ def test_threads_flag_is_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --threads" in captured.err
+
+
+def test_input_error_base_is_pinned():
+    # the classes whose messages the command line reports as bad input
+    # (exit 2), each with the builtin base library callers catch
+    input_errors = {
+        "UsageError": ValueError,
+        "PartitionError": ValueError,
+        "NonMonotoneRows": ValueError,
+        "NegativeRowLength": ValueError,
+        "PartitionParseError": ValueError,
+        "EmptyDiagramError": ValueError,
+        "SizeBoundExceeded": ValueError,
+        "InvalidK": ValueError,
+        "InvalidM": ValueError,
+        "InvalidPath": ValueError,
+        "InvalidDepth": ValueError,
+        "NoCoreChild": RuntimeError,
+        "BalanceNotApplicable": ValueError,
+        "ShapeBlocked": RuntimeError,
+        "EmptySearchSpace": RuntimeError,
+        "CoreMembershipError": ValueError,
+        "NotAGrowthSequence": ValueError,
+        "RecordSchemaError": ValueError,
+        "KeyMismatch": ValueError,
+    }
+    internal_errors = {
+        "InvariantViolation": RuntimeError,
+        "NonDivisibleHookProduct": RuntimeError,
+        "InvalidResultShape": RuntimeError,
+        "BoxOutsideDiagram": ValueError,
+        "NotAddable": ValueError,
+        "NotRemovable": ValueError,
+        "AsymmetricBoxesNotIsolated": ValueError,
+        "DegenerateOverlap": ValueError,
+    }
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, Exception) and cls is not InputError
+    }
+    assert set(classes) == set(input_errors) | set(internal_errors)
+    for name, base in {**input_errors, **internal_errors}.items():
+        assert issubclass(classes[name], base)
+        assert issubclass(classes[name], InputError) == (name in input_errors)
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):

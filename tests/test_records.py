@@ -99,13 +99,18 @@ def test_huge_dimension_survives_the_roundtrip(tmp_path):
 
 
 def test_load_reports_the_offending_line(tmp_path):
-    good = record_to_json(record_for(YoungDiagram([2, 1]), "greedy"))
-    lines = [good] * 6 + ['{"n": 3}']
+    good = record_to_json(record_for(YoungDiagram([2, 1]), "greedy")).encode()
     path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(RecordSchemaError) as err:
-        load_records(path)
-    assert err.value.line_number == 7
+    for bad in (
+        b'{"n": 3}',
+        b"\xff\xfe",  # not UTF-8
+        b"[" * 200_000,  # nested past the recursion limit
+        b'{"n": ' + b"1" * 5001 + b"}",  # past the int digit limit
+    ):
+        path.write_bytes(b"\n".join([good] * 6 + [bad, good]) + b"\n")
+        with pytest.raises(RecordSchemaError) as err:
+            load_records(path)
+        assert err.value.line_number == 7
 
 
 def test_load_rejects_tampered_log_dim(tmp_path):
