@@ -26,6 +26,7 @@ from .records import (
     emit_records,
     format_partition,
     parse_partition,
+    _record_diagram,
     record_for,
     record_to_json,
     load_records,
@@ -81,15 +82,14 @@ def _cmd_seq(args) -> int:
         raise UsageError("--variant requires --shake")
     if args.shake is not None and args.restrict_core:
         raise UsageError("--shake cannot be combined with --restrict-core")
-    dims = {}
     if args.shake is None:
         seq = greedy_grow(start, args.n, args.restrict_core)
         source = "greedy"
     else:
         m = args.variant if args.variant is not None else 1
-        seq = branches(start, m, args.shake, args.n, seed_base=args.seed, dims=dims)
+        seq = branches(start, m, args.shake, args.n, seed_base=args.seed)
         source = "shake" if m == 1 else "branches"
-    records = [record_for(d, source, args.max_exact_n, dim=dims.get(d)) for d in seq]
+    records = [record_for(d, source, args.max_exact_n) for d in seq]
     _write_records(records, args.out)
     return 0
 
@@ -102,7 +102,7 @@ def _cmd_search_astar(args) -> int:
     start = _parse_start(args.start)
     n_target = args.n if args.n is not None else start.size + args.depth
     found, result = search_from(start, n_target, uniform_cost=args.uniform_cost)
-    record = record_for(found, "astar", args.max_exact_n, dim=result.dim)
+    record = record_for(found, "astar", args.max_exact_n)
     payload = {
         "rows": record.rows,
         "n": record.n,
@@ -120,14 +120,8 @@ def _cmd_search_astar(args) -> int:
 
 def _cmd_improve(args) -> int:
     old = sorted(load_records(args.infile), key=lambda r: r.n)
-    seq = [parse_partition(r.rows) for r in old]
-    # load_records checked each exact dim against its rows
-    dims = {d: int(r.dim, 10) for d, r in zip(seq, old) if r.dim is not None}
-    outcome = sequence_improve(seq, args.depth, dims=dims)
-    new_records = [
-        record_for(d, "improve", args.max_exact_n, dim=dims.get(d))
-        for d in outcome.sequence
-    ]
+    outcome = sequence_improve([_record_diagram(r) for r in old], args.depth)
+    new_records = [record_for(d, "improve", args.max_exact_n) for d in outcome.sequence]
     _write_records(new_records, args.out)
     if args.ratios_out:
         ratios_csv(old, new_records, args.ratios_out)
@@ -376,12 +370,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     _reject_unknown_leading_flag(parser, argv)
     args = parser.parse_args(argv)
-    # exact dimensions outgrow CPython's int/str digit limit, which
-    # builds before 3.10.7 do not have
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:
@@ -390,9 +378,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Coordinates are 1-based (row, col) pairs.  Rows are indexed top to bottom
 and row lengths are non-increasing, so a box (i, j) lies above the main
-diagonal when i < j and below it when i > j.  Instances never mutate;
-every operation returns a new value, which keeps them safe to use as
-cache keys and to share between search nodes.
+diagonal when i < j and below it when i > j.  Instances never change
+value; every operation returns a new one, which keeps them safe to use
+as cache keys and to share between search nodes.  A diagram caches its
+conjugate and, once known, its exact dimension.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class YoungDiagram:
     """An integer partition together with the geometric queries used here.
 
     Equality and hashing go by the row tuple alone.  The conjugate row
-    tuple is computed lazily and cached; the cache never affects equality.
+    tuple and the exact dimension (`dim_exact`) are computed lazily and
+    cached; the caches never affect equality.
     """
 
     def __init__(self, rows=()):
@@ -91,17 +93,17 @@ class YoungDiagram:
         self._rows = cleaned
         self._size = sum(cleaned)
         self._conj: tuple[int, ...] | None = None
+        self._dim: int | None = None
 
     @classmethod
-    def _from_valid(
-        cls, rows: tuple[int, ...], conj: tuple[int, ...] | None = None
-    ) -> "YoungDiagram":
+    def _from_valid(cls, rows: tuple[int, ...], conj=None, dim=None) -> "YoungDiagram":
         # Fast path for loops that already hold a valid tuple, and its
-        # conjugate when they know it.
+        # conjugate and exact dimension when they know them.
         d = cls.__new__(cls)
         d._rows = rows
         d._size = sum(rows)
         d._conj = conj
+        d._dim = dim
         return d
 
     @property
@@ -161,8 +163,8 @@ class YoungDiagram:
         return 0
 
     def conjugate(self) -> "YoungDiagram":
-        """The diagram reflected across the main diagonal."""
-        return YoungDiagram._from_valid(self.conjugate_rows())
+        """The diagram reflected across the main diagonal, same dimension."""
+        return YoungDiagram._from_valid(self.conjugate_rows(), self._rows, self._dim)
 
     def is_symmetric(self) -> bool:
         return self._rows == self.conjugate_rows()

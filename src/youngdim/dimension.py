@@ -31,18 +31,20 @@ def hook_product(diagram: YoungDiagram) -> int:
 def dim_exact(diagram: YoungDiagram) -> int:
     """Exact dimension as an arbitrary-precision integer.
 
+    Read from the diagram if it carries one, else computed once and kept.
     The division of n! by the hook product must be exact; a nonzero
     remainder would mean the hook bookkeeping is broken, so it raises
     instead of truncating.
     """
+    if diagram._dim is not None:
+        return diagram._dim
     n = diagram.size
-    if n == 0:
-        return 1
     q, rem = divmod(math.factorial(n), hook_product(diagram))
     if rem:
         raise NonDivisibleHookProduct(
             f"hook product does not divide {n}! for {diagram.rows}"
         )
+    diagram._dim = q
     return q
 
 

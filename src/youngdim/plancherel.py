@@ -21,6 +21,10 @@ p'(z) = p(z) * (z - x)^2 / ((z - x)^2 - 1), and the only new addables
 are x - 1 and x + 1, each unless a corner of that content blocks it.
 `_grow` applies this in O(m), with the full formula only for the new
 addables, and the search grows each child's measure from its parent's.
+As p(x) = dim(diagram + b) / ((n + 1) * dim), a child's exact dimension
+is one exact division from its parent's (`_grow_dim`); Kerov's
+cotransition measure gives the same step for a removal (`_shrink_dim`).
+The walks and the search carry every dimension through these steps.
 
 Also provides the greedy walk, the shaking perturbation, and the
 multi-branch heuristic built on top of both.
@@ -35,7 +39,9 @@ from fractions import Fraction
 
 from .diagram import Box, YoungDiagram, _bad_rows, _child_core_ok
 from .dimension import dim_exact
-from .errors import InvalidK, InvalidM, InvalidPath, NoCoreChild, NotAddable
+from .errors import (
+    InvalidK, InvalidM, InvalidPath, InvariantViolation, NoCoreChild, NotAddable
+)
 
 
 @dataclass(frozen=True)
@@ -149,6 +155,24 @@ def _grow(
     return out, ys
 
 
+def _grow_dim(scaled: int, num: int, den: int) -> int:
+    """dim(diagram + b) from scaled = (n + 1) * dim and p(b) = num / den, exactly."""
+    q, rem = divmod(scaled * num, den)
+    if rem:
+        raise InvariantViolation("a transition measure gave a non-integer dimension")
+    return q
+
+
+def _shrink_dim(dim: int, n: int, y: int, xs, ys) -> int:
+    """dim(diagram - c) = -dim * prod_i (y - x_i) / (n * prod_{y' != y} (y - y')).
+
+    c is the corner of content y; xs and ys are the diagram's addable
+    and corner contents (`_contents`), dim and n its dimension and size.
+    """
+    den = n * math.prod(y - z for z in ys if z != y)
+    return _grow_dim(-dim, math.prod(y - x for x in xs), den)
+
+
 def _edges(
     rows: tuple[int, ...],
     conj: tuple[int, ...],
@@ -248,6 +272,14 @@ def greedy_step(
     return edges[0]
 
 
+def _add(diagram: YoungDiagram, edge: TransitionEdge) -> YoungDiagram:
+    """The diagram plus the edge's box, carrying its exact dimension."""
+    child = diagram.add_box(edge.box)
+    scaled = dim_exact(diagram) * child.size
+    child._dim = _grow_dim(scaled, *edge.probability.as_integer_ratio())
+    return child
+
+
 def greedy_grow(
     start: YoungDiagram,
     target: int,
@@ -261,7 +293,7 @@ def greedy_grow(
     out = [start]
     cur = start
     while cur.size < target:
-        cur = cur.add_box(greedy_step(cur, restrict_core, mirror_ties=mirror_ties).box)
+        cur = _add(cur, greedy_step(cur, restrict_core, mirror_ties=mirror_ties))
         out.append(cur)
     return out
 
@@ -277,25 +309,17 @@ def greedy_sequence(
     )
 
 
-def _memo_dim(diagram: YoungDiagram, dims: dict) -> int:
-    """Exact dimension, read from the caller's memo or computed into it."""
-    d = dims.get(diagram)
-    if d is None:
-        d = dims[diagram] = dim_exact(diagram)
-    return d
-
-
-def _removal_ranking(diagram: YoungDiagram, dims: dict) -> list[Box]:
-    """Corners ordered by the dimension left after removal, weakest first."""
+def _removal_ranking(diagram: YoungDiagram) -> list[tuple[int, Box]]:
+    """(dimension left, corner) for every corner, weakest first."""
+    _, xs, ys = _contents(diagram.rows)
+    dim = dim_exact(diagram)
     return sorted(
-        diagram.removable_boxes(),
-        key=lambda c: (_memo_dim(diagram.remove_box(c), dims), c),
+        (_shrink_dim(dim, diagram.size, c.col - c.row, xs, ys), c)
+        for c in diagram.removable_boxes()
     )
 
 
-def shake_variant(
-    diagram: YoungDiagram, k: int, m: int, seed: int, *, dims: dict | None = None
-) -> YoungDiagram:
+def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiagram:
     """Shake a diagram: add k boxes one by one, then remove k corners.
 
     Each added box is drawn uniformly from the m most probable ones, and
@@ -304,24 +328,21 @@ def shake_variant(
     different shape; no dimension guarantee is made, since shaking can
     lower it.  Seeded and fully deterministic; with m = 1 every draw has
     one candidate, so the result does not depend on the seed.
-    `dims`, if given, is a diagram -> exact dimension memo that the
-    corner ranking reads and fills.
     """
     if not 1 <= k <= diagram.size:
         raise InvalidK(f"k must be in 1..{diagram.size}, got {k}")
     if m < 1:
         raise InvalidM(f"m must be at least 1, got {m}")
-    if dims is None:
-        dims = {}
     rng = random.Random(seed)
     cur = diagram
     for _ in range(k):
         pool = transition_edges(cur)[:m]
-        cur = cur.add_box(pool[rng.randrange(len(pool))].box)
+        cur = _add(cur, pool[rng.randrange(len(pool))])
     for _ in range(k):
-        ranked = _removal_ranking(cur, dims)
-        pool = ranked[: min(m, len(ranked))]
-        cur = cur.remove_box(pool[rng.randrange(len(pool))])
+        ranked = _removal_ranking(cur)
+        dim, box = ranked[rng.randrange(min(m, len(ranked)))]
+        cur = cur.remove_box(box)
+        cur._dim = dim
     return cur
 
 
@@ -332,7 +353,6 @@ def branches(
     target: int,
     *,
     seed_base: int = 0,
-    dims: dict | None = None,
 ) -> list[YoungDiagram]:
     """Best-per-size over m greedy branches started from shaken variants.
 
@@ -340,22 +360,18 @@ def branches(
     k = 0 skips shaking and every branch starts from the diagram itself.
     The result holds one diagram per size from size(diagram) to target,
     the best by exact dimension with lexicographically smallest rows on
-    ties.  Each distinct diagram's dimension is computed once, into
-    `dims` if the caller passes a dict, so every returned diagram's
-    dimension can be read back from it.
+    ties; every diagram carries its dimension, so ranking computes none.
     """
     if m < 1:
         raise InvalidM(f"m must be at least 1, got {m}")
     if target < diagram.size:
         raise InvalidPath(f"target {target} below start size {diagram.size}")
-    if dims is None:
-        dims = {}
     starts = [
-        diagram if k == 0 else shake_variant(diagram, k, m, seed_base + s, dims=dims)
+        diagram if k == 0 else shake_variant(diagram, k, m, seed_base + s)
         for s in range(m)
     ]
     grown = [greedy_grow(s, target) for s in starts]
     return [
-        min(same_size, key=lambda d: (-_memo_dim(d, dims), d.rows))
+        min(same_size, key=lambda d: (-dim_exact(d), d.rows))
         for same_size in zip(*grown)
     ]

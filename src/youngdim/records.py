@@ -5,7 +5,10 @@ branches, astar, improve, oracle) together with its dimensions.  Exact
 dimensions are stored as decimal strings because they outgrow machine
 integers almost immediately; floats are stored with full round-trip
 precision.  Above a configurable size threshold the exact dimension is
-dropped and only the log-domain value is kept.
+dropped and only the log-domain value is kept.  Exact dimensions outgrow
+CPython's int/str digit limit, so every conversion between a dimension
+and its decimal text goes through `_decimal`, which lifts the limit for
+that one conversion only.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +35,22 @@ DEFAULT_MAX_EXACT_N = 300
 
 _ROW_LENGTH = re.compile(r"-?[0-9]+")
 _DIM = re.compile(r"[0-9]+")
+
+
+def _decimal(value):
+    """An exact dimension as decimal text, or decimal text as an int.
+
+    CPython 3.10.7 and later refuse either conversion past 4300 digits
+    by default; the limit is lifted for this call and then restored.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value) if isinstance(value, int) else int(value, 10)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_partition(diagram: YoungDiagram) -> str:
@@ -71,20 +91,17 @@ def record_for(
     diagram: YoungDiagram,
     source: str,
     max_exact_n: int = DEFAULT_MAX_EXACT_N,
-    *,
-    dim: int | None = None,
 ) -> RunRecord:
     """Build the record for one diagram.
 
     The exact dimension is included only up to size max_exact_n; beyond
-    that the record carries the log-domain value alone.  `dim`, if
-    given, is the diagram's exact dimension, already known to the caller.
+    that the record carries the log-domain value alone.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown record source {source!r}")
     exact = None
     if diagram.size <= max_exact_n:
-        exact = str(dim_exact(diagram) if dim is None else dim)
+        exact = _decimal(dim_exact(diagram))
     ld = log_dim(diagram)
     return RunRecord(
         n=diagram.size,
@@ -165,9 +182,17 @@ def _parse_record(obj, line_number) -> RunRecord:
     if obj["dim"] is None:
         want, name = log_dim(diagram), "rows"
     else:
-        if not _DIM.fullmatch(obj["dim"]):
+        text = obj["dim"]
+        if not _DIM.fullmatch(text):
             raise _schema_error(line_number, "field dim is not a decimal integer")
-        value = int(obj["dim"], 10)
+        # 10^(len - 1) > n! means more digits than n! has; the bit test
+        # settles long strings without building the power
+        most = math.factorial(diagram.size)
+        if 3 * (len(text) - 1) >= most.bit_length() or 10 ** (len(text) - 1) > most:
+            raise _schema_error(
+                line_number, f"field dim has more digits than {diagram.size}! has"
+            )
+        value = _decimal(text)
         if value < 1:
             raise _schema_error(line_number, "field dim is not positive")
         if value != dim_exact(diagram):
@@ -187,6 +212,23 @@ def _parse_record(obj, line_number) -> RunRecord:
     )
 
 
+def _record_diagram(record: RunRecord) -> YoungDiagram:
+    """A checked record's diagram, carrying the record's exact dimension."""
+    diagram = parse_partition(record.rows)
+    diagram._dim = None if record.dim is None else _decimal(record.dim)
+    return diagram
+
+
+def _parse_int(text: str) -> int | float:
+    """A JSON integer literal, read as a float past 20 digits.
+
+    n is a record's only integer field, and int() takes quadratic time
+    in the length of a literal; float() is linear, and a float n, like
+    an over-long float field, then fails its own check.
+    """
+    return float(text) if len(text.lstrip("-")) > 20 else int(text)
+
+
 def load_records(path) -> list[RunRecord]:
     """Read a JSON-lines record file, validating every line."""
     records = []
@@ -199,10 +241,10 @@ def load_records(path) -> list[RunRecord]:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            obj = json.loads(line, parse_int=_parse_int)
         except (ValueError, RecursionError) as exc:
-            # UnicodeDecodeError, JSONDecodeError and the int digit limit
-            # are ValueErrors; deep nesting is a RecursionError
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors;
+            # deep nesting is a RecursionError
             raise _schema_error(line_number, f"invalid JSON: {exc}") from exc
         records.append(_parse_record(obj, line_number))
     return records
@@ -231,7 +273,7 @@ def ratios_csv(old_records, new_records, path) -> None:
         for n in sorted(old_by_n):
             old, new = old_by_n[n], new_by_n[n]
             if old.dim is not None and new.dim is not None:
-                exact = Fraction(int(new.dim, 10), int(old.dim, 10))
+                exact = Fraction(_decimal(new.dim), _decimal(old.dim))
                 ratio = float(exact)
                 log_ratio = (
                     0.0 if exact == 1 else math.log(exact.numerator) - math.log(exact.denominator)

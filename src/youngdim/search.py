@@ -10,21 +10,23 @@ until it is added, so no two root paths reach the same diagram: the
 tree covers each core diagram exactly once and A* needs no
 re-expansion logic.
 
-A search node is a plain tuple: rows, conjugate, size, frozen rows,
-path cost and a transition measure.  A uniform-cost child holds a
-reference to its parent's measure, shared with its siblings, plus the
-box it adds, and grows its own in O(m) (`plancherel._grow`) when it is
-expanded.  A heuristic child below the target level carries its own
-measure, grown once at push, and its estimate is one scan over it; a
-heuristic child at the target level has h = 0 and is never expanded,
-so it costs nothing.  Edges are ranked only on expansion, once per
-node.  Since each diagram is pushed once, no per-diagram cache is
-kept.  `tree_children` is the one child builder with the freeze rule,
-for `astar` and `tree_sweep` alike, and both grow each node's measure
-from its parent's.  `search_from` searches from any
-diagram that is in the core subgraph up to conjugation; a result
-reports the found diagram, its exact dimension, the path cost, two
-node counts and the mode, and nothing that depends on timing.
+A search node is a plain tuple: rows, conjugate, size, frozen rows, path
+cost, a transition measure, and its exact dimension as its parent's
+times (n + 1) * p, divided out when the node is popped
+(`plancherel._grow_dim`).  A uniform-cost child holds a reference to its
+parent's measure, shared with its siblings, plus the box it adds, and
+grows its own in O(m) (`plancherel._grow`) when it is expanded.  A
+heuristic child below the target level carries its own measure, grown
+once at push, and its estimate is one scan over it; a heuristic child
+at the target level has h = 0 and is never expanded, so it costs
+nothing.  Edges are ranked only on expansion, once per node.  Since each
+diagram is pushed once, no per-diagram cache is kept.  `tree_children`
+is the one child builder with the freeze rule, for `astar` and
+`tree_sweep` alike, and both grow each node's measure from its
+parent's.  `search_from` searches from any diagram that is in the core
+subgraph up to conjugation; a result reports the found diagram, its
+exact dimension, the path cost, two node counts and the mode, and
+nothing that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -50,7 +52,7 @@ from .errors import (
     NotAGrowthSequence,
 )
 from .oracle import _by_size, _check_size
-from .plancherel import _edges, _grow, _measure, _memo_dim
+from .plancherel import _edges, _grow, _grow_dim, _measure
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,20 @@ def tree_children(
     A node is a core diagram's rows and conjugate plus its frozen-row
     mask (bit r set means row r never grows).  `edges` are the node's
     core `plancherel._edges` tuples (weight, row, col, num, den), best
-    first.  Returns (rows, conj, frozen, weight, row, col) per child.
-    The child through the r-th unfrozen edge inherits the parent's
+    first.  Returns (rows, conj, frozen, weight, row, col, num, den) per
+    child.  The child through the r-th unfrozen edge inherits the parent's
     frozen rows plus the rows of every edge ranked before r, so no two
     root paths can reach the same diagram.  Adding box (r, c) sets row
     r to length c and column c to height r.
     """
     out = []
-    for weight, r, c, _, _ in edges:
+    for weight, r, c, num, den in edges:
         bit = 1 << r
         if frozen & bit:
             continue
         out.append(
             (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
-             frozen, weight, r, c)
+             frozen, weight, r, c, num, den)
         )
         frozen |= bit
     return out
@@ -122,25 +124,22 @@ def astar(
     *,
     start: YoungDiagram | None = None,
     uniform_cost: bool = False,
-    dims: dict | None = None,
 ) -> SearchResult:
     """Search the greedy path tree for a minimum-cost diagram at a level.
 
     Pops the frontier by f = g + h, ties broken toward larger g and then
     lexicographically smaller rows.  In uniform-cost mode the first
     popped diagram at the target level has the maximum dimension among
-    all core diagrams of that size reachable from `start`.  `dims`, if
-    given, is a diagram -> exact dimension memo that the result's
-    dimension is read from, under either side of its conjugate pair,
-    or computed into.
+    all core diagrams of that size reachable from `start`.
 
-    A heap entry is (f, -g, rows, conj, size, frozen, measure, box).
-    With box None, `measure` is the node's own: the start's, and a
-    heuristic child's below the target level, grown once at push for h.
-    Otherwise it is the parent's, shared with the siblings and grown
-    through box only at expansion: uniform-cost children, and heuristic
-    ones at the target level, where h is 0 and which are never expanded,
-    so they cost no measure work.  A node's ranked edges are built once,
+    A heap entry is (f, -g, rows, conj, size, frozen, measure, box,
+    scaled, num, den), with dimension scaled * num / den.  With box None,
+    `measure` is the node's own: the start's, and a heuristic child's
+    below the target level, grown once at push for h.  Otherwise it is
+    the parent's, shared with the siblings and grown through box only at
+    expansion: uniform-cost children, and heuristic ones at the target
+    level, where h is 0 and which are never expanded, so they cost no
+    measure or dimension work.  A node's ranked edges are built once,
     when it is expanded.  Rows are unique in the heap, so comparisons
     never reach past them.  Every node is a core diagram, so `_edges`
     gets no bad rows.
@@ -156,28 +155,25 @@ def astar(
     rows = start.rows
     # the start is popped first whatever its f, so its h is never needed
     heap = [
-        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None)
+        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None,
+         dim_exact(start), 1, 1)
     ]
     # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
     nodes_expanded = 0
     frontier_peak = 1
     while heap:
-        _, g, rows, conj, size, frozen, measure, box = heapq.heappop(heap)
+        _, g, rows, conj, size, frozen, measure, box, scaled, num, den = (
+            heapq.heappop(heap)
+        )
         g = -g  # the entry keeps only -g; negation is exact
         if rows in closed:
             raise InvariantViolation(f"tree path uniqueness violated at {rows}")
         closed.add(rows)
+        dim = _grow_dim(scaled, num, den)
         if size == n_target:
-            diagram = YoungDiagram._from_valid(rows, conj)
-            if dims is None:
-                dim = dim_exact(diagram)
-            else:
-                # conjugates share a dimension, so either side's entry serves
-                mirror = YoungDiagram._from_valid(conj, rows)
-                dim = dims.get(mirror) or _memo_dim(diagram, dims)
             return SearchResult(
-                diagram=diagram,
+                diagram=YoungDiagram._from_valid(rows, conj, dim),
                 dim=dim,
                 cost=g,
                 nodes_expanded=nodes_expanded,
@@ -191,16 +187,19 @@ def astar(
         edges = _edges(rows, conj, measure[0], ())
         size += 1
         levels = n_target - size
-        for crows, cconj, cfrozen, weight, r, c in tree_children(
+        scaled = dim * size
+        for crows, cconj, cfrozen, weight, r, c, num, den in tree_children(
             rows, conj, frozen, edges
         ):
             cg = g + weight
             if uniform_cost or not levels:
-                entry = (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c))
+                entry = (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c),
+                         scaled, num, den)
             else:
                 grown = _grow(*measure, r, c)
                 h = remaining_cost_estimate(levels, crows, cconj, cfrozen, grown[0])
-                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None)
+                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None,
+                         scaled, num, den)
             heapq.heappush(heap, entry)
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
@@ -245,7 +244,7 @@ def tree_sweep(max_n: int) -> TreeSweep:
         kids = tree_children(rows, conj, frozen, edges)
         if not kids:
             dead_ends.append(rows)
-        stack.extend((*kid[:3], measure, kid[4:]) for kid in kids)
+        stack.extend((*kid[:3], measure, kid[4:6]) for kid in kids)
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
     missing = [
         rows
@@ -266,7 +265,6 @@ def search_from(
     n_target: int,
     *,
     uniform_cost: bool = False,
-    dims: dict | None = None,
 ) -> tuple[YoungDiagram, SearchResult]:
     """`astar` from a diagram in the core subgraph up to conjugation.
 
@@ -274,7 +272,6 @@ def search_from(
     and the found diagram is conjugated back; the result itself
     describes the search as run.  Returns (found diagram, result).  If
     neither side is in the core subgraph the diagram is rejected.
-    `dims` is passed on to `astar`.
     """
     start = diagram
     if not start.in_core_subgraph():
@@ -283,25 +280,16 @@ def search_from(
             raise CoreMembershipError(
                 f"neither {diagram.rows} nor its conjugate is in the core subgraph"
             )
-    result = astar(n_target, start=start, uniform_cost=uniform_cost, dims=dims)
+    result = astar(n_target, start=start, uniform_cost=uniform_cost)
     found = result.diagram if start is diagram else result.diagram.conjugate()
     return found, result
 
 
-def local_improve(
-    diagram: YoungDiagram, depth: int = 3, *, dims: dict | None = None
-) -> YoungDiagram:
-    """Grow a diagram by `depth` levels with a heuristic `search_from`.
-
-    `dims`, if given, is a diagram -> exact dimension memo that the
-    search reads the found diagram's dimension from, or computes it into.
-    """
+def local_improve(diagram: YoungDiagram, depth: int = 3) -> YoungDiagram:
+    """Grow a diagram by `depth` levels with a heuristic `search_from`."""
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
-    found, result = search_from(diagram, diagram.size + depth, dims=dims)
-    if dims is not None:
-        dims[found] = result.dim
-    return found
+    return search_from(diagram, diagram.size + depth)[0]
 
 
 @dataclass(frozen=True)
@@ -311,19 +299,14 @@ class ImproveOutcome:
     skipped_sizes: tuple
 
 
-def sequence_improve(
-    seq: list[YoungDiagram], depth: int, *, dims: dict | None = None
-) -> ImproveOutcome:
+def sequence_improve(seq: list[YoungDiagram], depth: int) -> ImproveOutcome:
     """Try to replace each sequence element by a deep-searched competitor.
 
     For each element, searches `depth` levels ahead and keeps whichever
     of the found diagram and the existing element of that size has the
     larger exact dimension.  Elements whose size plus depth runs off the
     end are left alone, as are elements outside the core subgraph on
-    both sides (their sizes are reported as skipped).  `dims`, if given,
-    is a diagram -> exact dimension memo that the comparisons read and
-    fill; found diagrams get the dimension their search computed, so
-    each dimension is computed once.
+    both sides (their sizes are reported as skipped).
     """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
@@ -332,8 +315,6 @@ def sequence_improve(
             raise NotAGrowthSequence(
                 f"element {i} has size {lam.size}, expected {i + 1}"
             )
-    if dims is None:
-        dims = {}
     new = list(seq)
     improved = []
     skipped = []
@@ -342,11 +323,11 @@ def sequence_improve(
         if tgt >= len(seq):
             break
         try:
-            cand = local_improve(lam, depth, dims=dims)
+            cand = local_improve(lam, depth)
         except CoreMembershipError:
             skipped.append(lam.size)
             continue
-        if dims[cand] > _memo_dim(new[tgt], dims):
+        if dim_exact(cand) > dim_exact(new[tgt]):
             new[tgt] = cand
             improved.append(cand.size)
     return ImproveOutcome(

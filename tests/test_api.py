@@ -105,3 +105,24 @@ def test_runtime_imports_are_standard_library_only():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_no_public_callable_takes_a_dimension_memo():
+    # diagrams carry their exact dimension, so no caller passes one in
+    for name in youngdim.__all__:
+        obj = getattr(youngdim, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert "dims" not in inspect.signature(obj).parameters, name
+    assert "dim" not in inspect.signature(youngdim.record_for).parameters
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert, so invariants raise typed errors instead
+    sources = sorted(pathlib.Path(youngdim.__file__).parent.glob("*.py"))
+    found = [
+        (path.name, node.lineno)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -16,7 +16,7 @@ from youngdim import (
     max_dimension_core,
     parse_partition,
 )
-from youngdim import cli, dimension, errors, oracle, plancherel, records
+from youngdim import cli, dimension, errors, oracle, records
 from youngdim.cli import main
 from youngdim.errors import InputError, NonDivisibleHookProduct
 from youngdim.records import record_to_json, record_for
@@ -73,18 +73,20 @@ def test_seq_shake_is_seed_deterministic(capsys):
 
 
 def test_seq_shake_computes_each_dimension_once(capsys, monkeypatch):
+    # every shaken, grown and recorded diagram carries its dimension from
+    # the exact growth and shrink steps, so only the start needs hooks
     calls = Counter()
+    hook_product = dimension.hook_product
 
-    def counting_dim_exact(diagram):
+    def counting_hook_product(diagram):
         calls[diagram.rows] += 1
-        return dim_exact(diagram)
+        return hook_product(diagram)
 
-    monkeypatch.setattr(plancherel, "dim_exact", counting_dim_exact)
-    monkeypatch.setattr(records, "dim_exact", counting_dim_exact)
+    monkeypatch.setattr(dimension, "hook_product", counting_hook_product)
     argv = ["seq", "--n", "40", "--start", "5,3,2,1", "--shake", "2", "--variant", "3"]
     rc, out, _ = run(capsys, argv + ["--seed", "1"])
     assert rc == 0
-    assert calls and max(calls.values()) == 1
+    assert calls == {(5, 3, 2, 1): 1}
     for line in out.strip().splitlines():
         obj = json.loads(line)
         assert obj["dim"] == str(dim_exact(parse_partition(obj["rows"])))
@@ -367,8 +369,11 @@ def test_bad_record_dims_exit_2(tmp_path, capsys):
         (0, b"\xff\xfe"),  # a UTF-16 byte-order mark
         (2, b"[" * 200_000),
         (2, b'{"n": ' + b"1" * 5001 + b"}"),
+        # a whole record for rows "1" whose n is one 200,000-digit literal
+        (2, b'{"n": ' + b"1" * 200_000 + b', "rows": "1", "log_dim": 0.0, "dim": "1",'
+            b' "c": 0.0, "source": "greedy"}'),
     ],
-    ids=["bom", "deep", "long-int"],
+    ids=["bom", "deep", "long-int", "long-n"],
 )
 def test_unreadable_record_lines_exit_2(tmp_path, capsys, head, bad):
     lines = [record_to_json(record_for(d, "greedy")).encode() for d in greedy_sequence(3)]
@@ -384,6 +389,7 @@ def test_unreadable_record_lines_exit_2(tmp_path, capsys, head, bad):
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: line {head + 1}: ") and err.count("\n") == 1
+        assert len(err) < 200
         assert not csv.exists()
 
 
@@ -406,8 +412,9 @@ def test_dim_prints_exact_dimensions_of_any_length(tmp_path, capsys):
 
 
 def test_improve_computes_each_dimension_once(tmp_path, capsys, monkeypatch):
-    # the checked input records seed the memo, and each search reads its
-    # found diagram's dimension from it, under either side
+    # load_records checks each input record's dim against its rows, one
+    # hook product per record; the diagrams improve reads carry that dim,
+    # and each search grows its found diagram's dimension from them
     runs = tmp_path / "runs.jsonl"
     better = tmp_path / "better.jsonl"
     rc, _, _ = run(capsys, ["seq", "--n", "40", "--out", str(runs)])
@@ -422,7 +429,7 @@ def test_improve_computes_each_dimension_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dimension, "hook_product", counting_hook_product)
     rc, _, _ = run(capsys, ["improve", "--in", str(runs), "--depth", "3", "--out", str(better)])
     assert rc == 0
-    assert len(calls) >= 40 and max(calls.values()) == 1
+    assert len(calls) == 40 and max(calls.values()) == 1
     # conjugates share a dimension, so no pair has both sides computed
     for rows in calls:
         mirror = YoungDiagram(rows).conjugate_rows()

@@ -18,7 +18,7 @@ from youngdim import (
     transition_edges,
     transition_prob,
 )
-from youngdim.plancherel import _edges, _grow, _measure
+from youngdim.plancherel import _contents, _edges, _grow, _measure, _shrink_dim
 from youngdim.errors import (
     InvalidK,
     InvalidM,
@@ -287,3 +287,28 @@ def test_branches_seed_base_shifts_variants():
     a = branches(lam, 3, 2, 10)
     b = branches(lam, 3, 2, 10, seed_base=0)
     assert a == b
+
+
+def test_shrink_step_matches_the_hook_formula():
+    # Kerov's cotransition measure gives the dimension left by every
+    # corner removal of every partition up to size 18
+    removals = 0
+    for n in range(1, 19):
+        for lam in partitions(n):
+            _, xs, ys = _contents(lam.rows)
+            dim = dim_exact(lam)
+            for c in lam.removable_boxes():
+                want = dim_exact(lam.remove_box(c))
+                assert _shrink_dim(dim, n, c.col - c.row, xs, ys) == want
+                removals += 1
+    assert removals == 4582
+
+
+def test_grown_and_shaken_diagrams_carry_hook_formula_dimensions():
+    # each diagram is rebuilt from its rows alone, so dim_exact runs the
+    # hook formula on it
+    grown = greedy_sequence(60)
+    for seed in range(5):
+        grown += branches(YoungDiagram([5, 3, 2, 1]), 3, 2, 30, seed_base=seed)
+    for d in grown:
+        assert d._dim == dim_exact(YoungDiagram(d.rows))

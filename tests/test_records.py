@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -98,6 +99,37 @@ def test_huge_dimension_survives_the_roundtrip(tmp_path):
     assert load_records(path) == [rec]
 
 
+def test_long_dimensions_load_under_the_default_digit_limit(tmp_path):
+    # the staircase with 85 rows (n = 3655) has a dimension of more
+    # digits than CPython converts between int and str by default;
+    # records lift that limit for each of their own conversions only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    stairs = YoungDiagram(range(85, 0, -1))
+    if limit:
+        with pytest.raises(ValueError):
+            str(dim_exact(stairs))
+    rec = record_for(stairs, "oracle", 5000)
+    assert len(rec.dim) > 4300
+    path = tmp_path / "stairs.jsonl"
+    emit_records([rec], path)
+    assert load_records(path) == [rec]
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_load_rejects_dim_with_more_digits_than_n_factorial(tmp_path):
+    # 4,2,1 has dimension 35 and 7! = 5040 has four digits, so "0035"
+    # loads, "00035" is one digit too long, and a million digits are
+    # turned away before any conversion
+    obj = json.loads(record_to_json(record_for(YoungDiagram([4, 2, 1]), "greedy")))
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({**obj, "dim": "0035"}) + "\n")
+    assert load_records(path)[0].dim == "0035"
+    for dim in ("00035", "1" * 1_000_000):
+        path.write_text(json.dumps({**obj, "dim": dim}) + "\n")
+        with pytest.raises(RecordSchemaError, match=r"field dim has more digits than 7! has"):
+            load_records(path)
+
+
 def test_load_reports_the_offending_line(tmp_path):
     good = record_to_json(record_for(YoungDiagram([2, 1]), "greedy")).encode()
     path = tmp_path / "bad.jsonl"
@@ -105,7 +137,7 @@ def test_load_reports_the_offending_line(tmp_path):
         b'{"n": 3}',
         b"\xff\xfe",  # not UTF-8
         b"[" * 200_000,  # nested past the recursion limit
-        b'{"n": ' + b"1" * 5001 + b"}",  # past the int digit limit
+        b'{"n": ' + b"1" * 5001 + b"}",  # an integer literal of 5001 digits
     ):
         path.write_bytes(b"\n".join([good] * 6 + [bad, good]) + b"\n")
         with pytest.raises(RecordSchemaError) as err:

@@ -323,18 +323,22 @@ def test_sequence_improve_computes_each_dimension_once(monkeypatch):
 
     monkeypatch.setattr(dimension, "hook_product", counted)
     seq = greedy_sequence(40)
-    dims = {}
-    out = sequence_improve(seq, 3, dims=dims)
+    out = sequence_improve(seq, 3)
     assert out.improved_sizes == (15, 22, 37, 38, 39)
-    # one hook product per distinct diagram, each kept in the memo: 37
-    # searches and the 37 elements they compete with, 21 of which the
-    # search found again; the 22 searches run from a conjugate also keep
-    # the side they searched, which adds 12 entries
-    assert len(calls) == len(set(calls)) == 53
-    assert set(calls) <= {d.rows for d in dims} and len(dims) == 65
-    assert set(out.sequence[3:]) <= set(dims)
-    for d, dim in dims.items():
-        assert dim == dim_recursive(d)
+    # the greedy sequence and every search grow their diagrams'
+    # dimensions from the one-box start's, the only hook product
+    assert calls == [(1,)]
+    for d in out.sequence:
+        assert dim_exact(d) == dim_recursive(d)
+    assert calls == [(1,)]
+
+
+def test_astar_results_carry_hook_formula_dimensions():
+    for n in range(1, 31):
+        for uniform_cost in (False, True):
+            result = astar(n, uniform_cost=uniform_cost)
+            want = dim_exact(YoungDiagram(result.diagram.rows))
+            assert result.dim == result.diagram._dim == want
 
 
 def test_sequence_improve_rejects_gaps():
