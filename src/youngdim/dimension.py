@@ -20,12 +20,22 @@ from .errors import EmptyDiagramError, NonDivisibleHookProduct, SizeBoundExceede
 
 
 def hook_product(diagram: YoungDiagram) -> int:
+    """Product of all hook lengths, in near-linear time for long diagrams.
+
+    Hooks are multiplied in chunks of 256 with `math.prod`, and the chunk
+    products pairwise, so no step multiplies a huge integer by a small one
+    box by box.
+    """
     conj = diagram.conjugate_rows()
-    p = 1
-    for i, r in enumerate(diagram.rows, 1):
-        for j in range(1, r + 1):
-            p *= r - j + conj[j - 1] - i + 1
-    return p
+    hooks = [
+        r - j + conj[j - 1] - i + 1
+        for i, r in enumerate(diagram.rows, 1)
+        for j in range(1, r + 1)
+    ]
+    parts = [math.prod(hooks[i : i + 256]) for i in range(0, len(hooks), 256)]
+    while len(parts) > 1:
+        parts = [math.prod(parts[i : i + 2]) for i in range(0, len(parts), 2)]
+    return parts[0] if parts else 1
 
 
 def dim_exact(diagram: YoungDiagram) -> int:

@@ -5,7 +5,10 @@ visits every partition with at most N boxes once, building it from the
 bottom row up and updating its first-column hooks row by row, so each
 exact dimension costs a few multiplications and one exact division
 (a nonzero remainder raises).  The argmax over each size gives the
-whole table 1..N in one pass, with one stack frame per row.  Since
+whole table 1..N in one pass, with one stack frame per row.  Most
+partitions are leaves, with no room for a row above them: once a
+frame's next top row leaves no such room, it is popped and the rest of
+its top rows are yielded in one plain loop (its leaf run).  Since
 dim λ = dim λ′, the maximum tables take the half sweep: it yields only
 partitions whose top row is at least their row count, one of each
 conjugate pair, and prunes every frame that cannot reach one; a
@@ -52,56 +55,70 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     k rows the first-column hooks are h_i = rows_i + k - i, and
     dim = size! * Delta / F with Delta = prod_{i<j} (h_i - h_j) and
     F = prod_i h_i! (Fulton, Young Tableaux, section 4.1).  A new top row
-    of length r over m rows has hook r + m and leaves the hooks below it
-    unchanged, so a child multiplies the parent's Delta by
-    prod_j (h - h_j) and its F by h!.  The quotient
-    F / Delta is the hook product, so a nonzero remainder means broken
-    bookkeeping and raises.  Smaller partitions are still visited, as
-    the bottom rows of larger ones, but not divided.  The stack holds
-    one frame per row.
+    of length r over m rows of s - r boxes has hook h = r + m and leaves
+    the hooks below it unchanged, so a child multiplies the parent's
+    Delta by prod_j (h - h_j), built in small ints first, and its F by
+    h!.  Its dimension is then (s! / h!) * Delta_child / F_parent, read
+    from a table of rising factorials (s - h = s - r - m does not depend
+    on r), and a nonzero remainder means broken bookkeeping and raises.
+    Smaller partitions are still visited, as the bottom rows of larger
+    ones, but not divided.  The stack holds one frame per row.
+
+    A frame tries each top row r in turn and pushes the child only if a
+    partition above it fits.  That test only gets harder as r grows, so
+    once it fails the frame is popped and the rest of its range, up to
+    max_n - size, is yielded in one plain loop as leaves.
 
     With `half` set, only partitions whose top row is at least their
     row count are yielded: one of each conjugate pair, since conjugates
     share a dimension.  A child with top row r and k rows is divided
     only if it is yielded, and pushed only if a partition above it can
-    be: every one has a top row of at least max(r, k + 1).
+    be: every one has a top row of at least max(r, k + 1).  A leaf run
+    starts at r = k.
     """
     fact = [1]
     for i in range(1, max_n + 1):
         fact.append(fact[-1] * i)
+    # rising[d][h] = (h + d)! / h!
+    rising = [[fact[h + d] // fact[h] for h in range(max_n + 1 - d)]
+              for d in range(max_n + 1)]
     # frame: size, rows (top first), hooks (top first), Delta, F, next top row
     stack = [[0, (), (), 1, 1, 1]]
     while stack:
         frame = stack[-1]
         size, rows, hooks, delta, fprod, r = frame
-        s = size + r
-        if s > max_n:
-            stack.pop()
-            continue
-        frame[5] = r + 1
         k = len(rows) + 1
-        if half:
-            out = s >= min_n and r >= k
-            push = s + max(r, k + 1) <= max_n
-        else:
-            out = s >= min_n
-            push = s + r <= max_n
-        if not (out or push):
+        rise = rising[size - k + 1]
+        s = size + r
+        if s + (max(r, k + 1) if half else r) <= max_n:
+            frame[5] = r + 1
+            h = r + k - 1
+            p = 1
+            for x in hooks:
+                p *= h - x
+            delta *= p
+            child = (r,) + rows
+            if s >= min_n and (r >= k or not half):
+                dim, rem = divmod(rise[h] * delta, fprod)
+                if rem:
+                    raise NonDivisibleHookProduct(
+                        f"hook product does not divide {s}! for {child}"
+                    )
+                yield s, child, dim
+            stack.append([s, child, (h,) + hooks, delta, fprod * fact[h], r])
             continue
-        h = r + k - 1
-        for x in hooks:
-            delta *= h - x
-        fprod *= fact[h]
-        child = (r,) + rows
-        if out:
-            dim, rem = divmod(fact[s] * delta, fprod)
+        stack.pop()
+        for r in range(max(r, min_n - size, k if half else 1), max_n - size + 1):
+            h = r + k - 1
+            p = 1
+            for x in hooks:
+                p *= h - x
+            dim, rem = divmod(rise[h] * (delta * p), fprod)
             if rem:
                 raise NonDivisibleHookProduct(
-                    f"hook product does not divide {s}! for {child}"
+                    f"hook product does not divide {size + r}! for {(r,) + rows}"
                 )
-            yield s, child, dim
-        if push:
-            stack.append([s, child, (h,) + hooks, delta, fprod, r])
+            yield size + r, (r,) + rows, dim
 
 
 def _by_size(max_n: int, min_n: int = 1) -> list[dict[tuple[int, ...], int]]:

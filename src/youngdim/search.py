@@ -19,14 +19,14 @@ grows its own in O(m) (`plancherel._grow`) when it is expanded.  A
 heuristic child below the target level carries its own measure, grown
 once at push, and its estimate is one scan over it; a heuristic child
 at the target level has h = 0 and is never expanded, so it costs
-nothing.  Edges are ranked only on expansion, once per node.  Since each
-diagram is pushed once, no per-diagram cache is kept.  `tree_children`
-is the one child builder with the freeze rule, for `astar` and
-`tree_sweep` alike, and both grow each node's measure from its
-parent's.  `search_from` searches from any diagram that is in the core
-subgraph up to conjugation; a result reports the found diagram, its
-exact dimension, the path cost, two node counts and the mode, and
-nothing that depends on timing.
+nothing.  Edges are ranked only on expansion, once per node, and only
+the unfrozen ones.  Since each diagram is pushed once, no per-diagram
+cache is kept.  `tree_children` is the one child builder with the
+freeze rule, for `astar` and `tree_sweep` alike, and both grow each
+node's measure from its parent's.  `search_from` searches from any
+diagram that is in the core subgraph up to conjugation; a result
+reports the found diagram, its exact dimension, the path cost, two
+node counts and the mode, and nothing that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -66,29 +66,30 @@ class SearchResult:
 
 
 def tree_children(
-    rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, edges: list
+    rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, addables: list[tuple]
 ) -> list[tuple]:
-    """The children through a node's unfrozen edges, in edge order.
+    """The children through a node's unfrozen core edges, best first.
 
     A node is a core diagram's rows and conjugate plus its frozen-row
-    mask (bit r set means row r never grows).  `edges` are the node's
-    core `plancherel._edges` tuples (weight, row, col, num, den), best
-    first.  Returns (rows, conj, frozen, weight, row, col, num, den) per
-    child.  The child through the r-th unfrozen edge inherits the parent's
-    frozen rows plus the rows of every edge ranked before r, so no two
-    root paths can reach the same diagram.  Adding box (r, c) sets row
-    r to length c and column c to height r.
+    mask (bit r set means row r never grows); `addables` is its
+    transition measure (`plancherel._grow`).  Frozen rows are dropped
+    first, so only the unfrozen boxes are core-tested and ranked by
+    `plancherel._edges`; a stable sort on exact keys ranks them as it
+    would among all the edges.  Returns (rows, conj, frozen, weight,
+    row, col, num, den) per child.  The child through the r-th edge
+    inherits the parent's frozen rows plus the rows of every edge
+    ranked before r, so no two root paths can reach the same diagram.
+    Adding box (r, c) sets row r to length c and column c to height r.
     """
     out = []
-    for weight, r, c, num, den in edges:
-        bit = 1 << r
-        if frozen & bit:
-            continue
+    for weight, r, c, num, den in _edges(
+        rows, conj, [a for a in addables if not frozen >> a[1] & 1], ()
+    ):
         out.append(
             (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
              frozen, weight, r, c, num, den)
         )
-        frozen |= bit
+        frozen |= 1 << r
     return out
 
 
@@ -139,10 +140,9 @@ def astar(
     the parent's, shared with the siblings and grown through box only at
     expansion: uniform-cost children, and heuristic ones at the target
     level, where h is 0 and which are never expanded, so they cost no
-    measure or dimension work.  A node's ranked edges are built once,
-    when it is expanded.  Rows are unique in the heap, so comparisons
-    never reach past them.  Every node is a core diagram, so `_edges`
-    gets no bad rows.
+    measure or dimension work.  A node's unfrozen edges are ranked once,
+    by `tree_children` when it is expanded.  Rows are unique in the
+    heap, so comparisons never reach past them.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -183,13 +183,11 @@ def astar(
         nodes_expanded += 1
         if box is not None:
             measure = _grow(*measure, *box)
-        # never empty: a new bottom row keeps a core diagram in the core
-        edges = _edges(rows, conj, measure[0], ())
         size += 1
         levels = n_target - size
         scaled = dim * size
         for crows, cconj, cfrozen, weight, r, c, num, den in tree_children(
-            rows, conj, frozen, edges
+            rows, conj, frozen, measure[0]
         ):
             cg = g + weight
             if uniform_cost or not levels:
@@ -240,8 +238,7 @@ def tree_sweep(max_n: int) -> TreeSweep:
             continue
         if box is not None:
             measure = _grow(*measure, *box)
-        edges = _edges(rows, conj, measure[0], ())
-        kids = tree_children(rows, conj, frozen, edges)
+        kids = tree_children(rows, conj, frozen, measure[0])
         if not kids:
             dead_ends.append(rows)
         stack.extend((*kid[:3], measure, kid[4:6]) for kid in kids)

@@ -15,6 +15,7 @@ from youngdim import (
     normalized_dim,
     transition_prob,
 )
+from youngdim.dimension import hook_product
 from youngdim.errors import EmptyDiagramError, NotAddable, SizeBoundExceeded
 
 from conftest import hook_ratio, partition_diagrams, partitions, random_diagram
@@ -46,6 +47,29 @@ KNOWN_DIMS = {
 def test_dim_exact_known_values():
     for rows, expected in KNOWN_DIMS.items():
         assert dim_exact(YoungDiagram(rows)) == expected, rows
+
+
+def _hook_product_box_by_box(diagram):
+    conj = diagram.conjugate_rows()
+    p = 1
+    for i, r in enumerate(diagram.rows, 1):
+        for j in range(1, r + 1):
+            p *= r - j + conj[j - 1] - i + 1
+    return p
+
+
+def test_hook_product_matches_box_by_box_product():
+    for n in range(13):
+        for d in partitions(n):
+            assert hook_product(d) == _hook_product_box_by_box(d), d.rows
+    # chunk edges (256, 257, 513 hooks), an odd chunk count, and long shapes
+    staircase = tuple(range(45, 0, -1))
+    for rows in (
+        (256,), (257,), (513,), (1,) * 1025, (700, 300, 300, 2, 1),
+        staircase, (40,) * 40,
+    ):
+        d = YoungDiagram(rows)
+        assert hook_product(d) == _hook_product_box_by_box(d), rows
 
 
 def test_dim_recursive_known_values():

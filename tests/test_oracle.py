@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,7 @@ from youngdim import (
     verify_one_box_claim,
 )
 from youngdim import oracle
-from youngdim.errors import SizeBoundExceeded
+from youngdim.errors import NonDivisibleHookProduct, SizeBoundExceeded
 
 from conftest import (
     argmax_by_hook_product,
@@ -126,6 +128,70 @@ def test_half_sweep_yields_one_side_of_each_conjugate_pair():
             for rows, dim in full.items()
             if rows[0] >= len(rows) and sum(rows) >= lo
         }
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("max_n", range(1, 15))
+def test_sweep_yields_exactly_the_partitions_in_range(max_n, half):
+    # every size window, lo == hi included; at max_n 1..3 the root frame
+    # pushes little or nothing and yields its own leaf run
+    for min_n in range(1, max_n + 1):
+        got = list(oracle._sweep(max_n, min_n, half))
+        want = {
+            d.rows: dim_recursive(d)
+            for n in range(min_n, max_n + 1)
+            for d in partitions(n)
+            if not half or d.rows[0] >= len(d.rows)
+        }
+        assert len(got) == len(want), (min_n, max_n)
+        assert {rows: dim for _, rows, dim in got} == want, (min_n, max_n)
+        assert all(size == sum(rows) for size, rows, _ in got)
+
+
+def test_sweep_divides_once_per_yielded_partition(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return divmod(a, b)
+
+    monkeypatch.setattr(oracle, "divmod", counted, raising=False)
+    for max_n, min_n, half in (
+        (1, 1, False), (3, 1, True), (20, 1, False), (20, 15, False),
+        (24, 1, True), (24, 20, True),
+    ):
+        calls.clear()
+        yielded = sum(1 for _ in oracle._sweep(max_n, min_n, half))
+        assert len(calls) == yielded
+
+
+def _pushed(rows, max_n, half):
+    """Whether the sweep pushes the frame of rows (so divides it before any leaf)."""
+    lowest = max(rows[0], len(rows) + 1) if half else rows[0]
+    return sum(rows) + lowest <= max_n
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+def test_sweep_raises_on_a_remainder_in_leaf_runs_and_pushed_frames(
+    monkeypatch, half
+):
+    max_n = 9
+    clean = [rows for _, rows, _ in oracle._sweep(max_n, half=half)]
+    pushed = [i for i, rows in enumerate(clean) if _pushed(rows, max_n, half)]
+    leaves = [i for i, rows in enumerate(clean) if not _pushed(rows, max_n, half)]
+    assert pushed and leaves
+    for index in (pushed[-1], leaves[len(leaves) // 2]):
+        calls = []
+
+        def broken(a, b):
+            calls.append(None)
+            q, rem = divmod(a, b)
+            return (q, 1) if len(calls) == index + 1 else (q, rem)
+
+        monkeypatch.setattr(oracle, "divmod", broken, raising=False)
+        with pytest.raises(NonDivisibleHookProduct, match=re.escape(str(clean[index]))):
+            list(oracle._sweep(max_n, half=half))
+        assert len(calls) == index + 1
 
 
 def test_half_sweep_tables_match_full_sweep_argmax(core_table_40):

@@ -24,8 +24,7 @@ from youngdim.errors import (
     NotAGrowthSequence,
 )
 from youngdim import dimension, plancherel, search
-from youngdim.diagram import _bad_rows
-from youngdim.plancherel import _edges, _measure
+from youngdim.plancherel import _measure
 from youngdim.search import remaining_cost_estimate, tree_children
 
 from conftest import forbidden_set_children, partitions
@@ -40,14 +39,9 @@ def test_edge_weight_known_values():
     assert weight([2], Box(2, 1)) == pytest.approx(math.log(3) - math.log(2))
 
 
-def _core_edges(rows):
-    conj = YoungDiagram(rows).conjugate_rows()
-    return _edges(rows, conj, _measure(rows)[0], _bad_rows(rows, conj))
-
-
 def _kids(rows, frozen):
     conj = YoungDiagram(rows).conjugate_rows()
-    return tree_children(rows, conj, frozen, _core_edges(rows))
+    return tree_children(rows, conj, frozen, _measure(rows)[0])
 
 
 def test_tree_children_of_the_root():
