@@ -19,6 +19,16 @@ from .diagram import YoungDiagram
 from .errors import EmptyDiagramError, NonDivisibleHookProduct, SizeBoundExceeded
 
 
+def _hooks(diagram: YoungDiagram) -> list[int]:
+    """Every hook length of the diagram, row by row."""
+    conj = diagram.conjugate_rows()
+    return [
+        r - j + conj[j - 1] - i + 1
+        for i, r in enumerate(diagram.rows, 1)
+        for j in range(1, r + 1)
+    ]
+
+
 def hook_product(diagram: YoungDiagram) -> int:
     """Product of all hook lengths, in near-linear time for long diagrams.
 
@@ -26,12 +36,7 @@ def hook_product(diagram: YoungDiagram) -> int:
     products pairwise, so no step multiplies a huge integer by a small one
     box by box.
     """
-    conj = diagram.conjugate_rows()
-    hooks = [
-        r - j + conj[j - 1] - i + 1
-        for i, r in enumerate(diagram.rows, 1)
-        for j in range(1, r + 1)
-    ]
+    hooks = _hooks(diagram)
     parts = [math.prod(hooks[i : i + 256]) for i in range(0, len(hooks), 256)]
     while len(parts) > 1:
         parts = [math.prod(parts[i : i + 2]) for i in range(0, len(parts), 2)]
@@ -122,12 +127,7 @@ def log_factorial(n: int) -> float:
 
 def log_dim(diagram: YoungDiagram) -> float:
     """Natural log of the dimension via compensated summation."""
-    conj = diagram.conjugate_rows()
-    hooks = []
-    for i, r in enumerate(diagram.rows, 1):
-        for j in range(1, r + 1):
-            hooks.append(math.log(r - j + conj[j - 1] - i + 1))
-    return log_factorial(diagram.size) - math.fsum(hooks)
+    return log_factorial(diagram.size) - math.fsum(map(math.log, _hooks(diagram)))
 
 
 def normalized_dim(diagram: YoungDiagram) -> float:

@@ -16,11 +16,10 @@ partition that ties or beats its size's best brings its conjugate in
 as a candidate, so every maximizer set is found whole.  The results
 anchor the heuristics and the search, which must never beat or
 contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
-exhaustive query; it also caps the memory of `_by_size`, which holds
-every partition up to it.  The sweep is the library's one
-partition enumeration: `_by_size` groups one full sweep by size for
-the transform and tree sweeps, and `all_dimensions` reads a single
-size from it.
+exhaustive query.  The sweep is the library's one partition
+enumeration: `all_dimensions(n)` reads one size from it, and the
+transform and tree sweeps call it once per size, so they hold one
+size at a time.
 """
 
 from __future__ import annotations
@@ -121,22 +120,6 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
             yield size + r, (r,) + rows, dim
 
 
-def _by_size(max_n: int, min_n: int = 1) -> list[dict[tuple[int, ...], int]]:
-    """Per-size maps from every partition (a rows tuple) to its exact dimension.
-
-    One sweep fills them all: entry s, for min_n <= s <= max_n, maps
-    every partition of s, keys in descending lexicographic order (with
-    min_n = 0, entry 0 holds the empty partition); the other entries
-    are empty.  The caller checks the bound.
-    """
-    groups: list[list] = [[] for _ in range(max_n + 1)]
-    if min_n <= 0:
-        groups[0].append(((), 1))
-    for size, rows, dim in _sweep(max_n, min_n):
-        groups[size].append((rows, dim))
-    return [dict(sorted(group, reverse=True)) for group in groups]
-
-
 def all_dimensions(n: int) -> dict[tuple[int, ...], int]:
     """Every partition of n (a rows tuple) mapped to its exact dimension.
 
@@ -144,7 +127,7 @@ def all_dimensions(n: int) -> dict[tuple[int, ...], int]:
     lexicographic order.  The bound is checked before any work.
     """
     _check_size(n)
-    return _by_size(n, n)[n]
+    return dict(sorted(((rows, dim) for _, rows, dim in _sweep(n, n)), reverse=True))
 
 
 def _max_entries(lo: int, hi: int, keep=None) -> list[MaxTableEntry]:

@@ -258,18 +258,13 @@ def path_cost(path: GrowthPath) -> float:
     return total
 
 
-def greedy_step(
-    diagram: YoungDiagram, restrict_core: bool = False, *, mirror_ties: bool = False
-) -> TransitionEdge:
+def greedy_step(diagram: YoungDiagram, restrict_core: bool = False) -> TransitionEdge:
     """The maximum-probability edge, compared with exact rationals.
 
-    Ties break toward the ascending (row, col) smallest box; mirror_ties
-    flips the tie-break to (col, row), which is the conjugate convention.
+    Ties break toward the ascending (row, col) smallest box.  Breaking
+    them by (col, row) instead walks the conjugate of every diagram.
     """
-    edges = transition_edges(diagram, restrict_core)
-    if mirror_ties:
-        return min(edges, key=lambda e: (-e.probability, (e.box.col, e.box.row)))
-    return edges[0]
+    return transition_edges(diagram, restrict_core)[0]
 
 
 def _add(diagram: YoungDiagram, edge: TransitionEdge) -> YoungDiagram:
@@ -281,11 +276,7 @@ def _add(diagram: YoungDiagram, edge: TransitionEdge) -> YoungDiagram:
 
 
 def greedy_grow(
-    start: YoungDiagram,
-    target: int,
-    restrict_core: bool = False,
-    *,
-    mirror_ties: bool = False,
+    start: YoungDiagram, target: int, restrict_core: bool = False
 ) -> list[YoungDiagram]:
     """Greedy growth from start up to the target size, inclusive of both."""
     if target < start.size:
@@ -293,20 +284,16 @@ def greedy_grow(
     out = [start]
     cur = start
     while cur.size < target:
-        cur = _add(cur, greedy_step(cur, restrict_core, mirror_ties=mirror_ties))
+        cur = _add(cur, greedy_step(cur, restrict_core))
         out.append(cur)
     return out
 
 
-def greedy_sequence(
-    n: int, restrict_core: bool = False, *, mirror_ties: bool = False
-) -> list[YoungDiagram]:
+def greedy_sequence(n: int, restrict_core: bool = False) -> list[YoungDiagram]:
     """Greedy sequence from the one-box diagram: sizes 1 through n."""
     if n < 1:
         raise InvalidPath(f"sequence length must be at least 1, got {n}")
-    return greedy_grow(
-        YoungDiagram([1]), n, restrict_core, mirror_ties=mirror_ties
-    )
+    return greedy_grow(YoungDiagram([1]), n, restrict_core)
 
 
 def _removal_ranking(diagram: YoungDiagram) -> list[tuple[int, Box]]:

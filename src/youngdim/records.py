@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import YoungDiagram
-from .dimension import _normalized, dim_exact, log_dim
+from .dimension import _normalized, dim_exact, hook_product, log_dim
 from .errors import (
     KeyMismatch,
     PartitionParseError,
@@ -195,7 +195,8 @@ def _parse_record(obj, line_number) -> RunRecord:
         value = _decimal(text)
         if value < 1:
             raise _schema_error(line_number, "field dim is not positive")
-        if value != dim_exact(diagram):
+        # dim * hook product == n! is the hook formula without a division
+        if value * hook_product(diagram) != most:
             raise _schema_error(line_number, "field dim disagrees with rows")
         want, name = math.log(value), "dim"
     if not _close(log, want):

@@ -51,7 +51,7 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .oracle import _by_size, _check_size
+from .oracle import _check_size, all_dimensions
 from .plancherel import _edges, _grow, _grow_dim, _measure
 
 
@@ -222,8 +222,8 @@ def tree_sweep(max_n: int) -> TreeSweep:
     once.  Dead ends (nodes below the last level with no children) are
     recorded; the frozen rows make these possible, and the heuristic
     relies on them reporting a zero remaining-cost estimate.  The
-    census reads every size from one oracle sweep (`oracle._by_size`),
-    so max_n must lie in its range; that is checked before the walk.
+    census reads one size at a time from `oracle.all_dimensions`, so
+    max_n must lie in its range; that is checked before the walk.
     As in `astar`, a child holds its parent's transition measure and
     the box it adds, and grows its own only when it is expanded.
     """
@@ -245,8 +245,8 @@ def tree_sweep(max_n: int) -> TreeSweep:
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
     missing = [
         rows
-        for dims in _by_size(max_n)
-        for rows in dims
+        for n in range(1, max_n + 1)
+        for rows in all_dimensions(n)
         if YoungDiagram._from_valid(rows).in_core_subgraph() and rows not in counts
     ]
     return TreeSweep(

@@ -16,8 +16,8 @@ core subgraph; the dimension is expected, but not proven, to rise.
 `symmetrize` computes its output from the rows and their conjugate,
 and `balance_to_core` moves boxes without computing any dimension
 until its report.  The exhaustive sweeps read every partition of a
-size with its exact dimension from one oracle sweep (`oracle._by_size`),
-so they compute no hook products.
+size with its exact dimension from `oracle.all_dimensions`, one size at
+a time, so they compute no hook products and hold no other size.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NotAddable,
     ShapeBlocked,
 )
-from .oracle import _by_size, _check_size
+from .oracle import _check_size, all_dimensions
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,8 @@ def symmetrize_sweep(max_n: int) -> ReflectionSweep:
     """
     _check_size(max_n)
     sweep = ReflectionSweep()
-    for dims in _by_size(max_n):
+    for n in range(1, max_n + 1):
+        dims = all_dimensions(n)
         for rows, dim_in in dims.items():
             lam = YoungDiagram._from_valid(rows)
             if not lam.has_isolated_asymmetric_boxes():
@@ -298,13 +299,14 @@ def reflection_hooks_sweep(max_base_size: int) -> tuple[int, list]:
     """Check the hook identities for every valid pair over every symmetric base.
 
     Returns (pairs checked, failures).  Mirror-image pairs are skipped as
-    degenerate.
+    degenerate.  Bases start at one box: the empty base has only the
+    diagonal box (1, 1) addable, so it has no pair.
     """
     _check_size(max_base_size, lo=0)
     checked = 0
     failures = []
-    for dims in _by_size(max_base_size, 0):
-        for rows in dims:
+    for n in range(1, max_base_size + 1):
+        for rows in all_dimensions(n):
             base = YoungDiagram._from_valid(rows)
             if not base.is_symmetric():
                 continue
@@ -336,7 +338,8 @@ def balance_sweep(max_n: int) -> BalanceSweep:
     """Run balance_to_core on every diagram of every size up to max_n."""
     _check_size(max_n)
     sweep = BalanceSweep()
-    for dims in _by_size(max_n):
+    for n in range(1, max_n + 1):
+        dims = all_dimensions(n)
         for rows, dim_in in dims.items():
             sweep.checked += 1
             try:

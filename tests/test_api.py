@@ -116,6 +116,16 @@ def test_no_public_callable_takes_a_dimension_memo():
     assert "dim" not in inspect.signature(youngdim.record_for).parameters
 
 
+def test_greedy_takes_no_tie_break_knob():
+    # breaking ties by (col, row) walks the conjugates, so no knob is kept
+    for fn in (
+        youngdim.greedy_step,
+        youngdim.greedy_grow,
+        youngdim.greedy_sequence,
+    ):
+        assert "mirror_ties" not in inspect.signature(fn).parameters
+
+
 def test_src_has_no_assert_statements():
     # python -O strips assert, so invariants raise typed errors instead
     sources = sorted(pathlib.Path(youngdim.__file__).parent.glob("*.py"))

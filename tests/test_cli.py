@@ -264,6 +264,12 @@ def test_verify_theorem_clean(capsys):
     assert "violations=0" in out and "hook_failures=0" in out
 
 
+def test_verify_theorem_with_no_hook_bases(capsys):
+    rc, out, _ = run(capsys, ["verify", "theorem", "--max-n", "12", "--hooks-max-n", "0"])
+    assert rc == 0
+    assert "violations=0" in out and " hook_pairs=0 hook_failures=0\n" in out
+
+
 def test_verify_conjecture_clean(capsys):
     rc, out, _ = run(capsys, ["verify", "conjecture", "--max-n", "8"])
     assert rc == 0
@@ -426,7 +432,9 @@ def test_improve_computes_each_dimension_once(tmp_path, capsys, monkeypatch):
         calls[diagram.rows] += 1
         return hook_product(diagram)
 
+    # the record check multiplies by the hook product itself
     monkeypatch.setattr(dimension, "hook_product", counting_hook_product)
+    monkeypatch.setattr(records, "hook_product", counting_hook_product)
     rc, _, _ = run(capsys, ["improve", "--in", str(runs), "--depth", "3", "--out", str(better)])
     assert rc == 0
     assert len(calls) == 40 and max(calls.values()) == 1

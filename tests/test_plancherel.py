@@ -186,7 +186,6 @@ def test_greedy_step_known_values():
     assert greedy_step(YoungDiagram([2])).box == Box(2, 1)
     assert greedy_step(YoungDiagram([1])).box == Box(1, 2)
     assert greedy_step(YoungDiagram([1]), restrict_core=True).box == Box(2, 1)
-    assert greedy_step(YoungDiagram([1]), mirror_ties=True).box == Box(2, 1)
 
 
 def test_greedy_sequence_known_values():
@@ -207,11 +206,22 @@ def test_greedy_sequence_known_values():
         greedy_sequence(0)
 
 
-def test_greedy_mirror_ties_gives_conjugate_dims():
-    left = greedy_sequence(12)
-    right = greedy_sequence(12, mirror_ties=True)
-    for a, b in zip(left, right):
-        assert dim_exact(a) == dim_exact(b)
+def _tie_flipped_greedy(n):
+    # the greedy walk with ties broken by ascending (col, row) instead
+    seq = [YoungDiagram([1])]
+    while seq[-1].size < n:
+        edge = min(
+            transition_edges(seq[-1]),
+            key=lambda e: (-e.probability, (e.box.col, e.box.row)),
+        )
+        seq.append(seq[-1].add_box(edge.box))
+    return seq
+
+
+def test_tie_flipped_greedy_walks_the_conjugates():
+    flipped = _tie_flipped_greedy(60)
+    assert flipped[1] == YoungDiagram([1]).add_box(Box(2, 1))
+    assert flipped == [d.conjugate() for d in greedy_sequence(60)]
 
 
 def test_greedy_grow_bounds():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 from youngdim import (
     Box,
     YoungDiagram,
+    all_dimensions,
     balance,
     balance_sweep,
     balance_to_core,
@@ -241,3 +244,25 @@ def test_sweeps_compute_no_hook_products(monkeypatch):
     assert len(moves) > 1
     assert calls == [(6, 5, 1, 1), (5, 4, 2, 1, 1)]
     assert (rep.dim_input, rep.dim_output) == (5720, 21450)
+
+
+def _traced_peak(fn, *args):
+    # tuples reused from CPython's free lists (up to 2,000 of each length
+    # below 20) are not traced, so they are drained first and held
+    held = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del held
+
+
+def test_exhaustive_sweeps_hold_one_size_at_a_time():
+    # every check compares two diagrams of one size, so a sweep to 28
+    # needs no more memory than the 3,718 partitions of 28 alone; one
+    # holding every size up to 28 at once peaks above 4x
+    one_size = _traced_peak(all_dimensions, 28)
+    for sweep in (symmetrize_sweep, reflection_hooks_sweep, tree_sweep):
+        assert _traced_peak(sweep, 28) <= 2 * one_size, sweep.__name__
