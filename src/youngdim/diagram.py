@@ -35,22 +35,6 @@ def _core_row_ok(i: int, r: int, c: int) -> bool:
     return r <= c or (r == c + 1 and r < i)
 
 
-def _child_core_ok(
-    rows: tuple[int, ...], conj: tuple[int, ...], r: int, c: int
-) -> bool:
-    """Whether rows r and c pass the core test once addable box (r, c) is added.
-
-    The child's row r has length c and its column c height r; no other
-    row or column changes, so a diagonal box (r = c) always passes.  A
-    core diagram's child is in the core subgraph exactly when this holds.
-    """
-    if r == c:
-        return True
-    conj_r = conj[r - 1] if r <= len(conj) else 0
-    rows_c = rows[c - 1] if c <= len(rows) else 0
-    return _core_row_ok(r, c, conj_r) and _core_row_ok(c, rows_c, r)
-
-
 def _bad_rows(rows: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
     """The rows of a diagram that fail the core test, 1-based; none in the core."""
     k = len(rows)

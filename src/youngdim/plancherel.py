@@ -20,14 +20,22 @@ content x turns x into a corner content, so every other addable z keeps
 p'(z) = p(z) * (z - x)^2 / ((z - x)^2 - 1), and the only new addables
 are x - 1 and x + 1, each unless a corner of that content blocks it.
 `_grow` applies this in O(m), with the full formula only for the new
-addables, and the search grows each child's measure from its parent's.
-As p(x) = dim(diagram + b) / ((n + 1) * dim), a child's exact dimension
-is one exact division from its parent's (`_grow_dim`); Kerov's
+addables.  A measure holds only live boxes: `_grow` drops the entries
+of rows a search node has frozen, which no descendant reads, and keeps
+every addable and corner content for the full formula.  As
+p(x) = dim(diagram + b) / ((n + 1) * dim), a child's exact dimension is
+one exact division from its parent's (`_grow_dim`); Kerov's
 cotransition measure gives the same step for a removal (`_shrink_dim`).
-The walks and the search carry every dimension through these steps.
 
-Also provides the greedy walk, the shaking perturbation, and the
-multi-branch heuristic built on top of both.
+One kernel serves every walk.  `_core_edges` scans a measure once for
+the boxes whose child stays in the core subgraph, and `_rank` orders
+edges by exact probability; the search scans each node once and ranks
+it on expansion, and the greedy walk (`greedy_grow`) takes the best
+edge of the measure it grows box by box, carrying rows, conjugate and
+exact dimension along.
+
+Also provides the shaking perturbation and the multi-branch heuristic
+built on the greedy walk.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Box, YoungDiagram, _bad_rows, _child_core_ok
+from .diagram import Box, YoungDiagram, _bad_rows, _core_row_ok
 from .dimension import dim_exact
 from .errors import (
     InvalidK, InvalidM, InvalidPath, InvariantViolation, NoCoreChild, NotAddable
@@ -104,29 +112,43 @@ def _prob(x: int, xs, ys) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _measure(rows: tuple[int, ...]) -> tuple[list[tuple], tuple[int, ...]]:
+def _measure(
+    rows: tuple[int, ...],
+) -> tuple[list[tuple], tuple[int, ...], tuple[int, ...]]:
     """Kerov's transition measure of a diagram, from the full formula.
 
-    Returns (addables, corners): addables holds (x, r, c, num, den) for
-    every addable box (r, c) of content x = c - r, top row first, where
-    num / den is the reduced p(x); corners holds the corner contents,
-    top row first.
+    Returns (addables, xs, corners): addables holds (x, r, c, num, den)
+    for every addable box (r, c) of content x = c - r, top row first,
+    where num / den is the reduced p(x); xs holds every addable content
+    and corners every corner content, both top row first.
     """
     boxes, xs, ys = _contents(rows)
-    return [(c - r, r, c, *_prob(c - r, xs, ys)) for r, c in boxes], tuple(ys)
+    measure = [(c - r, r, c, *_prob(c - r, xs, ys)) for r, c in boxes]
+    return measure, tuple(xs), tuple(ys)
 
 
 def _grow(
-    addables: list[tuple], corners: tuple[int, ...], r: int, c: int
-) -> tuple[list[tuple], tuple[int, ...]]:
+    addables: list[tuple],
+    xs: tuple[int, ...],
+    corners: tuple[int, ...],
+    r: int,
+    c: int,
+    frozen: int = 0,
+) -> tuple[list[tuple], tuple[int, ...], tuple[int, ...]]:
     """The transition measure after adding addable box (r, c), in O(m).
 
     Every other p(z) is multiplied by (z - x)^2 / ((z - x)^2 - 1) and
     reduced by one gcd; addable contents are at least 2 apart, so the
     factor is positive.  The new addables x + 1 at (r, c + 1) and x - 1
-    at (r + 1, c) get the full formula, unless the corner of that
-    content, at (r - 1, c) or (r, c - 1), blocks them; that corner then
-    stops being one.
+    at (r + 1, c) get the full formula over the child's xs, unless the
+    corner of that content, at (r - 1, c) or (r, c - 1), blocks them;
+    that corner then stops being one.
+
+    Entries in a row whose bit is set in `frozen` are dropped.  A frozen
+    row keeps its addable box until that box is added and stays frozen
+    in every descendant, so no descendant reads a dropped entry; xs and
+    the corners stay whole, so every kept value is what the full
+    formula gives.
     """
     x = c - r
     out = []
@@ -134,25 +156,27 @@ def _grow(
     for z, zr, zc, num, den in addables:
         if z == x:
             at = len(out)
-            continue
-        d = (z - x) * (z - x)
-        num *= d
-        den *= d - 1
-        g = math.gcd(num, den)
-        out.append((z, zr, zc, num // g, den // g))
-    # corners interlace the addables, so x's neighbours are corners[at - 1]
-    # (content x + 1 when it blocks) and corners[at] (x - 1 when it blocks)
-    lo = at - 1 if at and corners[at - 1] == x + 1 else at
-    hi = at + 1 if at < len(corners) and corners[at] == x - 1 else at
-    ys = corners[:lo] + (x,) + corners[hi:]
-    fresh = []
-    if lo == at:
-        fresh.append((x + 1, r, c + 1))
-    if hi == at:
-        fresh.append((x - 1, r + 1, c))
-    xs = [e[0] for e in out] + [z for z, _, _ in fresh]
-    out[at:at] = [(z, zr, zc, *_prob(z, xs, ys)) for z, zr, zc in fresh]
-    return out, ys
+        elif not frozen >> zr & 1:
+            d = (z - x) * (z - x)
+            num *= d
+            den *= d - 1
+            g = math.gcd(num, den)
+            out.append((z, zr, zc, num // g, den // g))
+    # contents and corners interlace, top row first, so x's neighbours are
+    # corners[i - 1] (content x + 1, which blocks (r, c + 1)) and
+    # corners[i] (content x - 1, which blocks (r + 1, c))
+    i = xs.index(x)
+    above = i and corners[i - 1] == x + 1
+    below = i < len(corners) and corners[i] == x - 1
+    ys = corners[: i - 1 if above else i] + (x,) + corners[i + 1 if below else i :]
+    right = () if above else (x + 1,)
+    down = () if below else (x - 1,)
+    xs = xs[:i] + right + down + xs[i + 1 :]
+    if down and not frozen >> r + 1 & 1:
+        out.insert(at, (x - 1, r + 1, c, *_prob(x - 1, xs, ys)))
+    if right and not frozen >> r & 1:
+        out.insert(at, (x + 1, r, c + 1, *_prob(x + 1, xs, ys)))
+    return out, xs, ys
 
 
 def _grow_dim(scaled: int, num: int, den: int) -> int:
@@ -173,6 +197,45 @@ def _shrink_dim(dim: int, n: int, y: int, xs, ys) -> int:
     return _grow_dim(-dim, math.prod(y - x for x in xs), den)
 
 
+def _core_edges(
+    rows: tuple[int, ...], conj: tuple[int, ...], addables: list[tuple]
+) -> list[tuple[float, int, int, int, int]]:
+    """The core-preserving edges out of a core diagram, unranked.
+
+    One scan over the transition measure `addables`: every box (r, c)
+    whose child is in the core subgraph, as (weight, r, c, num, den)
+    with weight = log(den) - log(num) of the reduced p, in the measure's
+    top-row-first order.  Adding (r, c) changes only row r (to length
+    c) and column c (to height r), so the child is in the core exactly
+    when rows r and c pass the row rule there; a diagonal box always
+    does.  A node's measure holds only its live boxes (`_grow`), so
+    this scan skips no frozen row itself.
+    """
+    k = len(rows)
+    width = len(conj)
+    return [
+        (math.log(den) - math.log(num), r, c, num, den)
+        for _, r, c, num, den in addables
+        if r == c
+        or (
+            _core_row_ok(r, c, conj[r - 1] if r <= width else 0)
+            and _core_row_ok(c, rows[c - 1] if c <= k else 0, r)
+        )
+    ]
+
+
+def _rank(edges: list[tuple]) -> list[tuple]:
+    """Sort edges in place by exact probability descending, and return them.
+
+    One stable sort on exact integers over a common denominator, so
+    edges in top-row-first order keep ties by row ascending.
+    """
+    if len(edges) > 1:
+        common = math.lcm(*[e[4] for e in edges])
+        edges.sort(key=lambda e: -e[3] * (common // e[4]))
+    return edges
+
+
 def _edges(
     rows: tuple[int, ...],
     conj: tuple[int, ...],
@@ -183,31 +246,26 @@ def _edges(
 
     `addables` is the diagram's transition measure (`_measure` or
     `_grow`); weight = log(den) - log(num) of the reduced p.  The order
-    is probability descending, then row ascending: one stable sort on
-    exact integers over a common denominator, and a measure lists its
-    boxes top row first.
+    is probability descending, then row ascending (`_rank`).
 
     With `bad` None every edge is kept.  Otherwise `bad` holds the
     diagram's rows that fail the core test (`_bad_rows`; a core diagram
     has none), and only boxes whose child lies in the core subgraph are
-    kept.  Adding box (r, c) changes only row r (to length c) and column
-    c (to height r), so the child is in the core exactly when every bad
-    row is row r or row c, and rows r and c pass in the child
-    (`diagram._child_core_ok`, which the search's estimate shares).
+    kept: those of the core scan (`_core_edges`) whose row or column is
+    every bad row.
     """
-    out = [
-        (math.log(den) - math.log(num), r, c, num, den)
-        for _, r, c, num, den in addables
-        if bad is None
-        or (
-            not (bad and any(b != r and b != c for b in bad))
-            and _child_core_ok(rows, conj, r, c)
-        )
-    ]
-    if len(out) > 1:
-        common = math.lcm(*[e[4] for e in out])
-        out.sort(key=lambda e: -e[3] * (common // e[4]))
-    return out
+    if bad is None:
+        out = [
+            (math.log(den) - math.log(num), r, c, num, den)
+            for _, r, c, num, den in addables
+        ]
+    else:
+        out = [
+            e
+            for e in _core_edges(rows, conj, addables)
+            if not any(b != e[1] and b != e[2] for b in bad)
+        ]
+    return _rank(out)
 
 
 def transition_edges(
@@ -278,14 +336,30 @@ def _add(diagram: YoungDiagram, edge: TransitionEdge) -> YoungDiagram:
 def greedy_grow(
     start: YoungDiagram, target: int, restrict_core: bool = False
 ) -> list[YoungDiagram]:
-    """Greedy growth from start up to the target size, inclusive of both."""
+    """Greedy growth from start up to the target size, inclusive of both.
+
+    Each step takes the best edge (`greedy_step`'s choice) from the
+    current measure, grows the measure and the exact dimension through
+    it, and builds the child from its rows, conjugate and dimension.
+    """
     if target < start.size:
         raise InvalidPath(f"target {target} below start size {start.size}")
+    rows = start.rows
+    conj = start.conjugate_rows()
+    measure = _measure(rows)
+    dim = dim_exact(start)
     out = [start]
-    cur = start
-    while cur.size < target:
-        cur = _add(cur, greedy_step(cur, restrict_core))
-        out.append(cur)
+    for size in range(start.size + 1, target + 1):
+        bad = _bad_rows(rows, conj) if restrict_core else None
+        edges = _edges(rows, conj, measure[0], bad)
+        if not edges:
+            raise NoCoreChild(f"no core-subgraph child for {rows}")
+        _, r, c, num, den = edges[0]
+        measure = _grow(*measure, r, c)
+        dim = _grow_dim(dim * size, num, den)
+        rows = rows[: r - 1] + (c,) + rows[r:]
+        conj = conj[: c - 1] + (r,) + conj[c:]
+        out.append(YoungDiagram._from_valid(rows, conj, dim))
     return out
 
 

@@ -7,17 +7,17 @@ integers almost immediately; floats are stored with full round-trip
 precision.  Above a configurable size threshold the exact dimension is
 dropped and only the log-domain value is kept.  Exact dimensions outgrow
 CPython's int/str digit limit, so every conversion between a dimension
-and its decimal text goes through `_decimal`, which lifts the limit for
-that one conversion only.
+and its decimal text goes through `_decimal`, which converts pieces too
+short for any limit and joins them by divide and conquer.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,20 +37,35 @@ _ROW_LENGTH = re.compile(r"-?[0-9]+")
 _DIM = re.compile(r"[0-9]+")
 
 
+# CPython's lowest settable int/str digit limit: no shorter piece meets one
+_PIECE = 640
+
+
+@functools.cache
+def _pow10(k: int) -> int:
+    return 10**k
+
+
 def _decimal(value):
     """An exact dimension as decimal text, or decimal text as an int.
 
-    CPython 3.10.7 and later refuse either conversion past 4300 digits
-    by default; the limit is lifted for this call and then restored.
+    Up to `_PIECE` digits this is `str` or `int`.  Past it the number
+    splits at 10^k, k the largest power of two up to half its digits:
+    text into its last k digits and the rest, joined as hi * 10^k + lo
+    by CPython's subquadratic multiplication; an int into the quotient
+    and remainder by 10^k, joined as text with lo padded to k digits.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return str(value) if isinstance(value, int) else int(value, 10)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    if isinstance(value, int):
+        if value.bit_length() <= 3 * _PIECE:  # 2^(3d) < 10^d
+            return str(value)
+        digits = (value.bit_length() - 1) * 3 // 10  # 10^digits <= value
+        k = 1 << (digits // 2).bit_length() - 1
+        hi, lo = divmod(value, _pow10(k))
+        return _decimal(hi) + _decimal(lo).zfill(k)
+    if len(value) <= _PIECE:
+        return int(value, 10)
+    k = 1 << (len(value) // 2).bit_length() - 1
+    return _decimal(value[:-k]) * _pow10(k) + _decimal(value[-k:])
 
 
 def format_partition(diagram: YoungDiagram) -> str:

@@ -13,17 +13,20 @@ re-expansion logic.
 A search node is a plain tuple: rows, conjugate, size, frozen rows, path
 cost, a transition measure, and its exact dimension as its parent's
 times (n + 1) * p, divided out when the node is popped
-(`plancherel._grow_dim`).  A uniform-cost child holds a reference to its
-parent's measure, shared with its siblings, plus the box it adds, and
-grows its own in O(m) (`plancherel._grow`) when it is expanded.  A
-heuristic child below the target level carries its own measure, grown
-once at push, and its estimate is one scan over it; a heuristic child
-at the target level has h = 0 and is never expanded, so it costs
-nothing.  Edges are ranked only on expansion, once per node, and only
-the unfrozen ones.  Since each diagram is pushed once, no per-diagram
-cache is kept.  `tree_children` is the one child builder with the
-freeze rule, for `astar` and `tree_sweep` alike, and both grow each
-node's measure from its parent's.  `search_from` searches from any
+(`plancherel._grow_dim`).  A node's measure holds only its live boxes:
+it is grown from its parent's in O(m) (`plancherel._grow`) with the
+node's frozen mask, which drops the frozen rows.  Each node is scanned
+once for its core edges (`plancherel._core_edges`).  A uniform-cost
+child holds a reference to its parent's measure, shared with its
+siblings, plus the box it adds, and grows and scans its own when it is
+expanded.  A heuristic child below the target level grows and scans
+once at push, takes its estimate from the scan and keeps the scan for
+its expansion; a heuristic child at the target level has h = 0 and is
+never expanded, so it costs nothing.  The scan is ranked only on
+expansion, once per node.  Since each diagram is pushed once, no
+per-diagram cache is kept.  `tree_children` is the one child builder
+with the freeze rule, for `astar` and `tree_sweep` alike, and both grow
+each node's measure from its parent's.  `search_from` searches from any
 diagram that is in the core subgraph up to conjugation; a result
 reports the found diagram, its exact dimension, the path cost, two
 node counts and the mode, and nothing that depends on timing.
@@ -39,10 +42,9 @@ the oracle comparisons test against.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
-from .diagram import YoungDiagram, _child_core_ok
+from .diagram import YoungDiagram
 from .dimension import dim_exact
 from .errors import (
     CoreMembershipError,
@@ -52,7 +54,7 @@ from .errors import (
     NotAGrowthSequence,
 )
 from .oracle import _check_size, all_dimensions
-from .plancherel import _edges, _grow, _grow_dim, _measure
+from .plancherel import _core_edges, _grow, _grow_dim, _measure, _rank
 
 
 @dataclass(frozen=True)
@@ -66,25 +68,23 @@ class SearchResult:
 
 
 def tree_children(
-    rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, addables: list[tuple]
+    rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, edges: list[tuple]
 ) -> list[tuple]:
-    """The children through a node's unfrozen core edges, best first.
+    """The children through a node's core edges, best first.
 
     A node is a core diagram's rows and conjugate plus its frozen-row
-    mask (bit r set means row r never grows); `addables` is its
-    transition measure (`plancherel._grow`).  Frozen rows are dropped
-    first, so only the unfrozen boxes are core-tested and ranked by
-    `plancherel._edges`; a stable sort on exact keys ranks them as it
-    would among all the edges.  Returns (rows, conj, frozen, weight,
-    row, col, num, den) per child.  The child through the r-th edge
-    inherits the parent's frozen rows plus the rows of every edge
-    ranked before r, so no two root paths can reach the same diagram.
-    Adding box (r, c) sets row r to length c and column c to height r.
+    mask (bit r set means row r never grows); `edges` is the core scan
+    of its live transition measure (`plancherel._core_edges` over
+    `plancherel._grow`), which holds no frozen row.  The edges are
+    ranked here, in place, by the exact sort of `plancherel._rank`.
+    Returns (rows, conj, frozen, weight, row, col, num, den) per child.
+    The child through the r-th edge inherits the parent's frozen rows
+    plus the rows of every edge ranked before r, so no two root paths
+    can reach the same diagram.  Adding box (r, c) sets row r to length
+    c and column c to height r.  Called once per expanded node.
     """
     out = []
-    for weight, r, c, num, den in _edges(
-        rows, conj, [a for a in addables if not frozen >> a[1] & 1], ()
-    ):
+    for weight, r, c, num, den in _rank(edges):
         out.append(
             (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
              frozen, weight, r, c, num, den)
@@ -93,31 +93,17 @@ def tree_children(
     return out
 
 
-def remaining_cost_estimate(
-    levels: int,
-    rows: tuple[int, ...],
-    conj: tuple[int, ...],
-    frozen: int,
-    addables: list[tuple],
-) -> float:
-    """Cheapest unfrozen core edge out of a node times the levels left.
+def remaining_cost_estimate(levels: int, edges: list[tuple]) -> float:
+    """Cheapest core edge out of a node times the levels left.
 
-    `addables` is the node's transition measure (`plancherel._grow`),
-    `frozen` its frozen-row mask.  One scan, with no edge list and no
-    sort: each unfrozen box whose child is in the core subgraph has the
-    weight log(den) - log(num) that `plancherel._edges` would give it.
-    Zero at the target level and at dead ends.  Not admissible in
-    general: deeper levels can have cheaper edges.
+    `edges` is the node's core scan (`plancherel._core_edges`), so the
+    estimate needs no edge work of its own.  Zero at the target level
+    and at dead ends.  Not admissible in general: deeper levels can
+    have cheaper edges.
     """
-    if levels <= 0:
+    if levels <= 0 or not edges:
         return 0.0
-    best = math.inf
-    for _, r, c, num, den in addables:
-        if not frozen & 1 << r and _child_core_ok(rows, conj, r, c):
-            weight = math.log(den) - math.log(num)
-            if weight < best:
-                best = weight
-    return 0.0 if best == math.inf else best * levels
+    return min(edges)[0] * levels
 
 
 def astar(
@@ -134,15 +120,17 @@ def astar(
     all core diagrams of that size reachable from `start`.
 
     A heap entry is (f, -g, rows, conj, size, frozen, measure, box,
-    scaled, num, den), with dimension scaled * num / den.  With box None,
-    `measure` is the node's own: the start's, and a heuristic child's
-    below the target level, grown once at push for h.  Otherwise it is
-    the parent's, shared with the siblings and grown through box only at
-    expansion: uniform-cost children, and heuristic ones at the target
-    level, where h is 0 and which are never expanded, so they cost no
-    measure or dimension work.  A node's unfrozen edges are ranked once,
-    by `tree_children` when it is expanded.  Rows are unique in the
-    heap, so comparisons never reach past them.
+    edges, scaled, num, den), with dimension scaled * num / den.  With
+    box None, `measure` is the node's own live measure: the start's, and
+    a heuristic child's below the target level, grown once at push with
+    the child's frozen mask; that child's core scan `edges` is taken
+    once at push too, for h, and kept for its expansion.  Otherwise
+    `measure` is the parent's, shared with the siblings and grown
+    through box only at expansion: uniform-cost children, and heuristic
+    ones at the target level, where h is 0 and which are never
+    expanded, so they cost no measure, scan or dimension work.  Each
+    expanded node is scanned once and ranked once, by `tree_children`.
+    Rows are unique in the heap, so comparisons never reach past them.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -156,14 +144,14 @@ def astar(
     # the start is popped first whatever its f, so its h is never needed
     heap = [
         (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None,
-         dim_exact(start), 1, 1)
+         None, dim_exact(start), 1, 1)
     ]
     # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
     nodes_expanded = 0
     frontier_peak = 1
     while heap:
-        _, g, rows, conj, size, frozen, measure, box, scaled, num, den = (
+        _, g, rows, conj, size, frozen, measure, box, edges, scaled, num, den = (
             heapq.heappop(heap)
         )
         g = -g  # the entry keeps only -g; negation is exact
@@ -182,21 +170,24 @@ def astar(
             )
         nodes_expanded += 1
         if box is not None:
-            measure = _grow(*measure, *box)
+            measure = _grow(*measure, *box, frozen)
+        if edges is None:
+            edges = _core_edges(rows, conj, measure[0])
         size += 1
         levels = n_target - size
         scaled = dim * size
         for crows, cconj, cfrozen, weight, r, c, num, den in tree_children(
-            rows, conj, frozen, measure[0]
+            rows, conj, frozen, edges
         ):
             cg = g + weight
             if uniform_cost or not levels:
-                entry = (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c),
+                entry = (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c), None,
                          scaled, num, den)
             else:
-                grown = _grow(*measure, r, c)
-                h = remaining_cost_estimate(levels, crows, cconj, cfrozen, grown[0])
-                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None,
+                grown = _grow(*measure, r, c, cfrozen)
+                cedges = _core_edges(crows, cconj, grown[0])
+                h = remaining_cost_estimate(levels, cedges)
+                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None, cedges,
                          scaled, num, den)
             heapq.heappush(heap, entry)
         frontier_peak = max(frontier_peak, len(heap))
@@ -224,8 +215,9 @@ def tree_sweep(max_n: int) -> TreeSweep:
     relies on them reporting a zero remaining-cost estimate.  The
     census reads one size at a time from `oracle.all_dimensions`, so
     max_n must lie in its range; that is checked before the walk.
-    As in `astar`, a child holds its parent's transition measure and
-    the box it adds, and grows its own only when it is expanded.
+    As in uniform-cost `astar`, a child holds its parent's transition
+    measure and the box it adds, and grows its own live measure and
+    scans it only when it is expanded.
     """
     _check_size(max_n)
     counts: dict[tuple, int] = {}
@@ -237,8 +229,8 @@ def tree_sweep(max_n: int) -> TreeSweep:
         if sum(rows) >= max_n:
             continue
         if box is not None:
-            measure = _grow(*measure, *box)
-        kids = tree_children(rows, conj, frozen, measure[0])
+            measure = _grow(*measure, *box, frozen)
+        kids = tree_children(rows, conj, frozen, _core_edges(rows, conj, measure[0]))
         if not kids:
             dead_ends.append(rows)
         stack.extend((*kid[:3], measure, kid[4:6]) for kid in kids)

@@ -10,6 +10,7 @@ from youngdim import (
     YoungDiagram,
     dim_exact,
     reflected,
+    transition_edges,
     transition_prob,
 )
 from youngdim.errors import NoCoreChild
@@ -195,6 +196,22 @@ def edges_by_children(diagram, restrict_core=False):
         raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
     edges.sort(key=lambda e: e.probability, reverse=True)
     return edges
+
+
+def greedy_by_edge_lists(start, target, restrict_core=False):
+    """The greedy walk from start to the target size, diagram by diagram.
+
+    Each step ranks every edge of the current diagram afresh
+    (`transition_edges`, which raises NoCoreChild at a core dead end)
+    and adds the best box with `add_box`, so every dimension comes from
+    the hook formula when asked for.  The library's `greedy_grow` grows
+    one transition measure and one exact dimension along the walk
+    instead; this per-diagram form is the cross-check.
+    """
+    out = [start]
+    while out[-1].size < target:
+        out.append(out[-1].add_box(transition_edges(out[-1], restrict_core)[0].box))
+    return out
 
 
 def forbidden_set_children(diagram, forbidden, g):

@@ -115,6 +115,38 @@ def test_seq_shake_source_tag(capsys):
     assert all(json.loads(x)["source"] == "shake" for x in out.strip().splitlines())
 
 
+# stdout read at the commit before the greedy walk grew one transition
+# measure along its path; the last input is the benchmark's improve
+# input, shaken from the last diagram of `seq --n 64`
+GREEDY_64 = "13,10,9,7,6,5,4,3,2,2,1,1,1"
+SEQ_GOLDEN = (
+    (
+        ["seq", "--n", "130"],
+        "37cbfe494416f9dc76f5cd36fbc2a4b427d3d98941cacc13781ef2d07e3d17b8",
+    ),
+    (
+        ["seq", "--n", "40", "--restrict-core"],
+        "34f7d3f9c6cc87fa9485f0cc9582fedd5758f8c167c07e1ba4a2acf1e3c0204d",
+    ),
+    (
+        ["seq", "--n", "130", "--start", GREEDY_64, "--shake", "4", "--variant", "3",
+         "--seed", "1"],
+        "ae5e655d34c3b26604d88fd249e42936f1c499eccfb44307004a2c3aa358a376",
+    ),
+)
+
+
+def test_improve_input_starts_from_greedy_64():
+    assert str(greedy_sequence(64)[-1]) == GREEDY_64
+
+
+@pytest.mark.parametrize("argv,sha", SEQ_GOLDEN, ids=["greedy", "core", "improve-input"])
+def test_seq_output_is_pinned(capsys, argv, sha):
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_search_astar_uniform_cost_payload(capsys):
     rc, out, _ = run(capsys, ["search", "astar", "--n", "12", "--uniform-cost"])
     assert rc == 0

@@ -29,6 +29,7 @@ from youngdim.errors import (
 
 from conftest import (
     edges_by_children,
+    greedy_by_edge_lists,
     hook_ratio,
     partition_diagrams,
     partitions,
@@ -133,17 +134,27 @@ def test_transition_edges_match_child_loop_large(d):
 
 
 def _assert_grown_measure_is_exact(d):
-    addables, corners = _measure(d.rows)
+    addables, xs, corners = _measure(d.rows)
     for _, r, c, _, _ in addables:
         child = d.add_box(Box(r, c))
-        grown = _grow(addables, corners, r, c)
-        # every (content, row, col, num, den) and the corner contents
-        assert grown == _measure(child.rows), (d.rows, r, c)
+        full = _measure(child.rows)
+        grown = _grow(addables, xs, corners, r, c)
+        # every (content, row, col, num, den), the contents and the corners
+        assert grown == full, (d.rows, r, c)
         for _, gr, gc, num, den in grown[0]:
             edge = transition_prob(child, Box(gr, gc))
             assert Fraction(num, den) == edge.probability
             # the search's weight, bit for bit
             assert (math.log(den) - math.log(num)).hex() == edge.weight.hex()
+        # every frozen mask over the child's addable rows drops exactly
+        # those rows' entries, and xs and the corners stay whole
+        live_rows = [e[1] for e in full[0]]
+        for bits in range(1, 1 << len(live_rows)):
+            frozen = sum(1 << row for j, row in enumerate(live_rows) if bits >> j & 1)
+            want = [e for e in full[0] if not frozen >> e[1] & 1]
+            assert _grow(addables, xs, corners, r, c, frozen) == (want, *full[1:]), (
+                d.rows, r, c, frozen
+            )
 
 
 def test_grown_measure_matches_full_formula_exhaustive():
@@ -230,6 +241,23 @@ def test_greedy_grow_bounds():
     assert seq[0] == start and seq[-1].size == 6 and len(seq) == 4
     with pytest.raises(InvalidPath):
         greedy_grow(start, 2)
+
+
+def _walk(grow, start, restrict_core):
+    try:
+        return [(d.rows, dim_exact(d)) for d in grow(start, 20, restrict_core)]
+    except NoCoreChild as exc:
+        return ("NoCoreChild", str(exc))
+
+
+def test_greedy_grow_matches_edge_list_walk():
+    # every start of at most 10 boxes, core or not, grown to 20 boxes
+    for n in range(0, 11):
+        for start in partitions(n):
+            for restrict_core in (False, True):
+                assert _walk(greedy_grow, start, restrict_core) == _walk(
+                    greedy_by_edge_lists, start, restrict_core
+                ), (start.rows, restrict_core)
 
 
 def test_greedy_restrict_core_stays_in_core():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -23,7 +24,7 @@ from youngdim.errors import (
     PartitionParseError,
     RecordSchemaError,
 )
-from youngdim.records import record_to_json
+from youngdim.records import _decimal, record_to_json
 
 from conftest import partitions
 
@@ -102,7 +103,7 @@ def test_huge_dimension_survives_the_roundtrip(tmp_path):
 def test_long_dimensions_load_under_the_default_digit_limit(tmp_path):
     # the staircase with 85 rows (n = 3655) has a dimension of more
     # digits than CPython converts between int and str by default;
-    # records lift that limit for each of their own conversions only
+    # records convert it in pieces below any limit and leave it as set
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     stairs = YoungDiagram(range(85, 0, -1))
     if limit:
@@ -114,6 +115,41 @@ def test_long_dimensions_load_under_the_default_digit_limit(tmp_path):
     emit_records([rec], path)
     assert load_records(path) == [rec]
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def _str_without_limit(value):
+    # CPython's own conversion, with its digit limit lifted for this call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "digits", [1, 2, 577, 578, 579, 639, 640, 641, 1280, 1281, 4300, 4301, 9000]
+)
+def test_decimal_round_trips_around_the_piece_size(digits):
+    # ints up to 1920 bits and text up to 640 digits convert directly,
+    # longer ones by divide and conquer on 10^(2^k)
+    rng = random.Random(digits)
+    low, high = 10 ** (digits - 1), 10**digits
+    for value in (low, high - 1, rng.randrange(low, high)):
+        text = _str_without_limit(value)
+        assert len(text) == digits
+        assert _decimal(value) == text
+        assert _decimal(text) == value
+
+
+def test_decimal_round_trips_the_200_square_dimension():
+    dim = dim_exact(YoungDiagram([200] * 200))
+    text = _str_without_limit(dim)
+    assert len(text) == 76648
+    assert _decimal(dim) == text
+    assert _decimal(text) == dim
 
 
 def test_load_rejects_dim_with_more_digits_than_n_factorial(tmp_path):

@@ -24,7 +24,7 @@ from youngdim.errors import (
     NotAGrowthSequence,
 )
 from youngdim import dimension, plancherel, search
-from youngdim.plancherel import _measure
+from youngdim.plancherel import _core_edges, _measure
 from youngdim.search import remaining_cost_estimate, tree_children
 
 from conftest import forbidden_set_children, partitions
@@ -39,9 +39,16 @@ def test_edge_weight_known_values():
     assert weight([2], Box(2, 1)) == pytest.approx(math.log(3) - math.log(2))
 
 
-def _kids(rows, frozen):
+def _scan(rows, frozen):
+    # the core scan of a node's live measure: its unfrozen rows only
     conj = YoungDiagram(rows).conjugate_rows()
-    return tree_children(rows, conj, frozen, _measure(rows)[0])
+    live = [a for a in _measure(rows)[0] if not frozen >> a[1] & 1]
+    return conj, _core_edges(rows, conj, live)
+
+
+def _kids(rows, frozen):
+    conj, edges = _scan(rows, frozen)
+    return tree_children(rows, conj, frozen, edges)
 
 
 def test_tree_children_of_the_root():
@@ -68,8 +75,7 @@ def test_tree_children_respect_frozen_rows():
 
 
 def _estimate(levels, rows, frozen):
-    conj = YoungDiagram(rows).conjugate_rows()
-    return remaining_cost_estimate(levels, rows, conj, frozen, _measure(rows)[0])
+    return remaining_cost_estimate(levels, _scan(rows, frozen)[1])
 
 
 def test_remaining_cost_estimate_values():
@@ -143,10 +149,14 @@ def test_search_builds_children_without_per_box_work(monkeypatch):
 
 
 def test_search_builds_each_nodes_edges_once(monkeypatch):
-    # a node's ranked edges are built when it is expanded and only then;
-    # a heuristic child below the target level grows its measure once, at
-    # push, and a child at the target level (h = 0) costs no measure work
-    calls = {"_grow": 0, "_edges": 0}
+    # uniform-cost: every expanded node but the start grows its measure
+    # from its parent's, and each one scans it for core edges once and
+    # ranks that scan once.  heuristic: a child below the target level
+    # grows its measure and scans it once, at push, for h; expanding it
+    # ranks the scan it kept and scans nothing again, so the start is
+    # the one node scanned at expansion.  A child at the target level
+    # (h = 0) costs no measure or scan work.
+    calls = {"_grow": 0, "_core_edges": 0, "_rank": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -158,16 +168,18 @@ def test_search_builds_each_nodes_edges_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
     depth_3 = YoungDiagram((9, 7, 6, 5, 4, 3, 2, 2, 1, 1, 1))
-    for n, start, uniform_cost, expanded, grown in (
-        (22, None, True, 592, 591),
-        (30, None, True, 2464, 2463),
-        (60, None, False, 394, 906),
-        (44, depth_3, False, 5, 14),
+    for n, start, uniform_cost, expanded, grown, scans in (
+        (22, None, True, 592, 591, 592),
+        (30, None, True, 2464, 2463, 2464),
+        (60, None, False, 394, 906, 907),
+        (44, depth_3, False, 5, 14, 15),
     ):
-        calls.update(_grow=0, _edges=0)
+        calls.update(_grow=0, _core_edges=0, _rank=0)
         res = astar(n, start=start, uniform_cost=uniform_cost)
         assert res.nodes_expanded == expanded
-        assert calls == {"_grow": grown, "_edges": expanded}
+        assert calls == {"_grow": grown, "_core_edges": scans, "_rank": expanded}
+        # one scan per expanded node, or one per grown child plus the start
+        assert scans == (expanded if uniform_cost else grown + 1)
 
 
 def test_tree_sweep_grows_each_measure_from_its_parent(monkeypatch):
