@@ -30,9 +30,9 @@ cotransition measure gives the same step for a removal (`_shrink_dim`).
 One kernel serves every walk.  `_core_edges` scans a measure once for
 the boxes whose child stays in the core subgraph, and `_rank` orders
 edges by exact probability; the search scans each node once and ranks
-it on expansion, and the greedy walk (`greedy_grow`) takes the best
-edge of the measure it grows box by box, carrying rows, conjugate and
-exact dimension along.
+it on expansion, and the greedy walk (`greedy_grow`) and the shake's
+additions take their edge from the measure they grow box by box
+(`_step`), carrying rows, conjugate and exact dimension along.
 
 Also provides the shaking perturbation and the multi-branch heuristic
 built on the greedy walk.
@@ -325,12 +325,28 @@ def greedy_step(diagram: YoungDiagram, restrict_core: bool = False) -> Transitio
     return transition_edges(diagram, restrict_core)[0]
 
 
-def _add(diagram: YoungDiagram, edge: TransitionEdge) -> YoungDiagram:
-    """The diagram plus the edge's box, carrying its exact dimension."""
-    child = diagram.add_box(edge.box)
-    scaled = dim_exact(diagram) * child.size
-    child._dim = _grow_dim(scaled, *edge.probability.as_integer_ratio())
-    return child
+def _step(
+    rows: tuple[int, ...],
+    conj: tuple[int, ...],
+    measure: tuple,
+    dim: int,
+    size: int,
+    r: int,
+    c: int,
+    num: int,
+    den: int,
+) -> tuple:
+    """Rows, conjugate, live measure and exact dimension after one box.
+
+    Adding box (r, c) of probability num / den sets row r to length c
+    and column c to height r; size is the child's.
+    """
+    return (
+        rows[: r - 1] + (c,) + rows[r:],
+        conj[: c - 1] + (r,) + conj[c:],
+        _grow(*measure, r, c),
+        _grow_dim(dim * size, num, den),
+    )
 
 
 def greedy_grow(
@@ -354,11 +370,7 @@ def greedy_grow(
         edges = _edges(rows, conj, measure[0], bad)
         if not edges:
             raise NoCoreChild(f"no core-subgraph child for {rows}")
-        _, r, c, num, den = edges[0]
-        measure = _grow(*measure, r, c)
-        dim = _grow_dim(dim * size, num, den)
-        rows = rows[: r - 1] + (c,) + rows[r:]
-        conj = conj[: c - 1] + (r,) + conj[c:]
+        rows, conj, measure, dim = _step(rows, conj, measure, dim, size, *edges[0][1:])
         out.append(YoungDiagram._from_valid(rows, conj, dim))
     return out
 
@@ -388,17 +400,24 @@ def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiag
     dimension.  The result has the original size but usually a
     different shape; no dimension guarantee is made, since shaking can
     lower it.  Seeded and fully deterministic; with m = 1 every draw has
-    one candidate, so the result does not depend on the seed.
+    one candidate, so the result does not depend on the seed.  The
+    additions grow one measure and exact dimension box by box, as
+    `greedy_grow` does.
     """
     if not 1 <= k <= diagram.size:
         raise InvalidK(f"k must be in 1..{diagram.size}, got {k}")
     if m < 1:
         raise InvalidM(f"m must be at least 1, got {m}")
     rng = random.Random(seed)
-    cur = diagram
-    for _ in range(k):
-        pool = transition_edges(cur)[:m]
-        cur = _add(cur, pool[rng.randrange(len(pool))])
+    rows = diagram.rows
+    conj = diagram.conjugate_rows()
+    measure = _measure(rows)
+    dim = dim_exact(diagram)
+    for size in range(diagram.size + 1, diagram.size + k + 1):
+        pool = _edges(rows, conj, measure[0], None)[:m]
+        edge = pool[rng.randrange(len(pool))]
+        rows, conj, measure, dim = _step(rows, conj, measure, dim, size, *edge[1:])
+    cur = YoungDiagram._from_valid(rows, conj, dim)
     for _ in range(k):
         ranked = _removal_ranking(cur)
         dim, box = ranked[rng.randrange(min(m, len(ranked)))]

@@ -15,21 +15,31 @@ cost, a transition measure, and its exact dimension as its parent's
 times (n + 1) * p, divided out when the node is popped
 (`plancherel._grow_dim`).  A node's measure holds only its live boxes:
 it is grown from its parent's in O(m) (`plancherel._grow`) with the
-node's frozen mask, which drops the frozen rows.  Each node is scanned
-once for its core edges (`plancherel._core_edges`).  A uniform-cost
-child holds a reference to its parent's measure, shared with its
-siblings, plus the box it adds, and grows and scans its own when it is
-expanded.  A heuristic child below the target level grows and scans
-once at push, takes its estimate from the scan and keeps the scan for
-its expansion; a heuristic child at the target level has h = 0 and is
-never expanded, so it costs nothing.  The scan is ranked only on
-expansion, once per node.  Since each diagram is pushed once, no
-per-diagram cache is kept.  `tree_children` is the one child builder
-with the freeze rule, for `astar` and `tree_sweep` alike, and both grow
-each node's measure from its parent's.  `search_from` searches from any
-diagram that is in the core subgraph up to conjugation; a result
-reports the found diagram, its exact dimension, the path cost, two
-node counts and the mode, and nothing that depends on timing.
+node's frozen mask, which drops the frozen rows.  Each node is grown and
+scanned for its core edges (`plancherel._core_edges`) at most once, and
+only once its entry reaches the top of the heap.  Until then a child
+holds a reference to its parent's measure, shared with its siblings,
+plus the box it adds.  A uniform-cost child is keyed by its exact f
+and grows and scans its measure when it is expanded; a heuristic child
+at the target level has h = 0 and is never expanded, so it costs no
+measure or scan work.  A heuristic child below the target level is
+lazy: it is keyed by g + h_lb, a lower bound on g + h that Kerov's
+one-box update gives from the parent's measure alone (`_child_bounds`,
+`_cost_floor`).  When that entry is popped, the child
+grows and scans its measure, takes its exact h from the scan, and goes
+back on the heap with key g + h and the scan kept for its expansion.
+Every key is at most the node's exact key and rows are unique in the
+heap, so entries with exact keys leave the heap in the same order as if
+every child had been grown at push: rows, costs and both node counts do
+not change, and a child whose bound never reaches the top is never
+grown.  The scan is ranked only on expansion, once per node.  Since
+each diagram is pushed once, no per-diagram cache is kept.
+`tree_children` is the one child builder with the freeze rule, for
+`astar` and `tree_sweep` alike, and both grow each node's measure from
+its parent's.  `search_from` searches from any diagram that is in the
+core subgraph up to conjugation; a result reports the found diagram,
+its exact dimension, the path cost, two node counts and the mode, and
+nothing that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -42,9 +52,10 @@ the oracle comparisons test against.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
-from .diagram import YoungDiagram
+from .diagram import YoungDiagram, _core_row_ok
 from .dimension import dim_exact
 from .errors import (
     CoreMembershipError,
@@ -94,16 +105,97 @@ def tree_children(
 
 
 def remaining_cost_estimate(levels: int, edges: list[tuple]) -> float:
-    """Cheapest core edge out of a node times the levels left.
+    """h: the cheapest core edge out of a node times the levels left.
 
-    `edges` is the node's core scan (`plancherel._core_edges`), so the
-    estimate needs no edge work of its own.  Zero at the target level
-    and at dead ends.  Not admissible in general: deeper levels can
-    have cheaper edges.
+    `edges` is the node's core scan (`plancherel._core_edges` over its
+    grown live measure), so the estimate needs no edge work of its own.
+    Zero at the target level and at dead ends.  Not admissible in
+    general: deeper levels can have cheaper edges.  A heuristic child
+    below the target level gets h only when its key, bounded below by
+    `_child_bounds` and `_cost_floor`, reaches the top of the heap.
     """
     if levels <= 0 or not edges:
         return 0.0
     return min(edges)[0] * levels
+
+
+def _core_ok(rows: tuple[int, ...], conj: tuple[int, ...], r: int, c: int) -> bool:
+    """Whether adding box (r, c) keeps a core diagram in the core subgraph.
+
+    The per-box form of the test in `plancherel._core_edges`: rows r and
+    c must pass the row rule after the box is added.
+    """
+    return r == c or (
+        _core_row_ok(r, c, conj[r - 1] if r <= len(conj) else 0)
+        and _core_row_ok(c, rows[c - 1] if c <= len(rows) else 0, r)
+    )
+
+
+def _child_bounds(
+    addables: list[tuple], edges: list[tuple], kids: list[tuple]
+) -> list[float]:
+    """For each child, u >= its best live core transition probability.
+
+    `addables` is the parent's live measure, `edges` its core scan and
+    `kids` its `tree_children`.  Adding the box of content x with
+    probability p(x) turns every other entry z into
+    p(z) (z - x)^2 / ((z - x)^2 - 1), and the fresh boxes x - 1 and
+    x + 1 share 1 - sum p'(z) <= p(x), since every factor is above 1.
+    So u is the largest updated p(z) over the parent's entries that stay
+    live and pass the core test in the child, or p(x) if a fresh box is
+    live and core.  The core test of box (zr, zc) reads column zr and
+    row zc, and the child changes only row r and column c, so the
+    parent's scan decides every entry but those with zr == c or zc == r.
+    u is 0 exactly when the child has no live core box, a dead end.
+    Floats only: a few roundings, which `_cost_floor` absorbs.
+    """
+    core = {e[1] for e in edges}
+    live = [(z, zr, zc, num / den, zr in core) for z, zr, zc, num, den in addables]
+    out = []
+    for crows, cconj, cfrozen, _, r, c, num, den in kids:
+        x = c - r
+        u = 0.0
+        for z, zr, zc, p, ok in live:
+            if z == x or cfrozen >> zr & 1:
+                continue
+            if zr == c or zc == r:
+                ok = _core_ok(crows, cconj, zr, zc)
+            if ok:
+                d = (z - x) * (z - x)
+                p = p * d / (d - 1)
+                if p > u:
+                    u = p
+        p = num / den
+        # the fresh boxes: x + 1 at (r, c + 1), unless row r - 1 has
+        # length c, and x - 1 at (r + 1, c), if row r + 1 has length c - 1
+        if p > u and (
+            (
+                (r == 1 or crows[r - 2] > c)
+                and not cfrozen >> r & 1
+                and _core_ok(crows, cconj, r, c + 1)
+            )
+            or (
+                (crows[r] if r < len(crows) else 0) == c - 1
+                and not cfrozen >> r + 1 & 1
+                and _core_ok(crows, cconj, r + 1, c)
+            )
+        ):
+            u = p
+        out.append(u)
+    return out
+
+
+def _cost_floor(levels: int, u: float) -> float:
+    """h_lb <= h for a child whose `_child_bounds` value is u.
+
+    levels * -ln u, less a margin of 1e-9 relative that covers the float
+    roundings of u and of the edge weights, and never below 0; 0 for a
+    dead end (u = 0), whose h is 0.
+    """
+    if not u:
+        return 0.0
+    h = -math.log(u) * levels
+    return max(0.0, h - 1e-9 * (1.0 + abs(h)))
 
 
 def astar(
@@ -121,15 +213,22 @@ def astar(
 
     A heap entry is (f, -g, rows, conj, size, frozen, measure, box,
     edges, scaled, num, den), with dimension scaled * num / den.  With
-    box None, `measure` is the node's own live measure: the start's, and
-    a heuristic child's below the target level, grown once at push with
-    the child's frozen mask; that child's core scan `edges` is taken
-    once at push too, for h, and kept for its expansion.  Otherwise
-    `measure` is the parent's, shared with the siblings and grown
-    through box only at expansion: uniform-cost children, and heuristic
-    ones at the target level, where h is 0 and which are never
-    expanded, so they cost no measure, scan or dimension work.  Each
-    expanded node is scanned once and ranked once, by `tree_children`.
+    box None, `measure` is the node's own live measure and `edges` its
+    core scan (None for the start, which is scanned on expansion), and
+    f is exact.  Otherwise `measure` is the parent's, shared with the
+    siblings, and the node has not been grown.  A uniform-cost child
+    has f = g and grows through box on expansion; a heuristic child at
+    the target level has f = g too and is never expanded.  A heuristic
+    child below the target level has f = g + h_lb <= g + h; when it is
+    popped it is grown, scanned and pushed back with f = g + h and box
+    None.  That evaluation is neither an expansion nor a frontier
+    update, and the entry replaces itself, so the heap holds one entry
+    per node and `len(heap)` after each expansion is what an eager
+    search would have.  Since no key is above its exact value, the
+    entry with the least exact key is always evaluated before it is
+    passed, so nodes are expanded in the eager order and
+    `nodes_expanded` and `frontier_peak` do not change.  Each expanded
+    node is scanned once and ranked once, by `tree_children`.
     Rows are unique in the heap, so comparisons never reach past them.
     """
     if start is None:
@@ -155,6 +254,18 @@ def astar(
             heapq.heappop(heap)
         )
         g = -g  # the entry keeps only -g; negation is exact
+        if not uniform_cost and box is not None and size < n_target:
+            # a lazy heuristic child: grow and scan it, and push it back
+            # with its exact key; this is not an expansion
+            measure = _grow(*measure, *box, frozen)
+            edges = _core_edges(rows, conj, measure[0])
+            h = remaining_cost_estimate(n_target - size, edges)
+            heapq.heappush(
+                heap,
+                (g + h, -g, rows, conj, size, frozen, measure, None, edges,
+                 scaled, num, den),
+            )
+            continue
         if rows in closed:
             raise InvariantViolation(f"tree path uniqueness violated at {rows}")
         closed.add(rows)
@@ -176,20 +287,25 @@ def astar(
         size += 1
         levels = n_target - size
         scaled = dim * size
-        for crows, cconj, cfrozen, weight, r, c, num, den in tree_children(
-            rows, conj, frozen, edges
-        ):
-            cg = g + weight
-            if uniform_cost or not levels:
-                entry = (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c), None,
-                         scaled, num, den)
-            else:
-                grown = _grow(*measure, r, c, cfrozen)
-                cedges = _core_edges(crows, cconj, grown[0])
-                h = remaining_cost_estimate(levels, cedges)
-                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None, cedges,
-                         scaled, num, den)
-            heapq.heappush(heap, entry)
+        kids = tree_children(rows, conj, frozen, edges)
+        if uniform_cost or not levels:
+            for crows, cconj, cfrozen, weight, r, c, num, den in kids:
+                cg = g + weight
+                heapq.heappush(
+                    heap,
+                    (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c), None,
+                     scaled, num, den),
+                )
+        else:
+            for (crows, cconj, cfrozen, weight, r, c, num, den), u in zip(
+                kids, _child_bounds(measure[0], edges, kids)
+            ):
+                cg = g + weight
+                heapq.heappush(
+                    heap,
+                    (cg + _cost_floor(levels, u), -cg, crows, cconj, size, cfrozen,
+                     measure, (r, c), None, scaled, num, den),
+                )
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
         f"no diagram of size {n_target} reachable from {start.rows}"

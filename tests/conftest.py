@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from youngdim import (
     transition_edges,
     transition_prob,
 )
-from youngdim.errors import NoCoreChild
+from youngdim.errors import EmptySearchSpace, NoCoreChild
 from youngdim.oracle import MaxTableEntry, _max_entries, _sweep
+from youngdim.plancherel import _core_edges, _grow, _grow_dim, _measure
+from youngdim.search import SearchResult, remaining_cost_estimate, tree_children
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -268,3 +271,61 @@ def core_table_40():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def eager_heuristic_astar(n_target, start=None):
+    """Heuristic `astar` with every child below the target level grown at push.
+
+    Each such child grows its live measure (`_grow`) and scans it
+    (`_core_edges`) as it is pushed, so its heap key is g + h from the
+    start, and it keeps the scan for its expansion.  The library pushes
+    such a child with a lower bound on h and grows it only when that key
+    reaches the top of the heap; this eager loop is the cross-check that
+    the pop order, and so every output, is the same.
+    """
+    if start is None:
+        start = YoungDiagram((1,))
+    rows = start.rows
+    heap = [
+        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None,
+         None, dim_exact(start), 1, 1)
+    ]
+    nodes_expanded = 0
+    frontier_peak = 1
+    while heap:
+        _, g, rows, conj, size, frozen, measure, box, edges, scaled, num, den = (
+            heapq.heappop(heap)
+        )
+        g = -g
+        dim = _grow_dim(scaled, num, den)
+        if size == n_target:
+            return SearchResult(
+                diagram=YoungDiagram._from_valid(rows, conj, dim),
+                dim=dim,
+                cost=g,
+                nodes_expanded=nodes_expanded,
+                frontier_peak=frontier_peak,
+                mode="heuristic",
+            )
+        nodes_expanded += 1
+        if edges is None:
+            edges = _core_edges(rows, conj, measure[0])
+        size += 1
+        levels = n_target - size
+        scaled = dim * size
+        for crows, cconj, cfrozen, weight, r, c, num, den in tree_children(
+            rows, conj, frozen, edges
+        ):
+            cg = g + weight
+            if not levels:
+                entry = (cg, -cg, crows, cconj, size, cfrozen, None, None, None,
+                         scaled, num, den)
+            else:
+                grown = _grow(*measure, r, c, cfrozen)
+                cedges = _core_edges(crows, cconj, grown[0])
+                h = remaining_cost_estimate(levels, cedges)
+                entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None, cedges,
+                         scaled, num, den)
+            heapq.heappush(heap, entry)
+        frontier_peak = max(frontier_peak, len(heap))
+    raise EmptySearchSpace(f"no diagram of size {n_target} reachable from {start.rows}")

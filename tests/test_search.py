@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from youngdim import (
     Box,
     YoungDiagram,
     astar,
+    branches,
     dim_exact,
     dim_recursive,
     greedy_grow,
@@ -25,9 +27,14 @@ from youngdim.errors import (
 )
 from youngdim import dimension, plancherel, search
 from youngdim.plancherel import _core_edges, _measure
-from youngdim.search import remaining_cost_estimate, tree_children
+from youngdim.search import (
+    _child_bounds,
+    _cost_floor,
+    remaining_cost_estimate,
+    tree_children,
+)
 
-from conftest import forbidden_set_children, partitions
+from conftest import eager_heuristic_astar, forbidden_set_children, partitions
 
 
 def test_edge_weight_known_values():
@@ -108,6 +115,98 @@ def test_frozen_rows_match_forbidden_sets_to_level_16():
     )
 
 
+def test_child_bounds_hold_to_level_16():
+    # for every child in the tree below level 16: the bound rule, in
+    # exact rationals, is at least the child's best live core
+    # probability, is 0 only at a dead end, and the library's float u
+    # follows it; the key floor stays at or under h for any level count
+    stack = [((1,), 0)]
+    checked = 0
+    while stack:
+        rows, frozen = stack.pop()
+        if sum(rows) >= 16:
+            continue
+        parent = YoungDiagram(rows)
+        conj, edges = _scan(rows, frozen)
+        live = [a for a in _measure(rows)[0] if not frozen >> a[1] & 1]
+        kids = tree_children(rows, conj, frozen, edges)
+        for kid, u in zip(kids, _child_bounds(live, edges, kids)):
+            crows, _, cfrozen, _, r, c, _, _ = kid
+            child = YoungDiagram(crows)
+            added = Box(r, c)
+
+            def live_core(box):
+                return (
+                    not cfrozen >> box.row & 1
+                    and child.add_box(box).in_core_subgraph()
+                )
+
+            cands = []
+            for b in parent.addable_boxes():
+                if b != added and live_core(b):
+                    d = Fraction((b.col - b.row - (c - r)) ** 2)
+                    cands.append(transition_prob(parent, b).probability * d / (d - 1))
+            if any(
+                live_core(b)
+                for b in child.addable_boxes()
+                if b not in parent.addable_boxes()
+            ):
+                cands.append(transition_prob(parent, added).probability)
+            exact = max(cands, default=Fraction(0))
+            best = max(
+                (
+                    transition_prob(child, b).probability
+                    for b in child.addable_boxes()
+                    if live_core(b)
+                ),
+                default=Fraction(0),
+            )
+            assert exact >= best
+            assert (exact == 0) == (best == 0) == (u == 0)
+            assert u == pytest.approx(float(exact), rel=1e-12)
+            cedges = _scan(crows, cfrozen)[1]
+            for levels in (1, 2, 5, 40):
+                assert _cost_floor(levels, u) <= remaining_cost_estimate(levels, cedges)
+            checked += 1
+        stack.extend((k[0], k[2]) for k in kids)
+    # one check per tree node from level 2 to 16
+    assert checked == sum(
+        1 for n in range(2, 17) for d in partitions(n) if d.in_core_subgraph()
+    )
+
+
+def _same_search(got, want):
+    return (
+        got.diagram.rows, got.cost.hex(), got.nodes_expanded, got.frontier_peak,
+        got.dim, got.diagram._dim,
+    ) == (
+        want.diagram.rows, want.cost.hex(), want.nodes_expanded, want.frontier_peak,
+        want.dim, want.dim,
+    )
+
+
+def test_heuristic_astar_matches_eager_oracle():
+    # a lazy child's key is at most its exact key, so entries leave the
+    # heap with their exact keys in the eager loop's order
+    for n in range(2, 101):
+        assert _same_search(astar(n), eager_heuristic_astar(n))
+    # every start of the improve input (greedy to 63, then the shaken
+    # branches from greedy 64 to 130), at depths 1 to 5
+    greedy = greedy_sequence(64)
+    starts = greedy[:63] + branches(greedy[-1], 3, 4, 130, seed_base=1)
+    searched = 0
+    for diagram in starts:
+        start = diagram if diagram.in_core_subgraph() else diagram.conjugate()
+        if not start.in_core_subgraph():
+            continue
+        for depth in range(1, 6):
+            n = start.size + depth
+            assert _same_search(astar(n, start=start), eager_heuristic_astar(n, start))
+            searched += 1
+    # three of the 130 lie outside the core subgraph on both sides
+    assert searched == 5 * 127
+
+
 def test_search_builds_children_without_per_box_work(monkeypatch):
     calls = {"transition_prob": 0, "add_box": 0, "in_core_subgraph": 0, "_measure": 0}
 
@@ -151,11 +250,12 @@ def test_search_builds_children_without_per_box_work(monkeypatch):
 def test_search_builds_each_nodes_edges_once(monkeypatch):
     # uniform-cost: every expanded node but the start grows its measure
     # from its parent's, and each one scans it for core edges once and
-    # ranks that scan once.  heuristic: a child below the target level
-    # grows its measure and scans it once, at push, for h; expanding it
-    # ranks the scan it kept and scans nothing again, so the start is
-    # the one node scanned at expansion.  A child at the target level
-    # (h = 0) costs no measure or scan work.
+    # ranks that scan once.  heuristic: a child below the target level is
+    # pushed with a lower bound on h and grows its measure and scans it
+    # once, only when that entry is popped, for its exact h; expanding it
+    # ranks the scan it kept and scans nothing again, so the start is the
+    # one node scanned at expansion.  Children never popped, and children
+    # at the target level (h = 0), cost no measure or scan work.
     calls = {"_grow": 0, "_core_edges": 0, "_rank": 0}
 
     def counted(name, fn):
@@ -171,14 +271,14 @@ def test_search_builds_each_nodes_edges_once(monkeypatch):
     for n, start, uniform_cost, expanded, grown, scans in (
         (22, None, True, 592, 591, 592),
         (30, None, True, 2464, 2463, 2464),
-        (60, None, False, 394, 906, 907),
-        (44, depth_3, False, 5, 14, 15),
+        (60, None, False, 394, 460, 461),
+        (44, depth_3, False, 5, 4, 5),
     ):
         calls.update(_grow=0, _core_edges=0, _rank=0)
         res = astar(n, start=start, uniform_cost=uniform_cost)
         assert res.nodes_expanded == expanded
         assert calls == {"_grow": grown, "_core_edges": scans, "_rank": expanded}
-        # one scan per expanded node, or one per grown child plus the start
+        # one scan per expanded node, or one per evaluated child plus the start
         assert scans == (expanded if uniform_cost else grown + 1)
 
 
