@@ -35,6 +35,19 @@ def _core_row_ok(i: int, r: int, c: int) -> bool:
     return r <= c or (r == c + 1 and r < i)
 
 
+def _core_ok(rows: tuple[int, ...], conj: tuple[int, ...], r: int, c: int) -> bool:
+    """Whether adding addable box (r, c) keeps a core diagram in the core subgraph.
+
+    Adding (r, c) changes only row r (to length c) and column c (to
+    height r), so the child is in the core exactly when rows r and c
+    pass the row rule there; a diagonal box always does.
+    """
+    return r == c or (
+        _core_row_ok(r, c, conj[r - 1] if r <= len(conj) else 0)
+        and _core_row_ok(c, rows[c - 1] if c <= len(rows) else 0, r)
+    )
+
+
 def _bad_rows(rows: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
     """The rows of a diagram that fail the core test, 1-based; none in the core."""
     k = len(rows)

@@ -27,12 +27,18 @@ p(x) = dim(diagram + b) / ((n + 1) * dim), a child's exact dimension is
 one exact division from its parent's (`_grow_dim`); Kerov's
 cotransition measure gives the same step for a removal (`_shrink_dim`).
 
-One kernel serves every walk.  `_core_edges` scans a measure once for
-the boxes whose child stays in the core subgraph, and `_rank` orders
-edges by exact probability; the search scans each node once and ranks
-it on expansion, and the greedy walk (`greedy_grow`) and the shake's
-additions take their edge from the measure they grow box by box
-(`_step`), carrying rows, conjugate and exact dimension along.
+One kernel serves every walk, and one step grows and scans.  `_grow`
+updates a measure by one box and, in the same loop over the parent's
+entries, tests each of the child's live boxes for the core subgraph
+(`diagram._core_ok`), so it returns the child's core scan with its
+measure.  `_core_edges` scans only a measure from the full formula
+(`_measure`): the start of a search, of the census or of a
+core-restricted greedy walk, and `transition_edges`.
+`_rank` orders edges by exact probability; the search ranks each
+node's scan once, on expansion, and pushes its children straight from
+it, and the greedy walk (`greedy_grow`) and the shake's additions take
+their edge from the measure they grow box by box (`_step`), carrying
+rows, conjugate and exact dimension along.
 
 Also provides the shaking perturbation and the multi-branch heuristic
 built on the greedy walk.
@@ -45,7 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Box, YoungDiagram, _bad_rows, _core_row_ok
+from .diagram import Box, YoungDiagram, _bad_rows, _core_ok
 from .dimension import dim_exact
 from .errors import (
     InvalidK, InvalidM, InvalidPath, InvariantViolation, NoCoreChild, NotAddable
@@ -134,8 +140,10 @@ def _grow(
     r: int,
     c: int,
     frozen: int = 0,
-) -> tuple[list[tuple], tuple[int, ...], tuple[int, ...]]:
-    """The transition measure after adding addable box (r, c), in O(m).
+    rows: tuple[int, ...] | None = None,
+    conj: tuple[int, ...] | None = None,
+) -> tuple[tuple[list[tuple], tuple[int, ...], tuple[int, ...]], list[tuple] | None]:
+    """The measure after adding addable box (r, c), and its core scan, in O(m).
 
     Every other p(z) is multiplied by (z - x)^2 / ((z - x)^2 - 1) and
     reduced by one gcd; addable contents are at least 2 apart, so the
@@ -149,19 +157,32 @@ def _grow(
     in every descendant, so no descendant reads a dropped entry; xs and
     the corners stay whole, so every kept value is what the full
     formula gives.
+
+    Given the child's rows and conjugate, the same loop tests each kept
+    entry with `_core_ok` on the child, so the second value is what
+    `_core_edges` gives over the child's live measure:
+    (weight, r, c, num, den) in the measure's order.  Without them it is
+    None, for walks that never read a core edge.
     """
     x = c - r
     out = []
-    at = 0
+    scan = None if rows is None else []
+    at = scan_at = 0
     for z, zr, zc, num, den in addables:
         if z == x:
             at = len(out)
+            if scan is not None:
+                scan_at = len(scan)
         elif not frozen >> zr & 1:
             d = (z - x) * (z - x)
             num *= d
             den *= d - 1
             g = math.gcd(num, den)
-            out.append((z, zr, zc, num // g, den // g))
+            num //= g
+            den //= g
+            out.append((z, zr, zc, num, den))
+            if scan is not None and _core_ok(rows, conj, zr, zc):
+                scan.append((math.log(den) - math.log(num), zr, zc, num, den))
     # contents and corners interlace, top row first, so x's neighbours are
     # corners[i - 1] (content x + 1, which blocks (r, c + 1)) and
     # corners[i] (content x - 1, which blocks (r + 1, c))
@@ -173,10 +194,16 @@ def _grow(
     down = () if below else (x - 1,)
     xs = xs[:i] + right + down + xs[i + 1 :]
     if down and not frozen >> r + 1 & 1:
-        out.insert(at, (x - 1, r + 1, c, *_prob(x - 1, xs, ys)))
+        num, den = _prob(x - 1, xs, ys)
+        out.insert(at, (x - 1, r + 1, c, num, den))
+        if scan is not None and _core_ok(rows, conj, r + 1, c):
+            scan.insert(scan_at, (math.log(den) - math.log(num), r + 1, c, num, den))
     if right and not frozen >> r & 1:
-        out.insert(at, (x + 1, r, c + 1, *_prob(x + 1, xs, ys)))
-    return out, xs, ys
+        num, den = _prob(x + 1, xs, ys)
+        out.insert(at, (x + 1, r, c + 1, num, den))
+        if scan is not None and _core_ok(rows, conj, r, c + 1):
+            scan.insert(scan_at, (math.log(den) - math.log(num), r, c + 1, num, den))
+    return (out, xs, ys), scan
 
 
 def _grow_dim(scaled: int, num: int, den: int) -> int:
@@ -203,24 +230,16 @@ def _core_edges(
     """The core-preserving edges out of a core diagram, unranked.
 
     One scan over the transition measure `addables`: every box (r, c)
-    whose child is in the core subgraph, as (weight, r, c, num, den)
-    with weight = log(den) - log(num) of the reduced p, in the measure's
-    top-row-first order.  Adding (r, c) changes only row r (to length
-    c) and column c (to height r), so the child is in the core exactly
-    when rows r and c pass the row rule there; a diagonal box always
-    does.  A node's measure holds only its live boxes (`_grow`), so
-    this scan skips no frozen row itself.
+    whose child is in the core subgraph (`_core_ok`), as
+    (weight, r, c, num, den) with weight = log(den) - log(num) of the
+    reduced p, in the measure's top-row-first order.  Only a measure
+    from the full formula (`_measure`) needs it: `_grow` scans the
+    measures it grows itself.
     """
-    k = len(rows)
-    width = len(conj)
     return [
         (math.log(den) - math.log(num), r, c, num, den)
         for _, r, c, num, den in addables
-        if r == c
-        or (
-            _core_row_ok(r, c, conj[r - 1] if r <= width else 0)
-            and _core_row_ok(c, rows[c - 1] if c <= k else 0, r)
-        )
+        if _core_ok(rows, conj, r, c)
     ]
 
 
@@ -237,22 +256,21 @@ def _rank(edges: list[tuple]) -> list[tuple]:
 
 
 def _edges(
-    rows: tuple[int, ...],
-    conj: tuple[int, ...],
     addables: list[tuple],
+    scan: list[tuple] | None,
     bad: list[int] | tuple[int, ...] | None,
 ) -> list[tuple[float, int, int, int, int]]:
     """Every edge out of a diagram as (weight, row, col, num, den), best first.
 
-    `addables` is the diagram's transition measure (`_measure` or
-    `_grow`); weight = log(den) - log(num) of the reduced p.  The order
-    is probability descending, then row ascending (`_rank`).
+    `addables` is the diagram's transition measure and `scan` its core
+    scan (`_measure` and `_core_edges`, or `_grow`), read only when
+    `bad` is given; weight = log(den) - log(num) of the reduced p.  The
+    order is probability descending, then row ascending (`_rank`).
 
     With `bad` None every edge is kept.  Otherwise `bad` holds the
     diagram's rows that fail the core test (`_bad_rows`; a core diagram
     has none), and only boxes whose child lies in the core subgraph are
-    kept: those of the core scan (`_core_edges`) whose row or column is
-    every bad row.
+    kept: those of the core scan whose row or column is every bad row.
     """
     if bad is None:
         out = [
@@ -260,11 +278,7 @@ def _edges(
             for _, r, c, num, den in addables
         ]
     else:
-        out = [
-            e
-            for e in _core_edges(rows, conj, addables)
-            if not any(b != e[1] and b != e[2] for b in bad)
-        ]
+        out = [e for e in scan if not any(b != e[1] and b != e[2] for b in bad)]
     return _rank(out)
 
 
@@ -279,9 +293,12 @@ def transition_edges(
     subgraph are kept; NoCoreChild is raised when none do.
     """
     rows = diagram.rows
-    conj = diagram.conjugate_rows()
-    bad = _bad_rows(rows, conj) if restrict_core else None
-    edges = _edges(rows, conj, _measure(rows)[0], bad)
+    addables = _measure(rows)[0]
+    if restrict_core:
+        conj = diagram.conjugate_rows()
+        edges = _edges(addables, _core_edges(rows, conj, addables), _bad_rows(rows, conj))
+    else:
+        edges = _edges(addables, None, None)
     if restrict_core and not edges:
         raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
     return [
@@ -331,22 +348,25 @@ def _step(
     measure: tuple,
     dim: int,
     size: int,
+    scan: bool,
     r: int,
     c: int,
     num: int,
     den: int,
 ) -> tuple:
-    """Rows, conjugate, live measure and exact dimension after one box.
+    """Rows, conjugate, live measure, core scan and exact dimension after one box.
 
     Adding box (r, c) of probability num / den sets row r to length c
-    and column c to height r; size is the child's.
+    and column c to height r; size is the child's.  The core scan is
+    None unless `scan` is set.
     """
-    return (
-        rows[: r - 1] + (c,) + rows[r:],
-        conj[: c - 1] + (r,) + conj[c:],
-        _grow(*measure, r, c),
-        _grow_dim(dim * size, num, den),
-    )
+    rows = rows[: r - 1] + (c,) + rows[r:]
+    conj = conj[: c - 1] + (r,) + conj[c:]
+    if scan:
+        measure, edges = _grow(*measure, r, c, 0, rows, conj)
+    else:
+        measure, edges = _grow(*measure, r, c)
+    return rows, conj, measure, edges, _grow_dim(dim * size, num, den)
 
 
 def greedy_grow(
@@ -363,14 +383,17 @@ def greedy_grow(
     rows = start.rows
     conj = start.conjugate_rows()
     measure = _measure(rows)
+    scan = _core_edges(rows, conj, measure[0]) if restrict_core else None
     dim = dim_exact(start)
     out = [start]
     for size in range(start.size + 1, target + 1):
         bad = _bad_rows(rows, conj) if restrict_core else None
-        edges = _edges(rows, conj, measure[0], bad)
+        edges = _edges(measure[0], scan, bad)
         if not edges:
             raise NoCoreChild(f"no core-subgraph child for {rows}")
-        rows, conj, measure, dim = _step(rows, conj, measure, dim, size, *edges[0][1:])
+        rows, conj, measure, scan, dim = _step(
+            rows, conj, measure, dim, size, restrict_core, *edges[0][1:]
+        )
         out.append(YoungDiagram._from_valid(rows, conj, dim))
     return out
 
@@ -414,9 +437,11 @@ def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiag
     measure = _measure(rows)
     dim = dim_exact(diagram)
     for size in range(diagram.size + 1, diagram.size + k + 1):
-        pool = _edges(rows, conj, measure[0], None)[:m]
+        pool = _edges(measure[0], None, None)[:m]
         edge = pool[rng.randrange(len(pool))]
-        rows, conj, measure, dim = _step(rows, conj, measure, dim, size, *edge[1:])
+        rows, conj, measure, _, dim = _step(
+            rows, conj, measure, dim, size, False, *edge[1:]
+        )
     cur = YoungDiagram._from_valid(rows, conj, dim)
     for _ in range(k):
         ranked = _removal_ranking(cur)

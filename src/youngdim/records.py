@@ -8,12 +8,14 @@ precision.  Above a configurable size threshold the exact dimension is
 dropped and only the log-domain value is kept.  Exact dimensions outgrow
 CPython's int/str digit limit, so every conversion between a dimension
 and its decimal text goes through `_decimal`, which converts pieces too
-short for any limit and joins them by divide and conquer.
+short for any limit and joins them by divide and conquer, in `decimal`
+arithmetic for int to text.
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
 import functools
 import json
 import math
@@ -46,22 +48,44 @@ def _pow10(k: int) -> int:
     return 10**k
 
 
+@functools.cache
+def _pow2(k: int) -> decimal.Decimal:
+    """2^k as an exact Decimal, k a power of two, in `_decimal`'s context."""
+    if k <= 3 * _PIECE:
+        return decimal.Decimal(1 << k)
+    half = _pow2(k // 2)
+    return half * half
+
+
+def _to_decimal(value: int) -> decimal.Decimal:
+    """A non-negative int as an exact Decimal, in `_decimal`'s context."""
+    if value.bit_length() <= 3 * _PIECE:
+        return decimal.Decimal(value)
+    k = 1 << (value.bit_length() // 2).bit_length() - 1
+    hi = value >> k
+    return _to_decimal(hi) * _pow2(k) + _to_decimal(value - (hi << k))
+
+
 def _decimal(value):
     """An exact dimension as decimal text, or decimal text as an int.
 
     Up to `_PIECE` digits this is `str` or `int`.  Past it the number
-    splits at 10^k, k the largest power of two up to half its digits:
-    text into its last k digits and the rest, joined as hi * 10^k + lo
-    by CPython's subquadratic multiplication; an int into the quotient
-    and remainder by 10^k, joined as text with lo padded to k digits.
+    splits at a power of two, the largest power of two up to half its
+    size: text into its last k digits and the rest, joined as
+    hi * 10^k + lo by CPython's subquadratic multiplication; an int
+    into its high bits and its last k bits, joined as hi * 2^k + lo in
+    `decimal` arithmetic, which multiplies subquadratically, and printed.
     """
     if isinstance(value, int):
         if value.bit_length() <= 3 * _PIECE:  # 2^(3d) < 10^d
             return str(value)
-        digits = (value.bit_length() - 1) * 3 // 10  # 10^digits <= value
-        k = 1 << (digits // 2).bit_length() - 1
-        hi, lo = divmod(value, _pow10(k))
-        return _decimal(hi) + _decimal(lo).zfill(k)
+        with decimal.localcontext() as ctx:
+            # the largest precision and exponent, and Inexact trapped, as
+            # in CPython 3.12's _pylong: a step that would round raises
+            ctx.prec = decimal.MAX_PREC
+            ctx.Emax = decimal.MAX_EMAX
+            ctx.traps[decimal.Inexact] = True
+            return str(_to_decimal(value))
     if len(value) <= _PIECE:
         return int(value, 10)
     k = 1 << (len(value) // 2).bit_length() - 1

@@ -14,31 +14,32 @@ A search node is a plain tuple: rows, conjugate, size, frozen rows, path
 cost, a transition measure, and its exact dimension as its parent's
 times (n + 1) * p, divided out when the node is popped
 (`plancherel._grow_dim`).  A node's measure holds only its live boxes:
-it is grown from its parent's in O(m) (`plancherel._grow`) with the
-node's frozen mask, which drops the frozen rows.  Each node is grown and
-scanned for its core edges (`plancherel._core_edges`) at most once, and
-only once its entry reaches the top of the heap.  Until then a child
-holds a reference to its parent's measure, shared with its siblings,
-plus the box it adds.  A uniform-cost child is keyed by its exact f
-and grows and scans its measure when it is expanded; a heuristic child
-at the target level has h = 0 and is never expanded, so it costs no
-measure or scan work.  A heuristic child below the target level is
-lazy: it is keyed by g + h_lb, a lower bound on g + h that Kerov's
-one-box update gives from the parent's measure alone (`_child_bounds`,
-`_cost_floor`).  When that entry is popped, the child
-grows and scans its measure, takes its exact h from the scan, and goes
-back on the heap with key g + h and the scan kept for its expansion.
-Every key is at most the node's exact key and rows are unique in the
-heap, so entries with exact keys leave the heap in the same order as if
-every child had been grown at push: rows, costs and both node counts do
-not change, and a child whose bound never reaches the top is never
-grown.  The scan is ranked only on expansion, once per node.  Since
-each diagram is pushed once, no per-diagram cache is kept.
-`tree_children` is the one child builder with the freeze rule, for
-`astar` and `tree_sweep` alike, and both grow each node's measure from
-its parent's.  `search_from` searches from any diagram that is in the
-core subgraph up to conjugation; a result reports the found diagram,
-its exact dimension, the path cost, two node counts and the mode, and
+it is grown from its parent's in O(m) with the node's frozen mask,
+which drops the frozen rows, and the same pass scans the grown measure
+for its core edges (`plancherel._grow`); only the start's measure comes
+from the full formula and is scanned by `plancherel._core_edges`.
+Each node is grown at most once, and only once its entry reaches the
+top of the heap.  Until then a child holds a reference to its parent's
+measure, shared with its siblings, plus the box it adds.  A
+uniform-cost child is keyed by its exact f and grows its measure when
+it is expanded; a heuristic child at the target level has h = 0 and
+is never expanded, so it costs no measure or scan work.  A heuristic
+child below the target level is lazy: it is keyed by g + h_lb, a lower
+bound on g + h that Kerov's one-box update gives from the parent's
+measure alone (`_child_bound`, `_cost_floor`).  When that entry is
+popped, the child grows its measure, takes its exact h from the scan,
+and goes back on the heap with key g + h and the scan kept for its
+expansion.  Every key is at most the node's exact key and rows are
+unique in the heap, so entries with exact keys leave the heap in the
+same order as if every child had been grown at push: rows, costs and
+both node counts do not change, and a child whose bound never reaches
+the top is never grown.  The scan is ranked only on expansion, once per
+node (`plancherel._rank`), and `astar` and `tree_sweep` push each child
+straight from the ranked scan, applying the freeze rule in their own
+push loops.  Since each diagram is pushed once, no per-diagram cache is
+kept.  `search_from` searches from any diagram that is in the core
+subgraph up to conjugation; a result reports the found diagram, its
+exact dimension, the path cost, two node counts and the mode, and
 nothing that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
@@ -55,7 +56,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .diagram import YoungDiagram, _core_row_ok
+from .diagram import YoungDiagram, _core_ok
 from .dimension import dim_exact
 from .errors import (
     CoreMembershipError,
@@ -78,115 +79,91 @@ class SearchResult:
     mode: str
 
 
-def tree_children(
-    rows: tuple[int, ...], conj: tuple[int, ...], frozen: int, edges: list[tuple]
-) -> list[tuple]:
-    """The children through a node's core edges, best first.
-
-    A node is a core diagram's rows and conjugate plus its frozen-row
-    mask (bit r set means row r never grows); `edges` is the core scan
-    of its live transition measure (`plancherel._core_edges` over
-    `plancherel._grow`), which holds no frozen row.  The edges are
-    ranked here, in place, by the exact sort of `plancherel._rank`.
-    Returns (rows, conj, frozen, weight, row, col, num, den) per child.
-    The child through the r-th edge inherits the parent's frozen rows
-    plus the rows of every edge ranked before r, so no two root paths
-    can reach the same diagram.  Adding box (r, c) sets row r to length
-    c and column c to height r.  Called once per expanded node.
-    """
-    out = []
-    for weight, r, c, num, den in _rank(edges):
-        out.append(
-            (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
-             frozen, weight, r, c, num, den)
-        )
-        frozen |= 1 << r
-    return out
-
-
 def remaining_cost_estimate(levels: int, edges: list[tuple]) -> float:
     """h: the cheapest core edge out of a node times the levels left.
 
-    `edges` is the node's core scan (`plancherel._core_edges` over its
-    grown live measure), so the estimate needs no edge work of its own.
+    `edges` is the node's core scan (from `plancherel._grow`, or
+    `plancherel._core_edges` for the start), so the estimate needs no
+    edge work of its own.
     Zero at the target level and at dead ends.  Not admissible in
     general: deeper levels can have cheaper edges.  A heuristic child
     below the target level gets h only when its key, bounded below by
-    `_child_bounds` and `_cost_floor`, reaches the top of the heap.
+    `_child_bound` and `_cost_floor`, reaches the top of the heap.
     """
     if levels <= 0 or not edges:
         return 0.0
     return min(edges)[0] * levels
 
 
-def _core_ok(rows: tuple[int, ...], conj: tuple[int, ...], r: int, c: int) -> bool:
-    """Whether adding box (r, c) keeps a core diagram in the core subgraph.
+def _bound_entries(addables: list[tuple], edges: list[tuple]) -> list[tuple]:
+    """A parent's live entries as (z, zr, zc, p, core), for `_child_bound`.
 
-    The per-box form of the test in `plancherel._core_edges`: rows r and
-    c must pass the row rule after the box is added.
+    `addables` is the parent's live measure and `edges` its core scan;
+    p is the float probability and core whether the entry is in the
+    scan.  Built once per expansion and read for every child.
     """
-    return r == c or (
-        _core_row_ok(r, c, conj[r - 1] if r <= len(conj) else 0)
-        and _core_row_ok(c, rows[c - 1] if c <= len(rows) else 0, r)
-    )
+    core = {e[1] for e in edges}
+    return [(z, zr, zc, num / den, zr in core) for z, zr, zc, num, den in addables]
 
 
-def _child_bounds(
-    addables: list[tuple], edges: list[tuple], kids: list[tuple]
-) -> list[float]:
-    """For each child, u >= its best live core transition probability.
+def _child_bound(
+    entries: list[tuple],
+    crows: tuple[int, ...],
+    cconj: tuple[int, ...],
+    cfrozen: int,
+    r: int,
+    c: int,
+    p: float,
+) -> float:
+    """u >= the best live core transition probability of one child.
 
-    `addables` is the parent's live measure, `edges` its core scan and
-    `kids` its `tree_children`.  Adding the box of content x with
-    probability p(x) turns every other entry z into
+    `entries` is the parent's `_bound_entries`; the child adds box
+    (r, c) of probability p, has rows crows and conjugate cconj (built
+    in `astar`'s push loop) and frozen rows cfrozen.  Adding the box of
+    content x turns every other entry z into
     p(z) (z - x)^2 / ((z - x)^2 - 1), and the fresh boxes x - 1 and
     x + 1 share 1 - sum p'(z) <= p(x), since every factor is above 1.
     So u is the largest updated p(z) over the parent's entries that stay
     live and pass the core test in the child, or p(x) if a fresh box is
     live and core.  The core test of box (zr, zc) reads column zr and
     row zc, and the child changes only row r and column c, so the
-    parent's scan decides every entry but those with zr == c or zc == r.
-    u is 0 exactly when the child has no live core box, a dead end.
-    Floats only: a few roundings, which `_cost_floor` absorbs.
+    parent's scan decides every entry but those with zr == c or zc == r,
+    which `_core_ok` tests on the child.  u is 0 exactly when the child
+    has no live core box, a dead end.  Floats only: a few roundings,
+    which `_cost_floor` absorbs.
     """
-    core = {e[1] for e in edges}
-    live = [(z, zr, zc, num / den, zr in core) for z, zr, zc, num, den in addables]
-    out = []
-    for crows, cconj, cfrozen, _, r, c, num, den in kids:
-        x = c - r
-        u = 0.0
-        for z, zr, zc, p, ok in live:
-            if z == x or cfrozen >> zr & 1:
-                continue
-            if zr == c or zc == r:
-                ok = _core_ok(crows, cconj, zr, zc)
-            if ok:
-                d = (z - x) * (z - x)
-                p = p * d / (d - 1)
-                if p > u:
-                    u = p
-        p = num / den
-        # the fresh boxes: x + 1 at (r, c + 1), unless row r - 1 has
-        # length c, and x - 1 at (r + 1, c), if row r + 1 has length c - 1
-        if p > u and (
-            (
-                (r == 1 or crows[r - 2] > c)
-                and not cfrozen >> r & 1
-                and _core_ok(crows, cconj, r, c + 1)
-            )
-            or (
-                (crows[r] if r < len(crows) else 0) == c - 1
-                and not cfrozen >> r + 1 & 1
-                and _core_ok(crows, cconj, r + 1, c)
-            )
-        ):
-            u = p
-        out.append(u)
-    return out
+    x = c - r
+    u = 0.0
+    for z, zr, zc, q, ok in entries:
+        if z == x or cfrozen >> zr & 1:
+            continue
+        if zr == c or zc == r:
+            ok = _core_ok(crows, cconj, zr, zc)
+        if ok:
+            d = (z - x) * (z - x)
+            q = q * d / (d - 1)
+            if q > u:
+                u = q
+    # the fresh boxes: x + 1 at (r, c + 1), unless row r - 1 has
+    # length c, and x - 1 at (r + 1, c), if row r + 1 has length c - 1
+    if p > u and (
+        (
+            (r == 1 or crows[r - 2] > c)
+            and not cfrozen >> r & 1
+            and _core_ok(crows, cconj, r, c + 1)
+        )
+        or (
+            (crows[r] if r < len(crows) else 0) == c - 1
+            and not cfrozen >> r + 1 & 1
+            and _core_ok(crows, cconj, r + 1, c)
+        )
+    ):
+        u = p
+    return u
 
 
 def _cost_floor(levels: int, u: float) -> float:
-    """h_lb <= h for a child whose `_child_bounds` value is u.
+    """h_lb <= h for a child whose `_child_bound` value is u.
 
     levels * -ln u, less a margin of 1e-9 relative that covers the float
     roundings of u and of the edge weights, and never below 0; 0 for a
@@ -214,22 +191,22 @@ def astar(
     A heap entry is (f, -g, rows, conj, size, frozen, measure, box,
     edges, scaled, num, den), with dimension scaled * num / den.  With
     box None, `measure` is the node's own live measure and `edges` its
-    core scan (None for the start, which is scanned on expansion), and
-    f is exact.  Otherwise `measure` is the parent's, shared with the
-    siblings, and the node has not been grown.  A uniform-cost child
-    has f = g and grows through box on expansion; a heuristic child at
-    the target level has f = g too and is never expanded.  A heuristic
-    child below the target level has f = g + h_lb <= g + h; when it is
-    popped it is grown, scanned and pushed back with f = g + h and box
-    None.  That evaluation is neither an expansion nor a frontier
-    update, and the entry replaces itself, so the heap holds one entry
-    per node and `len(heap)` after each expansion is what an eager
-    search would have.  Since no key is above its exact value, the
-    entry with the least exact key is always evaluated before it is
-    passed, so nodes are expanded in the eager order and
-    `nodes_expanded` and `frontier_peak` do not change.  Each expanded
-    node is scanned once and ranked once, by `tree_children`.
-    Rows are unique in the heap, so comparisons never reach past them.
+    core scan, and f is exact.  Otherwise `measure` is the parent's,
+    shared with the siblings, and the node has not been grown.  A
+    uniform-cost child has f = g and grows through box on expansion; a
+    heuristic child at the target level has f = g too and is never
+    expanded.  A heuristic child below the target level has
+    f = g + h_lb <= g + h; when it is popped it is grown and pushed
+    back with f = g + h and box None.  That evaluation is neither an
+    expansion nor a frontier update, and the entry replaces itself, so
+    the heap holds one entry per node and `len(heap)` after each
+    expansion is what an eager search would have.  Since no key is
+    above its exact value, the entry with the least exact key is always
+    evaluated before it is passed, so nodes are expanded in the eager
+    order and `nodes_expanded` and `frontier_peak` do not change.  Each
+    expanded node is grown and scanned once and ranked once, and each
+    child is pushed straight from the ranked scan.  Rows are unique in
+    the heap, so comparisons never reach past them.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -240,10 +217,12 @@ def astar(
             f"target level {n_target} is below the start size {start.size}"
         )
     rows = start.rows
+    conj = start.conjugate_rows()
+    measure = _measure(rows)
     # the start is popped first whatever its f, so its h is never needed
     heap = [
-        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None,
-         None, dim_exact(start), 1, 1)
+        (0.0, -0.0, rows, conj, start.size, 0, measure, None,
+         _core_edges(rows, conj, measure[0]), dim_exact(start), 1, 1)
     ]
     # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
@@ -257,8 +236,7 @@ def astar(
         if not uniform_cost and box is not None and size < n_target:
             # a lazy heuristic child: grow and scan it, and push it back
             # with its exact key; this is not an expansion
-            measure = _grow(*measure, *box, frozen)
-            edges = _core_edges(rows, conj, measure[0])
+            measure, edges = _grow(*measure, *box, frozen, rows, conj)
             h = remaining_cost_estimate(n_target - size, edges)
             heapq.heappush(
                 heap,
@@ -281,31 +259,36 @@ def astar(
             )
         nodes_expanded += 1
         if box is not None:
-            measure = _grow(*measure, *box, frozen)
-        if edges is None:
-            edges = _core_edges(rows, conj, measure[0])
+            measure, edges = _grow(*measure, *box, frozen, rows, conj)
         size += 1
         levels = n_target - size
         scaled = dim * size
-        kids = tree_children(rows, conj, frozen, edges)
+        # the child through each ranked edge freezes the rows of the edges
+        # ranked before it; adding box (r, c) sets row r to length c and
+        # column c to height r
         if uniform_cost or not levels:
-            for crows, cconj, cfrozen, weight, r, c, num, den in kids:
+            for weight, r, c, num, den in _rank(edges):
                 cg = g + weight
                 heapq.heappush(
                     heap,
-                    (cg, -cg, crows, cconj, size, cfrozen, measure, (r, c), None,
-                     scaled, num, den),
+                    (cg, -cg, rows[: r - 1] + (c,) + rows[r:],
+                     conj[: c - 1] + (r,) + conj[c:], size, frozen, measure, (r, c),
+                     None, scaled, num, den),
                 )
+                frozen |= 1 << r
         else:
-            for (crows, cconj, cfrozen, weight, r, c, num, den), u in zip(
-                kids, _child_bounds(measure[0], edges, kids)
-            ):
+            entries = _bound_entries(measure[0], edges)
+            for weight, r, c, num, den in _rank(edges):
+                crows = rows[: r - 1] + (c,) + rows[r:]
+                cconj = conj[: c - 1] + (r,) + conj[c:]
+                u = _child_bound(entries, crows, cconj, frozen, r, c, num / den)
                 cg = g + weight
                 heapq.heappush(
                     heap,
-                    (cg + _cost_floor(levels, u), -cg, crows, cconj, size, cfrozen,
+                    (cg + _cost_floor(levels, u), -cg, crows, cconj, size, frozen,
                      measure, (r, c), None, scaled, num, den),
                 )
+                frozen |= 1 << r
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
         f"no diagram of size {n_target} reachable from {start.rows}"
@@ -332,8 +315,9 @@ def tree_sweep(max_n: int) -> TreeSweep:
     census reads one size at a time from `oracle.all_dimensions`, so
     max_n must lie in its range; that is checked before the walk.
     As in uniform-cost `astar`, a child holds its parent's transition
-    measure and the box it adds, and grows its own live measure and
-    scans it only when it is expanded.
+    measure and the box it adds, grows and scans its own live measure
+    only when it is expanded, and is pushed straight from the ranked
+    scan under the freeze rule.
     """
     _check_size(max_n)
     counts: dict[tuple, int] = {}
@@ -344,12 +328,18 @@ def tree_sweep(max_n: int) -> TreeSweep:
         counts[rows] = counts.get(rows, 0) + 1
         if sum(rows) >= max_n:
             continue
-        if box is not None:
-            measure = _grow(*measure, *box, frozen)
-        kids = tree_children(rows, conj, frozen, _core_edges(rows, conj, measure[0]))
-        if not kids:
+        if box is None:
+            edges = _core_edges(rows, conj, measure[0])
+        else:
+            measure, edges = _grow(*measure, *box, frozen, rows, conj)
+        if not edges:
             dead_ends.append(rows)
-        stack.extend((*kid[:3], measure, kid[4:6]) for kid in kids)
+        for _, r, c, _, _ in _rank(edges):
+            stack.append(
+                (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
+                 frozen, measure, (r, c))
+            )
+            frozen |= 1 << r
     duplicates = sorted(rows for rows, c in counts.items() if c > 1)
     missing = [
         rows

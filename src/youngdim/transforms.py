@@ -15,9 +15,11 @@ core subgraph; the dimension is expected, but not proven, to rise.
 
 `symmetrize` computes its output from the rows and their conjugate,
 and `balance_to_core` moves boxes without computing any dimension
-until its report.  The exhaustive sweeps read every partition of a
-size with its exact dimension from `oracle.all_dimensions`, one size at
-a time, so they compute no hook products and hold no other size.
+until its report.  The symmetrize and balance sweeps read every
+partition of a size with its exact dimension from
+`oracle.all_dimensions`, one size at a time, so they compute no hook
+products and hold no other size; the hook sweep lists only the
+symmetric bases, from their diagonal hook lengths.
 """
 
 from __future__ import annotations
@@ -295,21 +297,45 @@ def symmetrize_sweep(max_n: int) -> ReflectionSweep:
     return sweep
 
 
+def _symmetric_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every symmetric partition of n, in descending lexicographic order.
+
+    A symmetric partition is fixed by its diagonal hook lengths
+    h_1 > ... > h_d, distinct odd parts of n: row i <= d has length
+    i + (h_i - 1) / 2, and each row j below the Durfee square mirrors
+    column j, the number of top rows of length at least j.
+    """
+    out = []
+    # (boxes left, largest hook allowed, top rows so far)
+    stack = [(n, n, ())]
+    while stack:
+        left, cap, top = stack.pop()
+        if not left:
+            below = range(len(top) + 1, (top[0] if top else 0) + 1)
+            out.append(top + tuple(sum(t >= j for t in top) for j in below))
+            continue
+        for h in range(min(cap, left), 0, -1):
+            if h % 2:
+                stack.append((left - h, h - 2, top + (len(top) + 1 + h // 2,)))
+    out.sort(reverse=True)
+    return out
+
+
 def reflection_hooks_sweep(max_base_size: int) -> tuple[int, list]:
     """Check the hook identities for every valid pair over every symmetric base.
 
     Returns (pairs checked, failures).  Mirror-image pairs are skipped as
     degenerate.  Bases start at one box: the empty base has only the
-    diagonal box (1, 1) addable, so it has no pair.
+    diagonal box (1, 1) addable, so it has no pair.  The bases of each
+    size come from `_symmetric_partitions`, in the order
+    `oracle.all_dimensions` lists them.
     """
     _check_size(max_base_size, lo=0)
     checked = 0
     failures = []
     for n in range(1, max_base_size + 1):
-        for rows in all_dimensions(n):
-            base = YoungDiagram._from_valid(rows)
-            if not base.is_symmetric():
-                continue
+        for rows in _symmetric_partitions(n):
+            base = YoungDiagram._from_valid(rows, rows)
             addable = base.addable_boxes()
             uppers = [b for b in addable if b.row < b.col]
             lowers = [b for b in addable if b.row > b.col]

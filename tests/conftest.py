@@ -17,7 +17,7 @@ from youngdim import (
 from youngdim.errors import EmptySearchSpace, NoCoreChild
 from youngdim.oracle import MaxTableEntry, _max_entries, _sweep
 from youngdim.plancherel import _core_edges, _grow, _grow_dim, _measure
-from youngdim.search import SearchResult, remaining_cost_estimate, tree_children
+from youngdim.search import SearchResult, remaining_cost_estimate
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -273,22 +273,46 @@ def rng():
     return random.Random(20240817)
 
 
+def ranked_children(rows, conj, frozen, edges):
+    """A search node's children through its core scan, best first.
+
+    `edges` is the node's core scan as (weight, r, c, num, den) in
+    top-row-first order; it is stable-sorted by exact `Fraction`
+    probability descending, so ties keep row ascending, and the child
+    through the k-th edge freezes the rows of the k edges ranked before
+    it.  Returns (rows, conj, frozen, weight, r, c, num, den) per
+    child, with each child's rows and conjugate rebuilt by `add_box`.
+    The library ranks over a common denominator and builds each child
+    inside its push loop instead; this list form is the cross-check.
+    """
+    out = []
+    parent = YoungDiagram._from_valid(rows, conj)
+    for weight, r, c, num, den in sorted(edges, key=lambda e: -Fraction(e[3], e[4])):
+        child = parent.add_box(Box(r, c))
+        out.append((child.rows, child.conjugate_rows(), frozen, weight, r, c, num, den))
+        frozen |= 1 << r
+    return out
+
+
 def eager_heuristic_astar(n_target, start=None):
     """Heuristic `astar` with every child below the target level grown at push.
 
-    Each such child grows its live measure (`_grow`) and scans it
-    (`_core_edges`) as it is pushed, so its heap key is g + h from the
-    start, and it keeps the scan for its expansion.  The library pushes
-    such a child with a lower bound on h and grows it only when that key
-    reaches the top of the heap; this eager loop is the cross-check that
-    the pop order, and so every output, is the same.
+    Each such child grows its live measure and its core scan (`_grow`)
+    as it is pushed, so its heap key is g + h from the start, and it
+    keeps the scan for its expansion; children come from
+    `ranked_children`.  The library pushes such a child with a lower
+    bound on h and grows it only when that key reaches the top of the
+    heap; this eager loop is the cross-check that the pop order, and so
+    every output, is the same.
     """
     if start is None:
         start = YoungDiagram((1,))
     rows = start.rows
+    conj = start.conjugate_rows()
+    measure = _measure(rows)
     heap = [
-        (0.0, -0.0, rows, start.conjugate_rows(), start.size, 0, _measure(rows), None,
-         None, dim_exact(start), 1, 1)
+        (0.0, -0.0, rows, conj, start.size, 0, measure, None,
+         _core_edges(rows, conj, measure[0]), dim_exact(start), 1, 1)
     ]
     nodes_expanded = 0
     frontier_peak = 1
@@ -308,12 +332,10 @@ def eager_heuristic_astar(n_target, start=None):
                 mode="heuristic",
             )
         nodes_expanded += 1
-        if edges is None:
-            edges = _core_edges(rows, conj, measure[0])
         size += 1
         levels = n_target - size
         scaled = dim * size
-        for crows, cconj, cfrozen, weight, r, c, num, den in tree_children(
+        for crows, cconj, cfrozen, weight, r, c, num, den in ranked_children(
             rows, conj, frozen, edges
         ):
             cg = g + weight
@@ -321,8 +343,7 @@ def eager_heuristic_astar(n_target, start=None):
                 entry = (cg, -cg, crows, cconj, size, cfrozen, None, None, None,
                          scaled, num, den)
             else:
-                grown = _grow(*measure, r, c, cfrozen)
-                cedges = _core_edges(crows, cconj, grown[0])
+                grown, cedges = _grow(*measure, r, c, cfrozen, crows, cconj)
                 h = remaining_cost_estimate(levels, cedges)
                 entry = (cg + h, -cg, crows, cconj, size, cfrozen, grown, None, cedges,
                          scaled, num, den)

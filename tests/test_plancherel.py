@@ -18,7 +18,14 @@ from youngdim import (
     transition_edges,
     transition_prob,
 )
-from youngdim.plancherel import _contents, _edges, _grow, _measure, _shrink_dim
+from youngdim.plancherel import (
+    _contents,
+    _core_edges,
+    _edges,
+    _grow,
+    _measure,
+    _shrink_dim,
+)
 from youngdim.errors import (
     InvalidK,
     InvalidM,
@@ -137,24 +144,38 @@ def _assert_grown_measure_is_exact(d):
     addables, xs, corners = _measure(d.rows)
     for _, r, c, _, _ in addables:
         child = d.add_box(Box(r, c))
-        full = _measure(child.rows)
-        grown = _grow(addables, xs, corners, r, c)
+        crows, cconj = child.rows, child.conjugate_rows()
+        full = _measure(crows)
+        grown, scan = _grow(addables, xs, corners, r, c, 0, crows, cconj)
         # every (content, row, col, num, den), the contents and the corners
         assert grown == full, (d.rows, r, c)
+        # without the child's rows the measure is the same and no scan is made
+        assert _grow(addables, xs, corners, r, c) == (full, None)
         for _, gr, gc, num, den in grown[0]:
             edge = transition_prob(child, Box(gr, gc))
             assert Fraction(num, den) == edge.probability
             # the search's weight, bit for bit
             assert (math.log(den) - math.log(num)).hex() == edge.weight.hex()
         # every frozen mask over the child's addable rows drops exactly
-        # those rows' entries, and xs and the corners stay whole
+        # those rows' entries, and xs and the corners stay whole; the
+        # scan is the full scan less the frozen rows, and for a core
+        # child it holds exactly the live boxes whose child is core
         live_rows = [e[1] for e in full[0]]
-        for bits in range(1, 1 << len(live_rows)):
+        full_scan = _core_edges(crows, cconj, full[0])
+        for bits in range(1 << len(live_rows)):
             frozen = sum(1 << row for j, row in enumerate(live_rows) if bits >> j & 1)
             want = [e for e in full[0] if not frozen >> e[1] & 1]
-            assert _grow(addables, xs, corners, r, c, frozen) == (want, *full[1:]), (
+            grown, scan = _grow(addables, xs, corners, r, c, frozen, crows, cconj)
+            assert grown == (want, *full[1:]), (d.rows, r, c, frozen)
+            assert scan == [e for e in full_scan if not frozen >> e[1] & 1], (
                 d.rows, r, c, frozen
             )
+            if child.in_core_subgraph():
+                assert [e[1:3] for e in scan] == [
+                    (gr, gc)
+                    for _, gr, gc, _, _ in want
+                    if child.add_box(Box(gr, gc)).in_core_subgraph()
+                ], (d.rows, r, c, frozen)
 
 
 def test_grown_measure_matches_full_formula_exhaustive():

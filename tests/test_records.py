@@ -152,6 +152,33 @@ def test_decimal_round_trips_the_200_square_dimension():
     assert _decimal(text) == dim
 
 
+def _text_by_divmod(value):
+    # the int-to-text splitter that `_decimal` used before it built a
+    # Decimal: split at 10^k, k the largest power of two up to half the
+    # digits, by divmod, and join the halves as text
+    if value.bit_length() <= 1920:
+        return str(value)
+    digits = (value.bit_length() - 1) * 3 // 10
+    k = 1 << (digits // 2).bit_length() - 1
+    hi, lo = divmod(value, 10**k)
+    return _text_by_divmod(hi) + _text_by_divmod(lo).zfill(k)
+
+
+def test_decimal_matches_the_divmod_splitter_past_70000_digits():
+    rng = random.Random(70000)
+    for value in (
+        rng.getrandbits(240_000),
+        (1 << 240_000) - 1,
+        1 << 240_000,
+        10**72_000,
+        10**72_000 - 1,
+        rng.randrange(10**71_999, 10**72_000),
+    ):
+        text = _text_by_divmod(value)
+        assert len(text) >= 70_000
+        assert _decimal(value) == text
+
+
 def test_load_rejects_dim_with_more_digits_than_n_factorial(tmp_path):
     # 4,2,1 has dimension 35 and 7! = 5040 has four digits, so "0035"
     # loads, "00035" is one digit too long, and a million digits are

@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 
@@ -28,13 +29,18 @@ from youngdim.errors import (
 from youngdim import dimension, plancherel, search
 from youngdim.plancherel import _core_edges, _measure
 from youngdim.search import (
-    _child_bounds,
+    _bound_entries,
+    _child_bound,
     _cost_floor,
     remaining_cost_estimate,
-    tree_children,
 )
 
-from conftest import eager_heuristic_astar, forbidden_set_children, partitions
+from conftest import (
+    eager_heuristic_astar,
+    forbidden_set_children,
+    partitions,
+    ranked_children,
+)
 
 
 def test_edge_weight_known_values():
@@ -53,32 +59,105 @@ def _scan(rows, frozen):
     return conj, _core_edges(rows, conj, live)
 
 
-def _kids(rows, frozen):
-    conj, edges = _scan(rows, frozen)
-    return tree_children(rows, conj, frozen, edges)
+class _PushLog:
+    """Stands in for `heapq` inside `search` and records every child pushed.
+
+    `pushed[rows]` lists, as (rows, conj, frozen, g, box), the children
+    pushed while the node with those rows was being expanded, in push
+    order; `node[rows]` holds (conj, frozen, g) of each popped node.  A
+    lazy child's push-back carries no box and is not a child.  With
+    fifo set, entries leave in push order, so `astar` walks the tree
+    level by level and expands every node below its target level.
+    """
+
+    def __init__(self, fifo=False):
+        self.fifo = fifo
+        self.current = None
+        self.pushed = {}
+        self.node = {}
+
+    def heappush(self, heap, entry):
+        if entry[7] is not None:
+            self.pushed.setdefault(self.current, []).append(
+                (entry[2], entry[3], entry[5], -entry[1], entry[7])
+            )
+        if self.fifo:
+            heap.append(entry)
+        else:
+            heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        entry = heap.pop(0) if self.fifo else heapq.heappop(heap)
+        self.current = entry[2]
+        self.node[entry[2]] = (entry[3], entry[5], -entry[1])
+        return entry
 
 
-def test_tree_children_of_the_root():
-    kids = _kids((1,), 0)
-    # [2] has a box above the diagonal, so the only child kept is [1,1]
-    assert [k[0] for k in kids] == [(1, 1)]
-    assert kids[0][1] == YoungDiagram([1, 1]).conjugate_rows()
-    assert kids[0][2] == 0
-    assert kids[0][3] == pytest.approx(math.log(2))
+def _logged_astar(monkeypatch, n_target, *, fifo=False, **kwargs):
+    log = _PushLog(fifo)
+    monkeypatch.setattr(search, "heapq", log)
+    return log, astar(n_target, **kwargs)
 
 
-def test_tree_children_rank_and_freeze():
-    kids = _kids((2, 1), 0)
-    assert [k[0] for k in kids] == [(2, 1, 1), (2, 2)]
-    # the lower-ranked sibling may never start the winner's row 3
-    assert kids[0][2] == 0
-    assert kids[1][2] == 1 << 3
+def test_astar_pushes_the_roots_child(monkeypatch):
+    for uniform_cost in (True, False):
+        # to level 3, the heuristic pushes the root's child lazily
+        log, _ = _logged_astar(monkeypatch, 3, uniform_cost=uniform_cost)
+        kids = log.pushed[(1,)]
+        # [2] has a box above the diagonal, so the only child kept is [1,1]
+        assert [k[0] for k in kids] == [(1, 1)]
+        assert kids[0][1] == YoungDiagram([1, 1]).conjugate_rows()
+        assert kids[0][2] == 0
+        assert kids[0][3] == pytest.approx(math.log(2))
+        assert kids[0][4] == (2, 1)
 
 
-def test_tree_children_respect_frozen_rows():
-    kids = _kids((2, 1), 1 << 3)
-    assert [k[0] for k in kids] == [(2, 2)]
-    assert kids[0][2] == 1 << 3
+def test_astar_push_loops_rank_and_freeze(monkeypatch):
+    for uniform_cost in (True, False):
+        log, _ = _logged_astar(
+            monkeypatch, 5, start=YoungDiagram([2, 1]), uniform_cost=uniform_cost
+        )
+        kids = log.pushed[(2, 1)]
+        assert [k[0] for k in kids] == [(2, 1, 1), (2, 2)]
+        # the lower-ranked sibling may never start the winner's row 3
+        assert [k[2] for k in kids] == [0, 1 << 3]
+
+
+def test_astar_push_loops_respect_frozen_rows(monkeypatch):
+    for uniform_cost in (True, False):
+        # level by level from [2, 1]: [2, 2] is expanded with row 3
+        # frozen, and its only other addable box leaves the core
+        log, res = _logged_astar(
+            monkeypatch, 5, fifo=True, start=YoungDiagram([2, 1]),
+            uniform_cost=uniform_cost,
+        )
+        assert res.nodes_expanded == 3
+        assert log.node[(2, 2)][1] == 1 << 3
+        assert (2, 2) not in log.pushed
+        # with row 3 unfrozen, [2, 2] pushes the child in row 3
+        log, _ = _logged_astar(
+            monkeypatch, 5, start=YoungDiagram([2, 2]), uniform_cost=uniform_cost
+        )
+        assert [k[0] for k in log.pushed[(2, 2)]] == [(2, 2, 1)]
+
+
+def test_astar_pushes_children_straight_from_the_ranked_scan(monkeypatch):
+    # every expansion's pushes are the reference children of its scan,
+    # with g = the parent's g + weight, bit for bit
+    for n, uniform_cost, expanded, children in (
+        (22, True, 592, 758),
+        (30, True, 2464, 3080),
+        (60, False, 394, 911),
+    ):
+        log, res = _logged_astar(monkeypatch, n, uniform_cost=uniform_cost)
+        assert res.nodes_expanded == expanded
+        assert sum(len(kids) for kids in log.pushed.values()) == children
+        for rows, kids in log.pushed.items():
+            conj, frozen, g = log.node[rows]
+            want = ranked_children(rows, conj, frozen, _scan(rows, frozen)[1])
+            assert kids == [
+                (k[0], k[1], k[2], g + k[3], (k[4], k[5])) for k in want
+            ], rows
 
 
 def _estimate(levels, rows, frozen):
@@ -93,33 +172,36 @@ def test_remaining_cost_estimate_values():
     assert _estimate(5, (2, 2), 1 << 3) == 0.0
 
 
-def test_frozen_rows_match_forbidden_sets_to_level_16():
+def test_frozen_rows_match_forbidden_sets_to_level_16(monkeypatch):
     # walk both trees side by side; a frozen row must act exactly like
-    # the forbidden box that would extend it
-    stack = [((1,), 0, 0.0, frozenset())]
+    # the forbidden box that would extend it.  Level by level, astar
+    # expands every node below level 17 before it pops one at 17
+    log, res = _logged_astar(monkeypatch, 17, fifo=True, uniform_cost=True)
+    core_nodes = sum(
+        1 for n in range(1, 17) for d in partitions(n) if d.in_core_subgraph()
+    )
+    assert res.nodes_expanded == core_nodes
+    stack = [((1,), 0.0, frozenset())]
     visited = 0
     while stack:
-        rows, frozen, g, forbidden = stack.pop()
+        rows, g, forbidden = stack.pop()
         visited += 1
         if sum(rows) >= 16:
             continue
-        kids = _kids(rows, frozen)
+        kids = log.pushed.get(rows, [])
         want = forbidden_set_children(YoungDiagram(rows), forbidden, g)
-        assert [(k[0], g + k[3]) for k in kids] == [(d.rows, dg) for d, _, dg in want]
+        assert [(k[0], k[3]) for k in kids] == [(d.rows, dg) for d, _, dg in want]
         assert [k[1] for k in kids] == [d.conjugate_rows() for d, _, _ in want]
-        stack.extend(
-            (k[0], k[2], g + k[3], f) for k, (_, f, _) in zip(kids, want)
-        )
-    assert visited == sum(
-        1 for n in range(1, 17) for d in partitions(n) if d.in_core_subgraph()
-    )
+        stack.extend((k[0], k[3], f) for k, (_, f, _) in zip(kids, want))
+    assert visited == core_nodes
 
 
-def test_child_bounds_hold_to_level_16():
+def test_child_bounds_hold_to_level_16(monkeypatch):
     # for every child in the tree below level 16: the bound rule, in
     # exact rationals, is at least the child's best live core
     # probability, is 0 only at a dead end, and the library's float u
     # follows it; the key floor stays at or under h for any level count
+    log, _ = _logged_astar(monkeypatch, 17, fifo=True, uniform_cost=True)
     stack = [((1,), 0)]
     checked = 0
     while stack:
@@ -127,13 +209,15 @@ def test_child_bounds_hold_to_level_16():
         if sum(rows) >= 16:
             continue
         parent = YoungDiagram(rows)
-        conj, edges = _scan(rows, frozen)
+        edges = _scan(rows, frozen)[1]
         live = [a for a in _measure(rows)[0] if not frozen >> a[1] & 1]
-        kids = tree_children(rows, conj, frozen, edges)
-        for kid, u in zip(kids, _child_bounds(live, edges, kids)):
-            crows, _, cfrozen, _, r, c, _, _ = kid
+        entries = _bound_entries(live, edges)
+        kids = log.pushed.get(rows, [])
+        for crows, cconj, cfrozen, _, (r, c) in kids:
             child = YoungDiagram(crows)
             added = Box(r, c)
+            p = transition_prob(parent, added).probability
+            u = _child_bound(entries, crows, cconj, cfrozen, r, c, float(p))
 
             def live_core(box):
                 return (
@@ -151,7 +235,7 @@ def test_child_bounds_hold_to_level_16():
                 for b in child.addable_boxes()
                 if b not in parent.addable_boxes()
             ):
-                cands.append(transition_prob(parent, added).probability)
+                cands.append(p)
             exact = max(cands, default=Fraction(0))
             best = max(
                 (
@@ -249,13 +333,14 @@ def test_search_builds_children_without_per_box_work(monkeypatch):
 
 def test_search_builds_each_nodes_edges_once(monkeypatch):
     # uniform-cost: every expanded node but the start grows its measure
-    # from its parent's, and each one scans it for core edges once and
-    # ranks that scan once.  heuristic: a child below the target level is
-    # pushed with a lower bound on h and grows its measure and scans it
-    # once, only when that entry is popped, for its exact h; expanding it
-    # ranks the scan it kept and scans nothing again, so the start is the
-    # one node scanned at expansion.  Children never popped, and children
-    # at the target level (h = 0), cost no measure or scan work.
+    # from its parent's, and the same pass scans it for core edges; the
+    # start's measure comes from the full formula and is the one scanned
+    # on its own.  Each expansion ranks its scan once.  heuristic: a
+    # child below the target level is pushed with a lower bound on h
+    # and grows its measure and scan once, only when that entry is
+    # popped, for its exact h; expanding it ranks the scan it kept.
+    # Children never popped, and children at the target level (h = 0),
+    # cost no measure or scan work.
     calls = {"_grow": 0, "_core_edges": 0, "_rank": 0}
 
     def counted(name, fn):
@@ -268,24 +353,23 @@ def test_search_builds_each_nodes_edges_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
     depth_3 = YoungDiagram((9, 7, 6, 5, 4, 3, 2, 2, 1, 1, 1))
-    for n, start, uniform_cost, expanded, grown, scans in (
-        (22, None, True, 592, 591, 592),
-        (30, None, True, 2464, 2463, 2464),
-        (60, None, False, 394, 460, 461),
-        (44, depth_3, False, 5, 4, 5),
+    for n, start, uniform_cost, expanded, grown in (
+        (22, None, True, 592, 591),
+        (30, None, True, 2464, 2463),
+        (60, None, False, 394, 460),
+        (44, depth_3, False, 5, 4),
     ):
         calls.update(_grow=0, _core_edges=0, _rank=0)
         res = astar(n, start=start, uniform_cost=uniform_cost)
         assert res.nodes_expanded == expanded
-        assert calls == {"_grow": grown, "_core_edges": scans, "_rank": expanded}
-        # one scan per expanded node, or one per evaluated child plus the start
-        assert scans == (expanded if uniform_cost else grown + 1)
+        assert calls == {"_grow": grown, "_core_edges": 1, "_rank": expanded}
 
 
 def test_tree_sweep_grows_each_measure_from_its_parent(monkeypatch):
-    # only the root's measure comes from the full formula; every other
-    # expanded node grows its own once, and the leaves at level 18 grow none
-    calls = {"_measure": 0, "_grow": 0}
+    # only the root's measure comes from the full formula and is scanned
+    # on its own; every other expanded node grows and scans its own once,
+    # and the leaves at level 18 grow none
+    calls = {"_measure": 0, "_grow": 0, "_core_edges": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -298,30 +382,7 @@ def test_tree_sweep_grows_each_measure_from_its_parent(monkeypatch):
         monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
     sweep = tree_sweep(18)
     assert (sweep.visited, len(sweep.dead_ends)) == (425, 27)
-    assert calls == {"_measure": 1, "_grow": 340}
-
-
-def test_astar_builds_children_through_tree_children(monkeypatch):
-    # one call per expansion through the module-level name, so a wrapper
-    # installed there sees every child the search builds
-    seen = {"calls": 0, "children": 0}
-
-    def counted(*args):
-        kids = tree_children(*args)
-        seen["calls"] += 1
-        seen["children"] += len(kids)
-        return kids
-
-    monkeypatch.setattr(search, "tree_children", counted)
-    for n, uniform_cost, calls, children in (
-        (22, True, 592, 758),
-        (30, True, 2464, 3080),
-        (60, False, 394, 911),
-    ):
-        seen.update(calls=0, children=0)
-        res = astar(n, uniform_cost=uniform_cost)
-        assert res.nodes_expanded == calls
-        assert seen == {"calls": calls, "children": children}
+    assert calls == {"_measure": 1, "_grow": 340, "_core_edges": 1}
 
 
 def test_uniform_cost_search_finds_core_maximum():

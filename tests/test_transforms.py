@@ -136,6 +136,19 @@ def test_hook_identities_exhaustive_small():
     assert checked > 0
 
 
+def test_symmetric_bases_match_the_oracle_sweep():
+    # cross-check: the hook sweep lists the symmetric partitions from
+    # their distinct odd diagonal hooks; the oracle's full sweep,
+    # filtered to symmetric rows, must give the same list in its order
+    for n in range(1, 31):
+        want = [
+            rows
+            for rows in all_dimensions(n)
+            if YoungDiagram._from_valid(rows).is_symmetric()
+        ]
+        assert transforms._symmetric_partitions(n) == want, n
+
+
 def test_balance_known_values():
     rep = balance(YoungDiagram([1, 1, 1]), 1)
     assert rep.output.rows == (2, 1)
