@@ -18,8 +18,8 @@ anchor the heuristics and the search, which must never beat or
 contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
 exhaustive query.  The sweep is the library's one partition
 enumeration: `all_dimensions(n)` reads one size from it, and the
-transform and tree sweeps call it once per size, so they hold one
-size at a time.
+balance sweep and the tree census call it once per size, so they hold
+one size at a time.  `_partition_counts` gives p(n) without one.
 """
 
 from __future__ import annotations
@@ -118,6 +118,15 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
                     f"hook product does not divide {size + r}! for {(r,) + rows}"
                 )
             yield size + r, (r,) + rows, dim
+
+
+def _partition_counts(max_n: int) -> list[int]:
+    """p(0), ..., p(max_n), the partition counts, adding parts k = 1, 2, ... in turn."""
+    counts = [1] + [0] * max_n
+    for k in range(1, max_n + 1):
+        for s in range(k, max_n + 1):
+            counts[s] += counts[s - k]
+    return counts
 
 
 def all_dimensions(n: int) -> dict[tuple[int, ...], int]:

@@ -127,17 +127,21 @@ def _child_bound(
     live and pass the core test in the child, or p(x) if a fresh box is
     live and core.  The core test of box (zr, zc) reads column zr and
     row zc, and the child changes only row r and column c, so the
-    parent's scan decides every entry but those with zr == c or zc == r,
-    which `_core_ok` tests on the child.  u is 0 exactly when the child
-    has no live core box, a dead end.  Floats only: a few roundings,
-    which `_cost_floor` absorbs.
+    parent's scan decides every entry but those with zr == c, which
+    `_core_ok` tests on the child.  An entry (zr, r) needs no re-test:
+    row r grows from c - 1 to c over column r of height zr - 1, so the
+    core child's row rule forces c <= zr when zr < r and c <= zr - 1
+    when zr > r, and row r passes its test against column height zr
+    both before and after.  u is 0 exactly when the child has no live
+    core box, a dead end.  Floats only: a few roundings, which
+    `_cost_floor` absorbs.
     """
     x = c - r
     u = 0.0
     for z, zr, zc, q, ok in entries:
         if z == x or cfrozen >> zr & 1:
             continue
-        if zr == c or zc == r:
+        if zr == c:
             ok = _core_ok(crows, cconj, zr, zc)
         if ok:
             d = (z - x) * (z - x)

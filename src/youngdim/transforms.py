@@ -15,16 +15,19 @@ core subgraph; the dimension is expected, but not proven, to rise.
 
 `symmetrize` computes its output from the rows and their conjugate,
 and `balance_to_core` moves boxes without computing any dimension
-until its report.  The symmetrize and balance sweeps read every
-partition of a size with its exact dimension from
-`oracle.all_dimensions`, one size at a time, so they compute no hook
-products and hold no other size; the hook sweep lists only the
-symmetric bases, from their diagonal hook lengths.
+until its report.  The balance sweep reads every partition of a size
+with its exact dimension from `oracle.all_dimensions`, one size at a
+time, so it computes no hook products and holds no other size.  The
+other two sweeps enumerate no partitions: the hook sweep lists the
+symmetric bases from their diagonal hook lengths, and the symmetrize
+sweep builds from them only the diagrams it checks (a base plus one
+box of some of its mirror pairs), with two hook products each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from .diagram import Box, YoungDiagram, reflected
 from .dimension import dim_exact
@@ -37,7 +40,7 @@ from .errors import (
     NotAddable,
     ShapeBlocked,
 )
-from .oracle import _check_size, all_dimensions
+from .oracle import _check_size, _partition_counts, all_dimensions
 
 
 @dataclass(frozen=True)
@@ -271,21 +274,24 @@ class ReflectionSweep:
 def symmetrize_sweep(max_n: int) -> ReflectionSweep:
     """Symmetrize every diagram of every size up to max_n.
 
-    Diagrams whose asymmetric boxes are not isolated are skipped.  A
-    violation is any strict case that fails to increase the dimension or
-    any non-strict case whose dimension changes at all.
+    Only the diagrams whose asymmetric boxes are isolated are built
+    (`_isolated_partitions`), one size at a time; the rest of the p(n)
+    partitions of each size count as skipped.  Each output and strict
+    flag come from `_symmetrized`, and both dimensions from `dim_exact`.
+    A violation is any strict case that fails to increase the dimension
+    or any non-strict case whose dimension changes at all.
     """
     _check_size(max_n)
+    counts = _partition_counts(max_n)
     sweep = ReflectionSweep()
     for n in range(1, max_n + 1):
-        dims = all_dimensions(n)
-        for rows, dim_in in dims.items():
+        isolated = _isolated_partitions(n)
+        sweep.skipped += counts[n] - len(isolated)
+        for rows in isolated:
             lam = YoungDiagram._from_valid(rows)
-            if not lam.has_isolated_asymmetric_boxes():
-                sweep.skipped += 1
-                continue
             out, strict = _symmetrized(rows, lam.conjugate_rows())
-            dim_out = dims[out]
+            dim_in = dim_exact(lam)
+            dim_out = dim_exact(YoungDiagram._from_valid(out))
             sweep.checked += 1
             ok = dim_out > dim_in if strict else dim_out == dim_in
             if not ok:
@@ -317,6 +323,32 @@ def _symmetric_partitions(n: int) -> list[tuple[int, ...]]:
         for h in range(min(cap, left), 0, -1):
             if h % 2:
                 stack.append((left - h, h - 2, top + (len(top) + 1 + h // 2,)))
+    out.sort(reverse=True)
+    return out
+
+
+def _isolated_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every partition of n with isolated asymmetric boxes, in descending order.
+
+    Such a diagram is its symmetric base S plus, for each of k of S's
+    upper addable boxes (i, j), i < j, either that box or its mirror
+    (j, i): holding both would make the base larger, and the boxes of
+    two pairs share no row or column.  So it is built from every
+    symmetric partition of n - k.  Only the mirror of (1, S_1 + 1)
+    starts a new row, since S_1 is S's row count.
+    """
+    out = []
+    for k in range(n):
+        for base in _symmetric_partitions(n - k):
+            addable = YoungDiagram._from_valid(base, base).addable_boxes()
+            uppers = [b for b in addable if b.row < b.col]
+            for chosen in combinations(uppers, k):
+                # each chosen (i, j) grows row i, or row j for its mirror
+                for grown in product(*chosen):
+                    rows = list(base) + [0]
+                    for i in grown:
+                        rows[i - 1] += 1
+                    out.append(tuple(rows) if rows[-1] else tuple(rows[:-1]))
     out.sort(reverse=True)
     return out
 

@@ -323,6 +323,13 @@ VERIFY_GOLDEN = (
         " hook_pairs=38 hook_failures=0",
     ),
     (
+        ["verify", "theorem", "--max-n", "50", "--hooks-max-n", "50"],
+        "56e93e48c89306a2fe6804dfa9269a372aea78caec9a6eb0d7f98ff1e1220731",
+        1,
+        "checked=26300 strict=11898 equal=14402 skipped=1269670 violations=0"
+        " hook_pairs=6480 hook_failures=0",
+    ),
+    (
         ["verify", "conjecture", "--max-n", "20"],
         "161c005440bdceeb892b731a1489a95a69da41fb4750984a0bcab1f52cd79cbb",
         565,
@@ -331,7 +338,7 @@ VERIFY_GOLDEN = (
 )
 
 
-@pytest.mark.parametrize("argv,sha,lines,first", VERIFY_GOLDEN, ids=["theorem", "conjecture"])
+@pytest.mark.parametrize("argv,sha,lines,first", VERIFY_GOLDEN, ids=["theorem", "theorem-50", "conjecture"])
 def test_verify_output_is_pinned(capsys, argv, sha, lines, first):
     rc, out, err = run(capsys, argv)
     assert (rc, err) == (0, "")

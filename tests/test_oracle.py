@@ -56,6 +56,11 @@ def test_partition_count_known_values():
         partition_count(-2)
 
 
+def test_partition_counts_match_the_pentagonal_recurrence():
+    # the parts DP that the theorem sweep reads p(n) from
+    assert oracle._partition_counts(64) == [partition_count(n) for n in range(65)]
+
+
 def test_all_dimensions_matches_partitions_and_hook_products():
     for n in range(1, 23):
         dims = all_dimensions(n)

@@ -27,6 +27,7 @@ from youngdim.errors import (
     NotAGrowthSequence,
 )
 from youngdim import dimension, plancherel, search
+from youngdim.diagram import _core_ok
 from youngdim.plancherel import _core_edges, _measure
 from youngdim.search import (
     _bound_entries,
@@ -257,6 +258,39 @@ def test_child_bounds_hold_to_level_16(monkeypatch):
     assert checked == sum(
         1 for n in range(2, 17) for d in partitions(n) if d.in_core_subgraph()
     )
+
+
+def test_child_bound_retests_only_entries_in_the_added_column():
+    # for every core child of size <= 20 that adds (r, c): a parent entry
+    # (zr, r) keeps its core status, while entries with zr == c do flip,
+    # so `_child_bound` re-tests exactly those and reads the rest from
+    # the parent's scan
+    row_cases = row_flips = col_cases = col_flips = 0
+    for n in range(1, 20):
+        for parent in partitions(n):
+            if not parent.in_core_subgraph():
+                continue
+            rows, conj = parent.rows, parent.conjugate_rows()
+            addable = parent.addable_boxes()
+            for r, c in addable:
+                if not _core_ok(rows, conj, r, c):
+                    continue
+                child = parent.add_box(Box(r, c))
+                crows, cconj = child.rows, child.conjugate_rows()
+                for zr, zc in addable:
+                    if (zr, zc) == (r, c):
+                        continue
+                    flip = _core_ok(rows, conj, zr, zc) != _core_ok(crows, cconj, zr, zc)
+                    if zr == c:
+                        col_cases += 1
+                        col_flips += flip
+                    elif zc == r:
+                        row_cases += 1
+                        row_flips += flip
+                    else:
+                        assert not flip
+    assert row_cases > 0 and row_flips == 0
+    assert col_flips > 0
 
 
 def _same_search(got, want):

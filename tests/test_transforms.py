@@ -17,7 +17,7 @@ from youngdim import (
     symmetrize_sweep,
     tree_sweep,
 )
-from youngdim import dimension, transforms
+from youngdim import dimension, oracle, transforms
 from youngdim.errors import (
     AsymmetricBoxesNotIsolated,
     BalanceNotApplicable,
@@ -138,15 +138,15 @@ def test_hook_identities_exhaustive_small():
 
 def test_symmetric_bases_match_the_oracle_sweep():
     # cross-check: the hook sweep lists the symmetric partitions from
-    # their distinct odd diagonal hooks; the oracle's full sweep,
-    # filtered to symmetric rows, must give the same list in its order
+    # their distinct odd diagonal hooks, and the theorem sweep builds the
+    # isolated ones from those bases; the oracle's full sweep, filtered
+    # to symmetric or isolated rows, must give the same lists in its order
     for n in range(1, 31):
-        want = [
-            rows
-            for rows in all_dimensions(n)
-            if YoungDiagram._from_valid(rows).is_symmetric()
-        ]
+        diagrams = [YoungDiagram._from_valid(rows) for rows in all_dimensions(n)]
+        want = [d.rows for d in diagrams if d.is_symmetric()]
         assert transforms._symmetric_partitions(n) == want, n
+        want = [d.rows for d in diagrams if d.has_isolated_asymmetric_boxes()]
+        assert transforms._isolated_partitions(n) == want, n
 
 
 def test_balance_known_values():
@@ -224,6 +224,16 @@ def test_balance_to_core_ends_in_core(d):
     assert out.in_core_subgraph() or out.conjugate().in_core_subgraph()
 
 
+def test_symmetrize_sweep_reads_no_partition_enumeration(monkeypatch):
+    want = symmetrize_sweep(20)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the theorem sweep enumerated every partition")
+
+    monkeypatch.setattr(oracle, "_sweep", no_sweep)
+    assert symmetrize_sweep(20) == want
+
+
 def test_balance_sweep_small_records_no_decrease():
     sweep = balance_sweep(12)
     assert sweep.decreased == []
@@ -240,7 +250,12 @@ def test_sweeps_compute_no_hook_products(monkeypatch):
         return real(diagram)
 
     monkeypatch.setattr(dimension, "hook_product", counting)
-    symmetrize_sweep(14)
+    # the theorem sweep computes two per diagram it checks, and none for
+    # a skipped one; its outputs are isolated too
+    sweep = symmetrize_sweep(14)
+    assert len(calls) == 2 * sweep.checked
+    assert all(YoungDiagram(rows).has_isolated_asymmetric_boxes() for rows in calls)
+    calls.clear()
     balance_sweep(14)
     tree_sweep(12)
     assert calls == []
