@@ -54,7 +54,6 @@ from .search import (
     local_improve,
     search_from,
     sequence_improve,
-    tree_sweep,
 )
 from .transforms import (
     TransformReport,
@@ -115,7 +114,6 @@ __all__ = [
     "symmetrize_sweep",
     "transition_edges",
     "transition_prob",
-    "tree_sweep",
     "verify_max_geometry",
     "verify_one_box_claim",
 ]

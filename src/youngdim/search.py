@@ -8,7 +8,9 @@ picking a lower-ranked child freezes the row of every better-ranked
 box in that whole subtree.  A frozen row's addable box stays the same
 until it is added, so no two root paths reach the same diagram: the
 tree covers each core diagram exactly once and A* needs no
-re-expansion logic.
+re-expansion logic.  `astar` is the one walk of the tree: the tests
+take their census of it (every core diagram up to a level pushed once,
+and the dead ends) from `astar`'s own pushes.
 
 A search node is a plain tuple: rows, conjugate, size, frozen rows, path
 cost, a transition measure, and its exact dimension as its parent's
@@ -34,13 +36,13 @@ unique in the heap, so entries with exact keys leave the heap in the
 same order as if every child had been grown at push: rows, costs and
 both node counts do not change, and a child whose bound never reaches
 the top is never grown.  The scan is ranked only on expansion, once per
-node (`plancherel._rank`), and `astar` and `tree_sweep` push each child
-straight from the ranked scan, applying the freeze rule in their own
-push loops.  Since each diagram is pushed once, no per-diagram cache is
-kept.  `search_from` searches from any diagram that is in the core
-subgraph up to conjugation; a result reports the found diagram, its
-exact dimension, the path cost, two node counts and the mode, and
-nothing that depends on timing.
+node (`plancherel._rank`), and `astar` pushes each child straight from
+the ranked scan under the freeze rule, in one push loop for both modes.
+Since each diagram is pushed once, no per-diagram cache is kept.
+`search_from` searches from any diagram that is in the core subgraph
+up to conjugation; a result reports the found diagram, its exact
+dimension, the path cost, two node counts and the mode, and nothing
+that depends on timing.
 
 Edge weights are negative log transition probabilities, which makes the
 cost of any root path ln(n!) - ln(dim) and turns shortest path into
@@ -65,7 +67,6 @@ from .errors import (
     InvariantViolation,
     NotAGrowthSequence,
 )
-from .oracle import _check_size, all_dimensions
 from .plancherel import _core_edges, _grow, _grow_dim, _measure, _rank
 
 
@@ -207,10 +208,14 @@ def astar(
     expansion is what an eager search would have.  Since no key is
     above its exact value, the entry with the least exact key is always
     evaluated before it is passed, so nodes are expanded in the eager
-    order and `nodes_expanded` and `frontier_peak` do not change.  Each
-    expanded node is grown and scanned once and ranked once, and each
-    child is pushed straight from the ranked scan.  Rows are unique in
-    the heap, so comparisons never reach past them.
+    order and `nodes_expanded` and `frontier_peak` do not change.  A
+    popped entry with a box below the target level is grown and scanned
+    in one place, whatever the mode, and only a heuristic one goes back
+    on the heap.  Each expanded node is ranked once, and one push loop
+    serves both modes: each child is pushed straight from the ranked
+    scan, and only a heuristic child below the target level adds
+    h_lb to its key.  Rows are unique in the heap, so comparisons
+    never reach past them.
     """
     if start is None:
         start = YoungDiagram((1,))
@@ -237,17 +242,18 @@ def astar(
             heapq.heappop(heap)
         )
         g = -g  # the entry keeps only -g; negation is exact
-        if not uniform_cost and box is not None and size < n_target:
-            # a lazy heuristic child: grow and scan it, and push it back
-            # with its exact key; this is not an expansion
+        if box is not None and size < n_target:
             measure, edges = _grow(*measure, *box, frozen, rows, conj)
-            h = remaining_cost_estimate(n_target - size, edges)
-            heapq.heappush(
-                heap,
-                (g + h, -g, rows, conj, size, frozen, measure, None, edges,
-                 scaled, num, den),
-            )
-            continue
+            if not uniform_cost:
+                # a lazy heuristic child: push it back with its exact
+                # key; this is not an expansion
+                h = remaining_cost_estimate(n_target - size, edges)
+                heapq.heappush(
+                    heap,
+                    (g + h, -g, rows, conj, size, frozen, measure, None, edges,
+                     scaled, num, den),
+                )
+                continue
         if rows in closed:
             raise InvariantViolation(f"tree path uniqueness violated at {rows}")
         closed.add(rows)
@@ -262,100 +268,33 @@ def astar(
                 mode="uniform-cost" if uniform_cost else "heuristic",
             )
         nodes_expanded += 1
-        if box is not None:
-            measure, edges = _grow(*measure, *box, frozen, rows, conj)
         size += 1
         levels = n_target - size
         scaled = dim * size
+        # a heuristic child below the target level is keyed by g + h_lb
+        entries = (
+            None if uniform_cost or not levels else _bound_entries(measure[0], edges)
+        )
         # the child through each ranked edge freezes the rows of the edges
         # ranked before it; adding box (r, c) sets row r to length c and
         # column c to height r
-        if uniform_cost or not levels:
-            for weight, r, c, num, den in _rank(edges):
-                cg = g + weight
-                heapq.heappush(
-                    heap,
-                    (cg, -cg, rows[: r - 1] + (c,) + rows[r:],
-                     conj[: c - 1] + (r,) + conj[c:], size, frozen, measure, (r, c),
-                     None, scaled, num, den),
+        for weight, r, c, num, den in _rank(edges):
+            crows = rows[: r - 1] + (c,) + rows[r:]
+            cconj = conj[: c - 1] + (r,) + conj[c:]
+            cg = f = g + weight
+            if entries is not None:
+                f += _cost_floor(
+                    levels, _child_bound(entries, crows, cconj, frozen, r, c, num / den)
                 )
-                frozen |= 1 << r
-        else:
-            entries = _bound_entries(measure[0], edges)
-            for weight, r, c, num, den in _rank(edges):
-                crows = rows[: r - 1] + (c,) + rows[r:]
-                cconj = conj[: c - 1] + (r,) + conj[c:]
-                u = _child_bound(entries, crows, cconj, frozen, r, c, num / den)
-                cg = g + weight
-                heapq.heappush(
-                    heap,
-                    (cg + _cost_floor(levels, u), -cg, crows, cconj, size, frozen,
-                     measure, (r, c), None, scaled, num, den),
-                )
-                frozen |= 1 << r
+            heapq.heappush(
+                heap,
+                (f, -cg, crows, cconj, size, frozen, measure, (r, c), None,
+                 scaled, num, den),
+            )
+            frozen |= 1 << r
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(
         f"no diagram of size {n_target} reachable from {start.rows}"
-    )
-
-
-@dataclass
-class TreeSweep:
-    """Coverage census of the greedy path tree up to a level."""
-
-    visited: int
-    duplicates: list
-    missing: list
-    dead_ends: list
-
-
-def tree_sweep(max_n: int) -> TreeSweep:
-    """Walk the whole tree to level max_n and compare against enumeration.
-
-    Every core diagram of every size up to max_n must be visited exactly
-    once.  Dead ends (nodes below the last level with no children) are
-    recorded; the frozen rows make these possible, and the heuristic
-    relies on them reporting a zero remaining-cost estimate.  The
-    census reads one size at a time from `oracle.all_dimensions`, so
-    max_n must lie in its range; that is checked before the walk.
-    As in uniform-cost `astar`, a child holds its parent's transition
-    measure and the box it adds, grows and scans its own live measure
-    only when it is expanded, and is pushed straight from the ranked
-    scan under the freeze rule.
-    """
-    _check_size(max_n)
-    counts: dict[tuple, int] = {}
-    dead_ends = []
-    stack = [((1,), (1,), 0, _measure((1,)), None)]
-    while stack:
-        rows, conj, frozen, measure, box = stack.pop()
-        counts[rows] = counts.get(rows, 0) + 1
-        if sum(rows) >= max_n:
-            continue
-        if box is None:
-            edges = _core_edges(rows, conj, measure[0])
-        else:
-            measure, edges = _grow(*measure, *box, frozen, rows, conj)
-        if not edges:
-            dead_ends.append(rows)
-        for _, r, c, _, _ in _rank(edges):
-            stack.append(
-                (rows[: r - 1] + (c,) + rows[r:], conj[: c - 1] + (r,) + conj[c:],
-                 frozen, measure, (r, c))
-            )
-            frozen |= 1 << r
-    duplicates = sorted(rows for rows, c in counts.items() if c > 1)
-    missing = [
-        rows
-        for n in range(1, max_n + 1)
-        for rows in all_dimensions(n)
-        if YoungDiagram._from_valid(rows).in_core_subgraph() and rows not in counts
-    ]
-    return TreeSweep(
-        visited=len(counts),
-        duplicates=duplicates,
-        missing=missing,
-        dead_ends=dead_ends,
     )
 
 

@@ -9,11 +9,13 @@ from youngdim import (
     Box,
     GrowthPath,
     YoungDiagram,
+    astar,
     dim_exact,
     reflected,
     transition_edges,
     transition_prob,
 )
+from youngdim import search
 from youngdim.errors import EmptySearchSpace, NoCoreChild
 from youngdim.oracle import MaxTableEntry, _max_entries, _sweep
 from youngdim.plancherel import _core_edges, _grow, _grow_dim, _measure
@@ -350,3 +352,60 @@ def eager_heuristic_astar(n_target, start=None):
             heapq.heappush(heap, entry)
         frontier_peak = max(frontier_peak, len(heap))
     raise EmptySearchSpace(f"no diagram of size {n_target} reachable from {start.rows}")
+
+
+class PushLog:
+    """Stands in for `heapq` inside `search` and records every child pushed.
+
+    `pushed[rows]` lists, as (rows, conj, frozen, g, box), the children
+    pushed while the node with those rows was being expanded, in push
+    order; `node[rows]` holds (conj, frozen, g) of each popped node.  A
+    lazy child's push-back carries no box and is not a child.  With
+    fifo set, entries leave in push order, so `astar` walks the tree
+    level by level and expands every node below its target level.
+    """
+
+    def __init__(self, fifo=False):
+        self.fifo = fifo
+        self.current = None
+        self.pushed = {}
+        self.node = {}
+
+    def heappush(self, heap, entry):
+        if entry[7] is not None:
+            self.pushed.setdefault(self.current, []).append(
+                (entry[2], entry[3], entry[5], -entry[1], entry[7])
+            )
+        if self.fifo:
+            heap.append(entry)
+        else:
+            heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        entry = heap.pop(0) if self.fifo else heapq.heappop(heap)
+        self.current = entry[2]
+        self.node[entry[2]] = (entry[3], entry[5], -entry[1])
+        return entry
+
+
+def logged_astar(monkeypatch, n_target, *, fifo=False, **kwargs):
+    log = PushLog(fifo)
+    monkeypatch.setattr(search, "heapq", log)
+    return log, astar(n_target, **kwargs)
+
+
+def tree_census(monkeypatch, max_n):
+    """The greedy path tree up to level max_n, read from `astar`'s own pushes.
+
+    With `PushLog`'s FIFO, uniform-cost `astar(max_n)` expands every node
+    below level max_n before it pops one at max_n, so its pushes are
+    every edge of the tree.  Returns (rows, dead_ends): the root's rows
+    and those of every pushed child, one per push, and the sorted rows of
+    the expanded nodes that pushed nothing.
+    """
+    log, _ = logged_astar(monkeypatch, max_n, fifo=True, uniform_cost=True)
+    rows = [(1,)] + [kid[0] for kids in log.pushed.values() for kid in kids]
+    dead_ends = sorted(
+        r for r in log.node if sum(r) < max_n and r not in log.pushed
+    )
+    return rows, dead_ends

@@ -30,12 +30,11 @@ from youngdim import (
     symmetrize,
     symmetrize_sweep,
     transition_edges,
-    tree_sweep,
     verify_max_geometry,
     verify_one_box_claim,
 )
 
-from conftest import partition_count, partitions
+from conftest import partition_count, partitions, tree_census
 
 COST_TOL = 1e-8
 
@@ -182,8 +181,10 @@ def test_06_maximizer_geometry_bound(table_60):
     _gate(6, "maximizer geometry bound")
 
 
-# tree_sweep(18).dead_ends, in visiting order, read at the commit before
-# the search took its children from the rows-level edge kernel
+# the dead ends of the tree below level 18, in the depth-first visiting
+# order of the census walk this gate once took, read at the commit before
+# the search took its children from the rows-level edge kernel; the gate
+# compares them as a sorted list
 DEAD_ENDS_18 = [
     (2, 2), (3, 3, 3), (3, 3, 3, 1), (3, 3, 3, 1, 1), (3, 3, 3, 1, 1, 1),
     (4, 2, 2, 2), (4, 2, 2, 2, 1), (5, 2, 2, 2, 2), (5, 2, 2, 2, 2, 1),
@@ -195,7 +196,7 @@ DEAD_ENDS_18 = [
 ]
 
 
-def test_07_uniform_cost_matches_exhaustive_core_max(core_table_40):
+def test_07_uniform_cost_matches_exhaustive_core_max(core_table_40, monkeypatch):
     for entry in core_table_40:
         n = entry.n
         res = astar(n, uniform_cost=True)
@@ -203,17 +204,17 @@ def test_07_uniform_cost_matches_exhaustive_core_max(core_table_40):
         assert res.diagram.rows == min(m.rows for m in entry.maximizers)
         want = log_factorial(n) - log_dim(res.diagram)
         assert abs(res.cost - want) <= COST_TOL
-    sweep = tree_sweep(18)
-    assert sweep.duplicates == []
-    assert sweep.missing == []
-    census = sum(
-        1
+    # the search's own walk reaches every core diagram up to 18 once
+    rows, dead_ends = tree_census(monkeypatch, 18)
+    core = {
+        lam.rows
         for n in range(1, 19)
         for lam in partitions(n)
         if lam.in_core_subgraph()
-    )
-    assert sweep.visited == census
-    assert sweep.dead_ends == DEAD_ENDS_18
+    }
+    assert len(rows) == len(set(rows)) == len(core) == 425
+    assert set(rows) == core
+    assert dead_ends == sorted(DEAD_ENDS_18)
     _gate(7, "uniform cost matches exhaustive core max")
 
 

@@ -52,7 +52,6 @@ PUBLIC = [
     "symmetrize_sweep",
     "transition_edges",
     "transition_prob",
-    "tree_sweep",
     "verify_max_geometry",
     "verify_one_box_claim",
 ]

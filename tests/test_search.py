@@ -1,4 +1,3 @@
-import heapq
 import math
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ from youngdim import (
     search_from,
     sequence_improve,
     transition_prob,
-    tree_sweep,
 )
 from youngdim.errors import (
     CoreMembershipError,
@@ -37,10 +35,12 @@ from youngdim.search import (
 )
 
 from conftest import (
+    logged_astar,
     eager_heuristic_astar,
     forbidden_set_children,
     partitions,
     ranked_children,
+    tree_census,
 )
 
 
@@ -60,50 +60,10 @@ def _scan(rows, frozen):
     return conj, _core_edges(rows, conj, live)
 
 
-class _PushLog:
-    """Stands in for `heapq` inside `search` and records every child pushed.
-
-    `pushed[rows]` lists, as (rows, conj, frozen, g, box), the children
-    pushed while the node with those rows was being expanded, in push
-    order; `node[rows]` holds (conj, frozen, g) of each popped node.  A
-    lazy child's push-back carries no box and is not a child.  With
-    fifo set, entries leave in push order, so `astar` walks the tree
-    level by level and expands every node below its target level.
-    """
-
-    def __init__(self, fifo=False):
-        self.fifo = fifo
-        self.current = None
-        self.pushed = {}
-        self.node = {}
-
-    def heappush(self, heap, entry):
-        if entry[7] is not None:
-            self.pushed.setdefault(self.current, []).append(
-                (entry[2], entry[3], entry[5], -entry[1], entry[7])
-            )
-        if self.fifo:
-            heap.append(entry)
-        else:
-            heapq.heappush(heap, entry)
-
-    def heappop(self, heap):
-        entry = heap.pop(0) if self.fifo else heapq.heappop(heap)
-        self.current = entry[2]
-        self.node[entry[2]] = (entry[3], entry[5], -entry[1])
-        return entry
-
-
-def _logged_astar(monkeypatch, n_target, *, fifo=False, **kwargs):
-    log = _PushLog(fifo)
-    monkeypatch.setattr(search, "heapq", log)
-    return log, astar(n_target, **kwargs)
-
-
 def test_astar_pushes_the_roots_child(monkeypatch):
     for uniform_cost in (True, False):
         # to level 3, the heuristic pushes the root's child lazily
-        log, _ = _logged_astar(monkeypatch, 3, uniform_cost=uniform_cost)
+        log, _ = logged_astar(monkeypatch, 3, uniform_cost=uniform_cost)
         kids = log.pushed[(1,)]
         # [2] has a box above the diagonal, so the only child kept is [1,1]
         assert [k[0] for k in kids] == [(1, 1)]
@@ -115,7 +75,7 @@ def test_astar_pushes_the_roots_child(monkeypatch):
 
 def test_astar_push_loops_rank_and_freeze(monkeypatch):
     for uniform_cost in (True, False):
-        log, _ = _logged_astar(
+        log, _ = logged_astar(
             monkeypatch, 5, start=YoungDiagram([2, 1]), uniform_cost=uniform_cost
         )
         kids = log.pushed[(2, 1)]
@@ -128,7 +88,7 @@ def test_astar_push_loops_respect_frozen_rows(monkeypatch):
     for uniform_cost in (True, False):
         # level by level from [2, 1]: [2, 2] is expanded with row 3
         # frozen, and its only other addable box leaves the core
-        log, res = _logged_astar(
+        log, res = logged_astar(
             monkeypatch, 5, fifo=True, start=YoungDiagram([2, 1]),
             uniform_cost=uniform_cost,
         )
@@ -136,7 +96,7 @@ def test_astar_push_loops_respect_frozen_rows(monkeypatch):
         assert log.node[(2, 2)][1] == 1 << 3
         assert (2, 2) not in log.pushed
         # with row 3 unfrozen, [2, 2] pushes the child in row 3
-        log, _ = _logged_astar(
+        log, _ = logged_astar(
             monkeypatch, 5, start=YoungDiagram([2, 2]), uniform_cost=uniform_cost
         )
         assert [k[0] for k in log.pushed[(2, 2)]] == [(2, 2, 1)]
@@ -150,7 +110,7 @@ def test_astar_pushes_children_straight_from_the_ranked_scan(monkeypatch):
         (30, True, 2464, 3080),
         (60, False, 394, 911),
     ):
-        log, res = _logged_astar(monkeypatch, n, uniform_cost=uniform_cost)
+        log, res = logged_astar(monkeypatch, n, uniform_cost=uniform_cost)
         assert res.nodes_expanded == expanded
         assert sum(len(kids) for kids in log.pushed.values()) == children
         for rows, kids in log.pushed.items():
@@ -177,7 +137,7 @@ def test_frozen_rows_match_forbidden_sets_to_level_16(monkeypatch):
     # walk both trees side by side; a frozen row must act exactly like
     # the forbidden box that would extend it.  Level by level, astar
     # expands every node below level 17 before it pops one at 17
-    log, res = _logged_astar(monkeypatch, 17, fifo=True, uniform_cost=True)
+    log, res = logged_astar(monkeypatch, 17, fifo=True, uniform_cost=True)
     core_nodes = sum(
         1 for n in range(1, 17) for d in partitions(n) if d.in_core_subgraph()
     )
@@ -202,7 +162,7 @@ def test_child_bounds_hold_to_level_16(monkeypatch):
     # exact rationals, is at least the child's best live core
     # probability, is 0 only at a dead end, and the library's float u
     # follows it; the key floor stays at or under h for any level count
-    log, _ = _logged_astar(monkeypatch, 17, fifo=True, uniform_cost=True)
+    log, _ = logged_astar(monkeypatch, 17, fifo=True, uniform_cost=True)
     stack = [((1,), 0)]
     checked = 0
     while stack:
@@ -399,10 +359,11 @@ def test_search_builds_each_nodes_edges_once(monkeypatch):
         assert calls == {"_grow": grown, "_core_edges": 1, "_rank": expanded}
 
 
-def test_tree_sweep_grows_each_measure_from_its_parent(monkeypatch):
-    # only the root's measure comes from the full formula and is scanned
-    # on its own; every other expanded node grows and scans its own once,
-    # and the leaves at level 18 grow none
+def test_astar_walk_grows_each_measure_from_its_parent(monkeypatch):
+    # walking the whole tree to level 18, only the root's measure comes
+    # from the full formula and is scanned on its own; every other
+    # expanded node grows and scans its own once, and the leaves at
+    # level 18 grow none
     calls = {"_measure": 0, "_grow": 0, "_core_edges": 0}
 
     def counted(name, fn):
@@ -414,8 +375,8 @@ def test_tree_sweep_grows_each_measure_from_its_parent(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
-    sweep = tree_sweep(18)
-    assert (sweep.visited, len(sweep.dead_ends)) == (425, 27)
+    rows, dead_ends = tree_census(monkeypatch, 18)
+    assert (len(rows), len(dead_ends)) == (425, 27)
     assert calls == {"_measure": 1, "_grow": 340, "_core_edges": 1}
 
 
@@ -467,16 +428,14 @@ def test_astar_trivial_and_error_cases():
         astar(9, start=YoungDiagram([4, 2, 2]))
 
 
-def test_tree_sweep_covers_core_exactly_once():
-    sweep = tree_sweep(10)
-    assert sweep.duplicates == []
-    assert sweep.missing == []
-    assert sweep.visited == 59
-    assert sweep.dead_ends == [(2, 2), (3, 3, 3)]
-    core_count = sum(
-        1 for n in range(1, 11) for d in partitions(n) if d.in_core_subgraph()
-    )
-    assert sweep.visited == core_count
+def test_astar_walk_covers_core_exactly_once(monkeypatch):
+    rows, dead_ends = tree_census(monkeypatch, 10)
+    core = {
+        d.rows for n in range(1, 11) for d in partitions(n) if d.in_core_subgraph()
+    }
+    assert len(rows) == len(set(rows)) == len(core) == 59
+    assert set(rows) == core
+    assert dead_ends == [(2, 2), (3, 3, 3)]
 
 
 def test_local_improve_small_cases():

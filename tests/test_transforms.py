@@ -15,7 +15,6 @@ from youngdim import (
     reflection_hooks_sweep,
     symmetrize,
     symmetrize_sweep,
-    tree_sweep,
 )
 from youngdim import dimension, oracle, transforms
 from youngdim.errors import (
@@ -257,7 +256,6 @@ def test_sweeps_compute_no_hook_products(monkeypatch):
     assert all(YoungDiagram(rows).has_isolated_asymmetric_boxes() for rows in calls)
     calls.clear()
     balance_sweep(14)
-    tree_sweep(12)
     assert calls == []
     # [6,5,1,1] takes several moves, and only its report computes dimensions.
     moves = []
@@ -292,5 +290,5 @@ def test_exhaustive_sweeps_hold_one_size_at_a_time():
     # needs no more memory than the 3,718 partitions of 28 alone; one
     # holding every size up to 28 at once peaks above 4x
     one_size = _traced_peak(all_dimensions, 28)
-    for sweep in (symmetrize_sweep, reflection_hooks_sweep, tree_sweep):
+    for sweep in (symmetrize_sweep, reflection_hooks_sweep):
         assert _traced_peak(sweep, 28) <= 2 * one_size, sweep.__name__
