@@ -62,6 +62,30 @@ def _bad_rows(rows: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
     return bad
 
 
+def _runs(rows: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The addable boxes and the corners of a diagram, as (row, col), top row first.
+
+    One pass over the runs of equal row lengths: a run of length r
+    after row i starts with the addable box (i + 1, r + 1) and ends
+    with a corner in its last row; the new bottom row adds the
+    addable box (k + 1, 1).
+    """
+    k = len(rows)
+    addables = []
+    corners = []
+    prev = 0
+    for i, r in enumerate(rows):
+        if r != prev:
+            if i:
+                corners.append((i, prev))
+            addables.append((i + 1, r + 1))
+            prev = r
+    if k:
+        corners.append((k, prev))
+    addables.append((k + 1, 1))
+    return addables, corners
+
+
 def reflected(box: Box) -> Box:
     """Mirror a box across the main diagonal."""
     return Box(box.col, box.row)
@@ -192,23 +216,11 @@ class YoungDiagram:
         There is one position per distinct row length plus the new bottom
         row, so the list has (number of distinct row lengths + 1) entries.
         """
-        out = []
-        prev = None
-        for i, r in enumerate(self._rows, 1):
-            if r != prev:
-                out.append(Box(i, r + 1))
-            prev = r
-        out.append(Box(len(self._rows) + 1, 1))
-        return out
+        return [Box(r, c) for r, c in _runs(self._rows)[0]]
 
     def removable_boxes(self) -> list[Box]:
         """Corner boxes (i, row_i) whose removal leaves a valid diagram."""
-        out = []
-        k = len(self._rows)
-        for i, r in enumerate(self._rows, 1):
-            if i == k or self._rows[i] < r:
-                out.append(Box(i, r))
-        return out
+        return [Box(r, c) for r, c in _runs(self._rows)[1]]
 
     def can_add(self, box) -> bool:
         r, c = box

@@ -18,8 +18,8 @@ anchor the heuristics and the search, which must never beat or
 contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
 exhaustive query.  The sweep is the library's one partition
 enumeration: `all_dimensions(n)` reads one size from it, and the
-balance sweep and the tree census call it once per size, so they hold
-one size at a time.  `_partition_counts` gives p(n) without one.
+balance sweep calls it once per size, so it holds one size at a time.
+`_partition_counts` gives p(n) without one.
 """
 
 from __future__ import annotations

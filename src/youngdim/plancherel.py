@@ -32,13 +32,17 @@ updates a measure by one box and, in the same loop over the parent's
 entries, tests each of the child's live boxes for the core subgraph
 (`diagram._core_ok`), so it returns the child's core scan with its
 measure.  `_core_edges` scans only a measure from the full formula
-(`_measure`): the start of a search, of the census or of a
-core-restricted greedy walk, and `transition_edges`.
-`_rank` orders edges by exact probability; the search ranks each
-node's scan once, on expansion, and pushes its children straight from
-it, and the greedy walk (`greedy_grow`) and the shake's additions take
-their edge from the measure they grow box by box (`_step`), carrying
-rows, conjugate and exact dimension along.
+(`_measure`): the start of a search or of a core-restricted greedy
+walk, and `transition_edges`.  It takes any diagram, core or not, and
+keeps exactly the boxes whose child is core; `_grow` scans only core
+children, where the two agree.  `_rank` orders edges by exact
+probability; the search ranks each node's scan once, on expansion, and
+pushes its children straight from it, and the greedy walk
+(`greedy_grow`) and the shake's additions take their edge from the
+measure they grow box by box (`_step`), carrying rows, conjugate and
+exact dimension along.  The shake's removals rank the corners of a
+rows tuple by the dimension each leaves (`_shrink_dim`) and build one
+diagram at the end.
 
 Also provides the shaking perturbation and the multi-branch heuristic
 built on the greedy walk.
@@ -51,7 +55,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Box, YoungDiagram, _bad_rows, _core_ok
+from .diagram import Box, YoungDiagram, _bad_rows, _core_ok, _runs
 from .dimension import dim_exact
 from .errors import (
     InvalidK, InvalidM, InvalidPath, InvariantViolation, NoCoreChild, NotAddable
@@ -78,30 +82,9 @@ def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
 
 
 def _contents(rows: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
-    """Addable boxes, their contents and the corner contents, top row first.
-
-    One pass over the runs of equal row lengths: each run starts with an
-    addable box (content r - i for a run of length r starting after row
-    i) and ends with a corner; the new bottom row adds the addable box
-    of content -k.
-    """
-    k = len(rows)
-    boxes = []
-    xs = []
-    ys = []
-    prev = 0
-    for i, r in enumerate(rows):
-        if r != prev:
-            if i:
-                ys.append(prev - i)
-            boxes.append((i + 1, r + 1))
-            xs.append(r - i)
-            prev = r
-    if k:
-        ys.append(prev - k)
-    boxes.append((k + 1, 1))
-    xs.append(-k)
-    return boxes, xs, ys
+    """Addable boxes, their contents and the corner contents, top row first."""
+    boxes, corners = _runs(rows)
+    return boxes, [c - r for r, c in boxes], [c - r for r, c in corners]
 
 
 def _prob(x: int, xs, ys) -> tuple[int, int]:
@@ -159,10 +142,11 @@ def _grow(
     formula gives.
 
     Given the child's rows and conjugate, the same loop tests each kept
-    entry with `_core_ok` on the child, so the second value is what
-    `_core_edges` gives over the child's live measure:
-    (weight, r, c, num, den) in the measure's order.  Without them it is
-    None, for walks that never read a core edge.
+    entry with `_core_ok` on the child: (weight, r, c, num, den) in the
+    measure's order.  For a core child, which is every child a walk
+    inside the core grows, that is what `_core_edges` gives over the
+    child's live measure.  Without the rows it is None, for walks that
+    never read a core edge.
     """
     x = c - r
     out = []
@@ -227,19 +211,24 @@ def _shrink_dim(dim: int, n: int, y: int, xs, ys) -> int:
 def _core_edges(
     rows: tuple[int, ...], conj: tuple[int, ...], addables: list[tuple]
 ) -> list[tuple[float, int, int, int, int]]:
-    """The core-preserving edges out of a core diagram, unranked.
+    """The edges into the core subgraph out of any diagram, unranked.
 
     One scan over the transition measure `addables`: every box (r, c)
-    whose child is in the core subgraph (`_core_ok`), as
-    (weight, r, c, num, den) with weight = log(den) - log(num) of the
-    reduced p, in the measure's top-row-first order.  Only a measure
-    from the full formula (`_measure`) needs it: `_grow` scans the
-    measures it grows itself.
+    whose child is in the core subgraph, as (weight, r, c, num, den)
+    with weight = log(den) - log(num) of the reduced p, in the
+    measure's top-row-first order.  Adding (r, c) changes only row r
+    and column c, so the child is core when rows r and c pass there
+    (`_core_ok`) and every row the diagram already fails (`_bad_rows`;
+    a core diagram has none) is row r or row c.  Only a measure from
+    the full formula (`_measure`) needs it: `_grow` scans the measures
+    it grows itself, whose diagrams are core.
     """
+    bad = _bad_rows(rows, conj)
+    # `not bad` spares a core diagram, every search's start, a generator per box
     return [
         (math.log(den) - math.log(num), r, c, num, den)
         for _, r, c, num, den in addables
-        if _core_ok(rows, conj, r, c)
+        if _core_ok(rows, conj, r, c) and (not bad or all(b == r or b == c for b in bad))
     ]
 
 
@@ -247,39 +236,16 @@ def _rank(edges: list[tuple]) -> list[tuple]:
     """Sort edges in place by exact probability descending, and return them.
 
     One stable sort on exact integers over a common denominator, so
-    edges in top-row-first order keep ties by row ascending.
+    edges in top-row-first order keep ties by row ascending.  Only num
+    and den are read, which a measure entry (x, r, c, num, den) and a
+    scan entry (weight, r, c, num, den) hold in the same places, so a
+    walk that reads no core edge ranks a copy of its measure, with no
+    logs.
     """
     if len(edges) > 1:
         common = math.lcm(*[e[4] for e in edges])
         edges.sort(key=lambda e: -e[3] * (common // e[4]))
     return edges
-
-
-def _edges(
-    addables: list[tuple],
-    scan: list[tuple] | None,
-    bad: list[int] | tuple[int, ...] | None,
-) -> list[tuple[float, int, int, int, int]]:
-    """Every edge out of a diagram as (weight, row, col, num, den), best first.
-
-    `addables` is the diagram's transition measure and `scan` its core
-    scan (`_measure` and `_core_edges`, or `_grow`), read only when
-    `bad` is given; weight = log(den) - log(num) of the reduced p.  The
-    order is probability descending, then row ascending (`_rank`).
-
-    With `bad` None every edge is kept.  Otherwise `bad` holds the
-    diagram's rows that fail the core test (`_bad_rows`; a core diagram
-    has none), and only boxes whose child lies in the core subgraph are
-    kept: those of the core scan whose row or column is every bad row.
-    """
-    if bad is None:
-        out = [
-            (math.log(den) - math.log(num), r, c, num, den)
-            for _, r, c, num, den in addables
-        ]
-    else:
-        out = [e for e in scan if not any(b != e[1] and b != e[2] for b in bad)]
-    return _rank(out)
 
 
 def transition_edges(
@@ -293,17 +259,14 @@ def transition_edges(
     subgraph are kept; NoCoreChild is raised when none do.
     """
     rows = diagram.rows
-    addables = _measure(rows)[0]
+    edges = _measure(rows)[0]
     if restrict_core:
-        conj = diagram.conjugate_rows()
-        edges = _edges(addables, _core_edges(rows, conj, addables), _bad_rows(rows, conj))
-    else:
-        edges = _edges(addables, None, None)
-    if restrict_core and not edges:
-        raise NoCoreChild(f"no core-subgraph child for {diagram.rows}")
+        edges = _core_edges(rows, diagram.conjugate_rows(), edges)
+        if not edges:
+            raise NoCoreChild(f"no core-subgraph child for {rows}")
     return [
-        TransitionEdge(Box(r, c), Fraction(num, den), weight)
-        for weight, r, c, num, den in edges
+        TransitionEdge(Box(r, c), Fraction(num, den), math.log(den) - math.log(num))
+        for _, r, c, num, den in _rank(edges)
     ]
 
 
@@ -377,6 +340,9 @@ def greedy_grow(
     Each step takes the best edge (`greedy_step`'s choice) from the
     current measure, grows the measure and the exact dimension through
     it, and builds the child from its rows, conjugate and dimension.
+    With restrict_core, only the start can lie outside the core: its
+    edges come from `_core_edges`, every child after it is core, and
+    `_grow` scans it.
     """
     if target < start.size:
         raise InvalidPath(f"target {target} below start size {start.size}")
@@ -387,8 +353,7 @@ def greedy_grow(
     dim = dim_exact(start)
     out = [start]
     for size in range(start.size + 1, target + 1):
-        bad = _bad_rows(rows, conj) if restrict_core else None
-        edges = _edges(measure[0], scan, bad)
+        edges = _rank(list(measure[0]) if scan is None else scan)
         if not edges:
             raise NoCoreChild(f"no core-subgraph child for {rows}")
         rows, conj, measure, scan, dim = _step(
@@ -405,16 +370,6 @@ def greedy_sequence(n: int, restrict_core: bool = False) -> list[YoungDiagram]:
     return greedy_grow(YoungDiagram([1]), n, restrict_core)
 
 
-def _removal_ranking(diagram: YoungDiagram) -> list[tuple[int, Box]]:
-    """(dimension left, corner) for every corner, weakest first."""
-    _, xs, ys = _contents(diagram.rows)
-    dim = dim_exact(diagram)
-    return sorted(
-        (_shrink_dim(dim, diagram.size, c.col - c.row, xs, ys), c)
-        for c in diagram.removable_boxes()
-    )
-
-
 def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiagram:
     """Shake a diagram: add k boxes one by one, then remove k corners.
 
@@ -425,7 +380,8 @@ def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiag
     lower it.  Seeded and fully deterministic; with m = 1 every draw has
     one candidate, so the result does not depend on the seed.  The
     additions grow one measure and exact dimension box by box, as
-    `greedy_grow` does.
+    `greedy_grow` does; the removals carry the rows tuple and the exact
+    dimension through Kerov's cotransition step (`_shrink_dim`).
     """
     if not 1 <= k <= diagram.size:
         raise InvalidK(f"k must be in 1..{diagram.size}, got {k}")
@@ -437,18 +393,20 @@ def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiag
     measure = _measure(rows)
     dim = dim_exact(diagram)
     for size in range(diagram.size + 1, diagram.size + k + 1):
-        pool = _edges(measure[0], None, None)[:m]
+        pool = _rank(list(measure[0]))[:m]
         edge = pool[rng.randrange(len(pool))]
         rows, conj, measure, _, dim = _step(
             rows, conj, measure, dim, size, False, *edge[1:]
         )
-    cur = YoungDiagram._from_valid(rows, conj, dim)
-    for _ in range(k):
-        ranked = _removal_ranking(cur)
-        dim, box = ranked[rng.randrange(min(m, len(ranked)))]
-        cur = cur.remove_box(box)
-        cur._dim = dim
-    return cur
+    for size in range(diagram.size + k, diagram.size, -1):
+        _, xs, ys = _contents(rows)
+        corners = _runs(rows)[1]
+        ranked = sorted((_shrink_dim(dim, size, c - r, xs, ys), r, c) for r, c in corners)
+        dim, r, c = ranked[rng.randrange(min(m, len(ranked)))]
+        # removing corner (r, c) sets row r to length c - 1, and a corner
+        # in column 1 is the last row
+        rows = rows[: r - 1] + (c - 1,) + rows[r:] if c > 1 else rows[:-1]
+    return YoungDiagram._from_valid(rows, None, dim)
 
 
 def branches(
@@ -461,8 +419,9 @@ def branches(
 ) -> list[YoungDiagram]:
     """Best-per-size over m greedy branches started from shaken variants.
 
-    Branch s starts from shake_variant(diagram, k, m, seed=seed_base+s);
-    k = 0 skips shaking and every branch starts from the diagram itself.
+    Branch s starts from shake_variant(diagram, k, m, seed=seed_base+s).
+    k = 0 skips shaking: every branch would be the greedy walk from the
+    diagram itself, so that one walk is grown once.
     The result holds one diagram per size from size(diagram) to target,
     the best by exact dimension with lexicographically smallest rows on
     ties; every diagram carries its dimension, so ranking computes none.
@@ -471,10 +430,10 @@ def branches(
         raise InvalidM(f"m must be at least 1, got {m}")
     if target < diagram.size:
         raise InvalidPath(f"target {target} below start size {diagram.size}")
-    starts = [
-        diagram if k == 0 else shake_variant(diagram, k, m, seed_base + s)
-        for s in range(m)
-    ]
+    starts = (
+        [diagram] if k == 0
+        else [shake_variant(diagram, k, m, seed_base + s) for s in range(m)]
+    )
     grown = [greedy_grow(s, target) for s in starts]
     return [
         min(same_size, key=lambda d: (-dim_exact(d), d.rows))

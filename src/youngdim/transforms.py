@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .diagram import Box, YoungDiagram, reflected
+from .diagram import Box, YoungDiagram, _runs, reflected
 from .dimension import dim_exact
 from .errors import (
     AsymmetricBoxesNotIsolated,
@@ -340,8 +340,7 @@ def _isolated_partitions(n: int) -> list[tuple[int, ...]]:
     out = []
     for k in range(n):
         for base in _symmetric_partitions(n - k):
-            addable = YoungDiagram._from_valid(base, base).addable_boxes()
-            uppers = [b for b in addable if b.row < b.col]
+            uppers = [(i, j) for i, j in _runs(base)[0] if i < j]
             for chosen in combinations(uppers, k):
                 # each chosen (i, j) grows row i, or row j for its mirror
                 for grown in product(*chosen):

@@ -219,6 +219,27 @@ def greedy_by_edge_lists(start, target, restrict_core=False):
     return out
 
 
+def shake_by_boxes(diagram, k, m, seed):
+    """`shake_variant` diagram by diagram, with the same seeded draws.
+
+    Each addition draws from the m best edges of `transition_edges` and
+    adds its box with `add_box`; each removal ranks every corner by the
+    hook-formula dimension that `remove_box` leaves, then by the corner,
+    and draws from the m weakest.  The library carries rows and exact
+    dimensions through Kerov's one-box steps instead; this per-diagram
+    form is the cross-check.
+    """
+    rng = random.Random(seed)
+    cur = diagram
+    for _ in range(k):
+        pool = transition_edges(cur)[:m]
+        cur = cur.add_box(pool[rng.randrange(len(pool))].box)
+    for _ in range(k):
+        ranked = sorted((dim_exact(cur.remove_box(c)), c) for c in cur.removable_boxes())
+        cur = cur.remove_box(ranked[rng.randrange(min(m, len(ranked)))][1])
+    return cur
+
+
 def forbidden_set_children(diagram, forbidden, g):
     """Children of a search-tree node under the forbidden-box rule.
 

@@ -18,10 +18,11 @@ from youngdim import (
     transition_edges,
     transition_prob,
 )
+from youngdim import plancherel
+from youngdim.diagram import _core_ok
 from youngdim.plancherel import (
     _contents,
     _core_edges,
-    _edges,
     _grow,
     _measure,
     _shrink_dim,
@@ -42,6 +43,7 @@ from conftest import (
     partitions,
     random_diagram,
     random_growth_path,
+    shake_by_boxes,
 )
 
 
@@ -158,10 +160,15 @@ def _assert_grown_measure_is_exact(d):
             assert (math.log(den) - math.log(num)).hex() == edge.weight.hex()
         # every frozen mask over the child's addable rows drops exactly
         # those rows' entries, and xs and the corners stay whole; the
-        # scan is the full scan less the frozen rows, and for a core
-        # child it holds exactly the live boxes whose child is core
+        # scan is every box that passes the per-box core test less the
+        # frozen rows, and for a core child it holds exactly the live
+        # boxes whose child is core
         live_rows = [e[1] for e in full[0]]
-        full_scan = _core_edges(crows, cconj, full[0])
+        full_scan = [
+            (math.log(den) - math.log(num), gr, gc, num, den)
+            for _, gr, gc, num, den in full[0]
+            if _core_ok(crows, cconj, gr, gc)
+        ]
         for bits in range(1 << len(live_rows)):
             frozen = sum(1 << row for j, row in enumerate(live_rows) if bits >> j & 1)
             want = [e for e in full[0] if not frozen >> e[1] & 1]
@@ -176,6 +183,34 @@ def _assert_grown_measure_is_exact(d):
                     for _, gr, gc, _, _ in want
                     if child.add_box(Box(gr, gc)).in_core_subgraph()
                 ], (d.rows, r, c, frozen)
+
+
+def _core_children(d):
+    # (weight hex, row, col, num, den) of every box whose child is core,
+    # in the measure's order, from the per-child test and `transition_prob`
+    out = []
+    for _, r, c, _, _ in _measure(d.rows)[0]:
+        if d.add_box(Box(r, c)).in_core_subgraph():
+            edge = transition_prob(d, Box(r, c))
+            p = edge.probability
+            out.append((edge.weight.hex(), r, c, p.numerator, p.denominator))
+    return out
+
+
+def test_core_edges_keep_exactly_the_core_children_of_any_diagram():
+    # (3, 1) fails in row 1, and adding (2, 2) passes rows 2 and 2 but
+    # leaves row 1 failing; only (3, 1) mends it
+    d = YoungDiagram([3, 1])
+    edges = _core_edges(d.rows, d.conjugate_rows(), _measure(d.rows)[0])
+    assert [e[1:3] for e in edges] == [(3, 1)]
+    for n in range(0, 13):
+        for lam in partitions(n):
+            rows, conj = lam.rows, lam.conjugate_rows()
+            got = [
+                (w.hex(), r, c, num, den)
+                for w, r, c, num, den in _core_edges(rows, conj, _measure(rows)[0])
+            ]
+            assert got == _core_children(lam), lam.rows
 
 
 def test_grown_measure_matches_full_formula_exhaustive():
@@ -322,6 +357,21 @@ def test_branches_degenerate_is_greedy():
     assert out == greedy_grow(lam, 8)
 
 
+def test_branches_without_shaking_grow_one_walk(monkeypatch):
+    # with k = 0 every branch is the same greedy walk, so it is grown once
+    calls = []
+    real = plancherel.greedy_grow
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plancherel, "greedy_grow", counted)
+    lam = YoungDiagram([3, 2, 1])
+    assert branches(lam, 3, 0, 12) == real(lam, 12)
+    assert len(calls) == 1
+
+
 def test_branches_shape_and_dominance():
     lam = YoungDiagram([3, 2, 1])
     target = 12
@@ -346,6 +396,24 @@ def test_branches_seed_base_shifts_variants():
     a = branches(lam, 3, 2, 10)
     b = branches(lam, 3, 2, 10, seed_base=0)
     assert a == b
+
+
+def test_shake_matches_box_level_shake():
+    # every draw, m > 1 included: the rows and the carried dimension
+    # equal a shake that adds and removes boxes one diagram at a time
+    cases = 0
+    for n in range(1, 11):
+        for lam in partitions(n):
+            for k in range(1, min(n, 3) + 1):
+                for m in (1, 2, 3):
+                    for seed in (0, 1, 2):
+                        got = shake_variant(lam, k, m, seed)
+                        want = shake_by_boxes(lam, k, m, seed)
+                        assert (got.rows, got._dim) == (want.rows, dim_exact(want)), (
+                            lam.rows, k, m, seed
+                        )
+                        cases += 1
+    assert cases == 3690
 
 
 def test_shrink_step_matches_the_hook_formula():
