@@ -26,10 +26,10 @@ from .records import (
     emit_records,
     format_partition,
     parse_partition,
-    _record_diagram,
     record_for,
     record_to_json,
     load_records,
+    _load_records,
     ratios_csv,
 )
 from .search import search_from, sequence_improve
@@ -119,12 +119,12 @@ def _cmd_search_astar(args) -> int:
 
 
 def _cmd_improve(args) -> int:
-    old = sorted(load_records(args.infile), key=lambda r: r.n)
-    outcome = sequence_improve([_record_diagram(r) for r in old], args.depth)
+    old = sorted(_load_records(args.infile), key=lambda pair: pair[0].n)
+    outcome = sequence_improve([diagram for _, diagram in old], args.depth)
     new_records = [record_for(d, "improve", args.max_exact_n) for d in outcome.sequence]
     _write_records(new_records, args.out)
     if args.ratios_out:
-        ratios_csv(old, new_records, args.ratios_out)
+        ratios_csv([record for record, _ in old], new_records, args.ratios_out)
     print(
         f"improved sizes: {list(outcome.improved_sizes)};"
         f" skipped sizes: {list(outcome.skipped_sizes)}",

@@ -122,7 +122,7 @@ def count_syt_enumeration(diagram: YoungDiagram, max_size: int = 12) -> int:
 @lru_cache(maxsize=None)
 def log_factorial(n: int) -> float:
     """Compensated sum of ln(m) for m = 1..n."""
-    return math.fsum(math.log(m) for m in range(1, n + 1))
+    return math.fsum(map(math.log, range(1, n + 1)))
 
 
 def log_dim(diagram: YoungDiagram) -> float:

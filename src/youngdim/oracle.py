@@ -24,7 +24,7 @@ balance sweep calls it once per size, so it holds one size at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import YoungDiagram
 from .errors import NonDivisibleHookProduct, SizeBoundExceeded
@@ -38,8 +38,7 @@ def _check_size(n: int, lo: int = 1) -> None:
         raise SizeBoundExceeded(f"n={n} outside exhaustive range {lo}..{DEFAULT_BOUND}")
 
 
-@dataclass(frozen=True)
-class MaxTableEntry:
+class MaxTableEntry(NamedTuple):
     """All diagrams of maximum dimension at one size, plus that dimension."""
 
     n: int
@@ -194,8 +193,7 @@ def max_table(max_n: int) -> list[MaxTableEntry]:
     return _max_entries(1, max_n)
 
 
-@dataclass
-class GeometryReport:
+class GeometryReport(NamedTuple):
     """Outcome of checking every maximizer against the core-shape predicates."""
 
     checked: int
@@ -229,8 +227,7 @@ def verify_max_geometry(
     return GeometryReport(checked=checked, failures=failures)
 
 
-@dataclass
-class OneBoxReport:
+class OneBoxReport(NamedTuple):
     """Outcome of checking how far each maximizer is from its base subdiagram."""
 
     checked: int

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import Box, YoungDiagram, _bad_rows, _core_ok, _runs
 from .dimension import dim_exact
@@ -62,8 +62,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class TransitionEdge:
+class TransitionEdge(NamedTuple):
     box: Box
     probability: Fraction
     weight: float
@@ -209,7 +208,10 @@ def _shrink_dim(dim: int, n: int, y: int, xs, ys) -> int:
 
 
 def _core_edges(
-    rows: tuple[int, ...], conj: tuple[int, ...], addables: list[tuple]
+    rows: tuple[int, ...],
+    conj: tuple[int, ...],
+    addables: list[tuple],
+    bad: list[int] | None = None,
 ) -> list[tuple[float, int, int, int, int]]:
     """The edges into the core subgraph out of any diagram, unranked.
 
@@ -219,11 +221,14 @@ def _core_edges(
     measure's top-row-first order.  Adding (r, c) changes only row r
     and column c, so the child is core when rows r and c pass there
     (`_core_ok`) and every row the diagram already fails (`_bad_rows`;
-    a core diagram has none) is row r or row c.  Only a measure from
+    a core diagram has none) is row r or row c.  A caller that has
+    already tested the diagram passes its bad rows as `bad`, `[]` for a
+    core one, and the rows are not walked again.  Only a measure from
     the full formula (`_measure`) needs it: `_grow` scans the measures
     it grows itself, whose diagrams are core.
     """
-    bad = _bad_rows(rows, conj)
+    if bad is None:
+        bad = _bad_rows(rows, conj)
     # `not bad` spares a core diagram, every search's start, a generator per box
     return [
         (math.log(den) - math.log(num), r, c, num, den)
@@ -270,8 +275,7 @@ def transition_edges(
     ]
 
 
-@dataclass(frozen=True)
-class GrowthPath:
+class GrowthPath(NamedTuple):
     """An ordered list of box additions from a start diagram."""
 
     start: YoungDiagram

@@ -20,8 +20,8 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import YoungDiagram
 from .dimension import _normalized, dim_exact, hook_product, log_dim
@@ -116,8 +116,7 @@ def parse_partition(text: str) -> YoungDiagram:
     return YoungDiagram(parts)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     n: int
     rows: str
     log_dim: float
@@ -191,7 +190,8 @@ def _close(value: float, want: float) -> bool:
     return abs(value - want) <= 1e-9 * max(1.0, abs(value))
 
 
-def _parse_record(obj, line_number) -> RunRecord:
+def _parse_record(obj, line_number) -> tuple[RunRecord, YoungDiagram]:
+    """A checked record and its diagram, carrying the record's exact dimension."""
     if not isinstance(obj, dict):
         raise _schema_error(line_number, "record is not an object")
     if set(obj) != set(_KEYS):
@@ -237,12 +237,13 @@ def _parse_record(obj, line_number) -> RunRecord:
         # dim * hook product == n! is the hook formula without a division
         if value * hook_product(diagram) != most:
             raise _schema_error(line_number, "field dim disagrees with rows")
+        diagram._dim = value
         want, name = math.log(value), "dim"
     if not _close(log, want):
         raise _schema_error(line_number, f"log_dim disagrees with {name}")
     if not _close(c, _normalized(diagram.size, log)):
         raise _schema_error(line_number, "c disagrees with log_dim")
-    return RunRecord(
+    record = RunRecord(
         n=obj["n"],
         rows=obj["rows"],
         log_dim=log,
@@ -250,13 +251,7 @@ def _parse_record(obj, line_number) -> RunRecord:
         c=c,
         source=obj["source"],
     )
-
-
-def _record_diagram(record: RunRecord) -> YoungDiagram:
-    """A checked record's diagram, carrying the record's exact dimension."""
-    diagram = parse_partition(record.rows)
-    diagram._dim = None if record.dim is None else _decimal(record.dim)
-    return diagram
+    return record, diagram
 
 
 def _parse_int(text: str) -> int | float:
@@ -271,7 +266,12 @@ def _parse_int(text: str) -> int | float:
 
 def load_records(path) -> list[RunRecord]:
     """Read a JSON-lines record file, validating every line."""
-    records = []
+    return [record for record, _ in _load_records(path)]
+
+
+def _load_records(path) -> list[tuple[RunRecord, YoungDiagram]]:
+    """`load_records`, each record paired with its checked diagram."""
+    pairs = []
     with open(path, "rb") as fh:
         # split as text mode would, then decode line by line, so a bad
         # byte is reported on its own line
@@ -286,8 +286,8 @@ def load_records(path) -> list[RunRecord]:
             # UnicodeDecodeError and JSONDecodeError are ValueErrors;
             # deep nesting is a RecursionError
             raise _schema_error(line_number, f"invalid JSON: {exc}") from exc
-        records.append(_parse_record(obj, line_number))
-    return records
+        pairs.append(_parse_record(obj, line_number))
+    return pairs
 
 
 def ratios_csv(old_records, new_records, path) -> None:

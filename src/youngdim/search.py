@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import YoungDiagram, _core_ok
 from .dimension import dim_exact
@@ -70,8 +70,7 @@ from .errors import (
 from .plancherel import _core_edges, _grow, _grow_dim, _measure, _rank
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     diagram: YoungDiagram
     dim: int
     cost: float
@@ -231,7 +230,7 @@ def astar(
     # the start is popped first whatever its f, so its h is never needed
     heap = [
         (0.0, -0.0, rows, conj, start.size, 0, measure, None,
-         _core_edges(rows, conj, measure[0]), dim_exact(start), 1, 1)
+         _core_edges(rows, conj, measure[0], []), dim_exact(start), 1, 1)
     ]
     # each diagram is pushed at most once, so this set only guards that
     closed: set[tuple] = set()
@@ -309,18 +308,23 @@ def search_from(
     A diagram outside the core subgraph is searched from its conjugate,
     and the found diagram is conjugated back; the result itself
     describes the search as run.  Returns (found diagram, result).  If
-    neither side is in the core subgraph the diagram is rejected.
+    neither side is in the core subgraph the diagram is rejected.  The
+    core test is `astar`'s own, so a core start is tested once and a
+    conjugated one twice.
     """
-    start = diagram
-    if not start.in_core_subgraph():
-        start = diagram.conjugate()
-        if not start.in_core_subgraph():
-            raise CoreMembershipError(
-                f"neither {diagram.rows} nor its conjugate is in the core subgraph"
-            )
-    result = astar(n_target, start=start, uniform_cost=uniform_cost)
-    found = result.diagram if start is diagram else result.diagram.conjugate()
-    return found, result
+    try:
+        result = astar(n_target, start=diagram, uniform_cost=uniform_cost)
+    except CoreMembershipError:
+        pass
+    else:
+        return result.diagram, result
+    try:
+        result = astar(n_target, start=diagram.conjugate(), uniform_cost=uniform_cost)
+    except CoreMembershipError:
+        raise CoreMembershipError(
+            f"neither {diagram.rows} nor its conjugate is in the core subgraph"
+        ) from None
+    return result.diagram.conjugate(), result
 
 
 def local_improve(diagram: YoungDiagram, depth: int = 3) -> YoungDiagram:
@@ -330,8 +334,7 @@ def local_improve(diagram: YoungDiagram, depth: int = 3) -> YoungDiagram:
     return search_from(diagram, diagram.size + depth)[0]
 
 
-@dataclass(frozen=True)
-class ImproveOutcome:
+class ImproveOutcome(NamedTuple):
     sequence: tuple
     improved_sizes: tuple
     skipped_sizes: tuple

@@ -21,13 +21,15 @@ time, so it computes no hook products and holds no other size.  The
 other two sweeps enumerate no partitions: the hook sweep lists the
 symmetric bases from their diagonal hook lengths, and the symmetrize
 sweep builds from them only the diagrams it checks (a base plus one
-box of some of its mirror pairs), with two hook products each.
+box of some of its mirror pairs), with two hook products each.  The
+reports and tallies are immutable `NamedTuple`s: the symmetrize and
+balance sweeps count into locals and build their tally once, at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .diagram import Box, YoungDiagram, _runs, reflected
 from .dimension import dim_exact
@@ -43,8 +45,7 @@ from .errors import (
 from .oracle import _check_size, _partition_counts, all_dimensions
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(NamedTuple):
     input: YoungDiagram
     output: YoungDiagram
     dim_input: int
@@ -260,15 +261,14 @@ def _to_core(diagram: YoungDiagram) -> YoungDiagram:
     return cur
 
 
-@dataclass
-class ReflectionSweep:
+class ReflectionSweep(NamedTuple):
     """Tally of an exhaustive symmetrize run over all diagrams of a size range."""
 
-    checked: int = 0
-    strict: int = 0
-    equal: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
+    checked: int
+    strict: int
+    equal: int
+    skipped: int
+    violations: list
 
 
 def symmetrize_sweep(max_n: int) -> ReflectionSweep:
@@ -283,24 +283,25 @@ def symmetrize_sweep(max_n: int) -> ReflectionSweep:
     """
     _check_size(max_n)
     counts = _partition_counts(max_n)
-    sweep = ReflectionSweep()
+    checked = strict_count = equal = skipped = 0
+    violations = []
     for n in range(1, max_n + 1):
         isolated = _isolated_partitions(n)
-        sweep.skipped += counts[n] - len(isolated)
+        checked += len(isolated)
+        skipped += counts[n] - len(isolated)
         for rows in isolated:
             lam = YoungDiagram._from_valid(rows)
             out, strict = _symmetrized(rows, lam.conjugate_rows())
             dim_in = dim_exact(lam)
             dim_out = dim_exact(YoungDiagram._from_valid(out))
-            sweep.checked += 1
             ok = dim_out > dim_in if strict else dim_out == dim_in
             if not ok:
-                sweep.violations.append((rows, out, dim_in, dim_out))
+                violations.append((rows, out, dim_in, dim_out))
             elif dim_out > dim_in:
-                sweep.strict += 1
+                strict_count += 1
             else:
-                sweep.equal += 1
-    return sweep
+                equal += 1
+    return ReflectionSweep(checked, strict_count, equal, skipped, violations)
 
 
 def _symmetric_partitions(n: int) -> list[tuple[int, ...]]:
@@ -380,36 +381,37 @@ def reflection_hooks_sweep(max_base_size: int) -> tuple[int, list]:
     return checked, failures
 
 
-@dataclass
-class BalanceSweep:
+class BalanceSweep(NamedTuple):
     """Tally of an exhaustive balance_to_core run."""
 
-    checked: int = 0
-    increased: int = 0
-    equal: int = 0
-    decreased: list = field(default_factory=list)
-    blocked: list = field(default_factory=list)
+    checked: int
+    increased: int
+    equal: int
+    decreased: list
+    blocked: list
 
 
 def balance_sweep(max_n: int) -> BalanceSweep:
     """Run balance_to_core on every diagram of every size up to max_n."""
     _check_size(max_n)
-    sweep = BalanceSweep()
+    checked = increased = equal = 0
+    decreased = []
+    blocked = []
     for n in range(1, max_n + 1):
         dims = all_dimensions(n)
+        checked += len(dims)
         for rows, dim_in in dims.items():
-            sweep.checked += 1
             try:
                 out = _to_core(YoungDiagram._from_valid(rows)).rows
             except ShapeBlocked as exc:
                 stuck = exc.diagram.rows if exc.diagram is not None else None
-                sweep.blocked.append((rows, stuck))
+                blocked.append((rows, stuck))
                 continue
             dim_out = dims[out]
             if dim_out > dim_in:
-                sweep.increased += 1
+                increased += 1
             elif dim_out == dim_in:
-                sweep.equal += 1
+                equal += 1
             else:
-                sweep.decreased.append((rows, out, dim_in, dim_out))
-    return sweep
+                decreased.append((rows, out, dim_in, dim_out))
+    return BalanceSweep(checked, increased, equal, decreased, blocked)

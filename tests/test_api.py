@@ -1,7 +1,7 @@
 import ast
-import dataclasses
 import inspect
 import pathlib
+import subprocess
 import sys
 
 import youngdim
@@ -65,8 +65,7 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_search_result_carries_no_timing_or_derived_fields():
-    fields = [f.name for f in dataclasses.fields(youngdim.SearchResult)]
-    assert fields == [
+    assert list(youngdim.SearchResult._fields) == [
         "diagram", "dim", "cost", "nodes_expanded", "frontier_peak", "mode"
     ]
 
@@ -104,6 +103,20 @@ def test_runtime_imports_are_standard_library_only():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_cli_import_skips_dataclasses():
+    # the result types are NamedTuples, so importing the command line
+    # pulls in neither dataclasses nor the inspect module it needs
+    src = str(pathlib.Path(youngdim.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import youngdim.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
 
 
 def test_no_public_callable_takes_a_dimension_memo():

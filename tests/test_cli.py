@@ -483,6 +483,28 @@ def test_improve_computes_each_dimension_once(tmp_path, capsys, monkeypatch):
         assert mirror == rows or mirror not in calls
 
 
+def test_improve_parses_each_record_once(tmp_path, capsys, monkeypatch):
+    # improve searches from the diagrams that loading parsed and checked;
+    # records past --max-exact-n carry no dim and are parsed once too
+    runs = tmp_path / "runs.jsonl"
+    rc, _, _ = run(
+        capsys, ["seq", "--n", "40", "--max-exact-n", "20", "--out", str(runs)]
+    )
+    assert rc == 0
+    calls = []
+    parse = records.parse_partition
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(records, "parse_partition", counted)
+    monkeypatch.setattr(cli, "parse_partition", counted)
+    rc, _, err = run(capsys, ["improve", "--in", str(runs), "--depth", "3"])
+    assert rc == 0 and err.startswith("improved sizes: ")
+    assert len(calls) == 40 and len(set(calls)) == 40
+
+
 def test_global_flags_work_on_either_side(capsys):
     rc, before, _ = run(capsys, ["--max-exact-n", "0", "dim", "4,2,1"])
     assert rc == 0

@@ -133,6 +133,12 @@ def test_log_factorial_matches_math():
         )
 
 
+def test_log_factorial_is_bit_identical_to_the_generator_sum():
+    for n in range(2001):
+        want = math.fsum(math.log(m) for m in range(1, n + 1))
+        assert log_factorial.__wrapped__(n).hex() == want.hex(), n
+
+
 def test_normalized_dim_known_values():
     assert normalized_dim(YoungDiagram([1])) == 0.0
     assert abs(normalized_dim(YoungDiagram([2])) - math.log(2) / (2 * math.sqrt(2))) < 1e-12

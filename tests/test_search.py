@@ -24,7 +24,7 @@ from youngdim.errors import (
     EmptySearchSpace,
     NotAGrowthSequence,
 )
-from youngdim import dimension, plancherel, search
+from youngdim import diagram, dimension, plancherel, search
 from youngdim.diagram import _core_ok
 from youngdim.plancherel import _core_edges, _measure
 from youngdim.search import (
@@ -459,6 +459,34 @@ def test_search_from_flips_through_the_conjugate():
         match=r"neither \(4, 2, 2\) nor its conjugate is in the core subgraph",
     ):
         search_from(YoungDiagram([4, 2, 2]), 9)
+
+
+def test_search_from_tests_core_membership_once_per_side(monkeypatch):
+    calls = []
+    bad_rows = diagram._bad_rows
+
+    def counted(rows, conj):
+        calls.append(rows)
+        return bad_rows(rows, conj)
+
+    monkeypatch.setattr(diagram, "_bad_rows", counted)
+    monkeypatch.setattr(plancherel, "_bad_rows", counted)
+    conjugated = 0
+    for lam in greedy_sequence(40):
+        core = lam.in_core_subgraph()
+        conjugated += not core
+        calls.clear()
+        search_from(lam, lam.size + 3)
+        assert calls == ([lam.rows] if core else [lam.rows, lam.conjugate_rows()])
+    assert 0 < conjugated < 40
+    # (4, 1) is searched from its conjugate, and (4, 2, 2) fails both sides
+    calls.clear()
+    search_from(YoungDiagram([4, 1]), 7)
+    assert calls == [(4, 1), (2, 1, 1, 1)]
+    calls.clear()
+    with pytest.raises(CoreMembershipError):
+        search_from(YoungDiagram([4, 2, 2]), 9)
+    assert calls == [(4, 2, 2), (3, 3, 1, 1)]
 
 
 def test_sequence_improve_lifts_the_first_greedy_miss():
