@@ -9,16 +9,23 @@ appear before or after the subcommand.
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
 input (an `errors.InputError` or `OSError`), 3 internal failure, which
 includes `verify theorem` finding a violation of a proven claim.
+
+`main(argv)` may be called repeatedly in one process and returns the
+exit code; usage errors and `--help` raise `SystemExit`, as argparse
+does.  The parsers are built on the first call and reused by later
+ones, which parse into a fresh namespace each time.  A one-shot shell
+call builds them once either way and gains nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .diagram import YoungDiagram
-from .errors import EmptyDiagramError, InputError, InvalidDepth, UsageError
+from .errors import EmptyDiagramError, InputError, InvalidDepth, InvalidK, UsageError
 from .oracle import _check_size, max_dimension_diagrams, max_table
 from .plancherel import branches, greedy_grow
 from .records import (
@@ -82,6 +89,9 @@ def _cmd_seq(args) -> int:
         raise UsageError("--variant requires --shake")
     if args.shake is not None and args.restrict_core:
         raise UsageError("--shake cannot be combined with --restrict-core")
+    if args.shake is not None and args.shake < 1:
+        # the library's k = 0 is the plain greedy walk, not a shake
+        raise InvalidK(f"k must be in 1..{start.size}, got {args.shake}")
     if args.shake is None:
         seq = greedy_grow(start, args.n, args.restrict_core)
         source = "greedy"
@@ -239,7 +249,9 @@ def _cmd_ratios(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="youngdim",
         description="Young diagram dimensions: exact values, growth heuristics, and search",
@@ -349,17 +361,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _leading_parser() -> argparse.ArgumentParser:
+    leading = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_global_flags(leading, suppress=True)
+    leading.add_argument("-h", "--help", action="store_true")
+    return leading
+
+
 def _reject_unknown_leading_flag(parser, argv) -> None:
     """Name an unknown flag given before the subcommand.
 
     argparse alone would read the flag's value as the subcommand name
     and report that instead of the flag.
     """
-    leading = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    _add_global_flags(leading, suppress=True)
-    leading.add_argument("-h", "--help", action="store_true")
     try:
-        _, rest = leading.parse_known_args(argv)
+        _, rest = _leading_parser().parse_known_args(argv)
     except argparse.ArgumentError:
         return
     if rest and rest[0].startswith("-"):

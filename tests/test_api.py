@@ -119,6 +119,35 @@ def test_cli_import_skips_dataclasses():
     assert out.stdout == "False\n"
 
 
+def test_cli_builds_its_parsers_on_the_first_call_only():
+    # building at import would cost every process, one-shot calls too
+    src = str(pathlib.Path(youngdim.__file__).resolve().parents[1])
+    code = f"""
+import argparse, contextlib, io, sys
+sys.path.insert(0, {src!r})
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import youngdim.cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert youngdim.cli.main(["dim", "4,2,2"]) == 0
+    counts.append(len(built))
+print(counts)
+"""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    after_import, after_one, after_two = ast.literal_eval(out.stdout)
+    assert after_import == 0
+    assert after_one > 0
+    assert after_two == after_one
+
+
 def test_no_public_callable_takes_a_dimension_memo():
     # diagrams carry their exact dimension, so no caller passes one in
     for name in youngdim.__all__:

@@ -98,6 +98,11 @@ def test_seq_flag_conflicts(capsys):
     rc, out, err = run(capsys, ["seq", "--n", "9", "--shake", "1", "--restrict-core"])
     assert (rc, out) == (2, "")
     assert err == "error: --shake cannot be combined with --restrict-core\n"
+    # k = 0 would print the greedy walk under a shake tag
+    for variant in ([], ["--variant", "3"]):
+        argv = ["seq", "--n", "6", "--start", "2,1", "--shake", "0", *variant]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (2, "", "error: k must be in 1..3, got 0\n")
 
 
 def test_seq_restrict_core_dead_end_start(capsys):
@@ -523,6 +528,60 @@ def test_threads_flag_is_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --threads" in captured.err
+
+
+def _in_process(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    # each call in one process prints what a fresh process prints for the
+    # same argv: no flag value, default or error carries over
+    seq = ["seq", "--n", "20", "--start", "3,2,1", "--shake", "2", "--variant", "3"]
+    calls = (
+        ["--max-exact-n", "0", "dim", "4,2,1"],
+        ["dim", "4,2,1"],
+        [*seq, "--seed", "7"],
+        seq,
+        ["--threads", "2", "dim", "4,2,2"],
+        ["dim", "4,2,2"],
+        ["--help"],
+        ["dim", "3,1"],
+    )
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width in both
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    seen = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "youngdim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        got = _in_process(capsys, argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seen.append(got)
+    assert [rc for rc, _, _ in seen] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert json.loads(seen[0][1])["dim"] is None and json.loads(seen[1][1])["dim"] == "35"
+    assert seen[2][1] != seen[3][1]
+
+
+def test_help_lists_every_subcommand(capsys):
+    for argv, first, listed in (
+        (["--help"], "usage: youngdim ", "{dim,seq,search,improve,oracle,verify,ratios}"),
+        (["search", "astar", "--help"], "usage: youngdim search astar", ""),
+    ):
+        once, again = (_in_process(capsys, argv) for _ in range(2))
+        assert once == again
+        rc, out, err = once
+        assert (rc, err) == (0, "") and out.startswith(first) and listed in out
 
 
 def test_input_error_base_is_pinned():
