@@ -8,7 +8,8 @@ appear before or after the subcommand.
 
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
 input (an `errors.InputError` or `OSError`), 3 internal failure, which
-includes `verify theorem` finding a violation of a proven claim.
+includes `verify theorem` finding a violation of a proven claim, and
+141, with nothing on stderr, when the reader closes stdout early.
 
 `main(argv)` may be called repeatedly in one process and returns the
 exit code; usage errors and `--help` raise `SystemExit`, as argparse
@@ -20,8 +21,10 @@ call builds them once either way and gains nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from .diagram import YoungDiagram
@@ -388,7 +391,15 @@ def main(argv=None) -> int:
     _reject_unknown_leading_flag(parser, argv)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: devnull takes the flush at exit; end as SIGPIPE would
+        with contextlib.suppress(AttributeError, ValueError):  # no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

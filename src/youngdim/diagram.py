@@ -224,23 +224,11 @@ class YoungDiagram:
 
     def can_add(self, box) -> bool:
         r, c = box
-        if r < 1 or c < 1:
-            return False
-        k = len(self._rows)
-        if r == k + 1:
-            return c == 1
-        if r > k + 1:
-            return False
-        if c != self._rows[r - 1] + 1:
-            return False
-        return r == 1 or self._rows[r - 2] >= c
+        return (r, c) in _runs(self._rows)[0]
 
     def can_remove(self, box) -> bool:
         r, c = box
-        k = len(self._rows)
-        if not (1 <= r <= k and c == self._rows[r - 1]):
-            return False
-        return r == k or self._rows[r] < c
+        return (r, c) in _runs(self._rows)[1]
 
     def add_box(self, box) -> "YoungDiagram":
         if not self.can_add(box):

@@ -75,15 +75,15 @@ def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
     """
     if not diagram.can_add(box):
         raise NotAddable(f"cannot add box {tuple(box)} to {diagram.rows}")
-    _, xs, ys = _contents(diagram.rows)
+    _, _, xs, ys = _contents(diagram.rows)
     num, den = _prob(box[1] - box[0], xs, ys)
     return TransitionEdge(Box(*box), Fraction(num, den), math.log(den) - math.log(num))
 
 
-def _contents(rows: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
-    """Addable boxes, their contents and the corner contents, top row first."""
+def _contents(rows: tuple[int, ...]) -> tuple[list, list, list[int], list[int]]:
+    """Addable boxes, corners, and the contents of each, top row first."""
     boxes, corners = _runs(rows)
-    return boxes, [c - r for r, c in boxes], [c - r for r, c in corners]
+    return boxes, corners, [c - r for r, c in boxes], [c - r for r, c in corners]
 
 
 def _prob(x: int, xs, ys) -> tuple[int, int]:
@@ -110,7 +110,7 @@ def _measure(
     where num / den is the reduced p(x); xs holds every addable content
     and corners every corner content, both top row first.
     """
-    boxes, xs, ys = _contents(rows)
+    boxes, _, xs, ys = _contents(rows)
     measure = [(c - r, r, c, *_prob(c - r, xs, ys)) for r, c in boxes]
     return measure, tuple(xs), tuple(ys)
 
@@ -403,8 +403,7 @@ def shake_variant(diagram: YoungDiagram, k: int, m: int, seed: int) -> YoungDiag
             rows, conj, measure, dim, size, False, *edge[1:]
         )
     for size in range(diagram.size + k, diagram.size, -1):
-        _, xs, ys = _contents(rows)
-        corners = _runs(rows)[1]
+        _, corners, xs, ys = _contents(rows)
         ranked = sorted((_shrink_dim(dim, size, c - r, xs, ys), r, c) for r, c in corners)
         dim, r, c = ranked[rng.randrange(min(m, len(ranked)))]
         # removing corner (r, c) sets row r to length c - 1, and a corner

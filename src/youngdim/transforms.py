@@ -13,25 +13,26 @@ imbalance from the taller column onto its row.  `balance_to_core`
 iterates such moves until the diagram (or its conjugate) lands in the
 core subgraph; the dimension is expected, but not proven, to rise.
 
-`symmetrize` computes its output from the rows and their conjugate,
-and `balance_to_core` moves boxes without computing any dimension
-until its report.  The balance sweep reads every partition of a size
-with its exact dimension from `oracle.all_dimensions`, one size at a
-time, so it computes no hook products and holds no other size.  The
-other two sweeps enumerate no partitions: the hook sweep lists the
-symmetric bases from their diagonal hook lengths, and the symmetrize
-sweep builds from them only the diagrams it checks (a base plus one
-box of some of its mirror pairs), with two hook products each.  The
-reports and tallies are immutable `NamedTuple`s: the symmetrize and
-balance sweeps count into locals and build their tally once, at the end.
+`symmetrize` and balancing work on the rows and conjugate tuples, and
+compute no dimension until their report.  The balance sweep reads
+every partition of a size with its exact dimension from
+`oracle.all_dimensions`, one size at a time, so it computes no hook
+products and holds no other size.  The other two sweeps enumerate no
+partitions: the hook sweep lists the symmetric bases from their
+diagonal hook lengths, and the symmetrize sweep builds from them only
+the diagrams it checks (a base plus one box of some of its mirror
+pairs), with two hook products each.  The reports and tallies are
+immutable `NamedTuple`s: the symmetrize and balance sweeps count into
+locals and build their tally once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .diagram import Box, YoungDiagram, _runs, reflected
+from .diagram import Box, YoungDiagram, _bad_rows, _runs, reflected
 from .dimension import dim_exact
 from .errors import (
     AsymmetricBoxesNotIsolated,
@@ -149,60 +150,61 @@ def check_reflection_hook_identities(
         raise NotAddable(f"upper box {tuple(upper)} is not above the diagonal")
     if t <= s:
         raise NotAddable(f"lower box {tuple(lower)} is not below the diagonal")
-    if not base.can_add(upper):
-        raise NotAddable(f"{tuple(upper)} is not addable to {base.rows}")
-    if not base.can_add(lower):
-        raise NotAddable(f"{tuple(lower)} is not addable to {base.rows}")
+    addable = _runs(base.rows)[0]
+    for box in (upper, lower):
+        if tuple(box) not in addable:
+            raise NotAddable(f"{tuple(box)} is not addable to {base.rows}")
     if k == s:
         raise DegenerateOverlap(
             f"{tuple(upper)} and {tuple(lower)} are mirror images"
         )
 
-    with_lower = base.add_box(upper).add_box(lower)
-    with_reflected = base.add_box(upper).add_box(reflected(lower))
+    with_upper = base.add_box(upper)
+    with_lower = with_upper.add_box(lower)
+    with_reflected = with_upper.add_box(reflected(lower))
     boxes, before, after = _expected_hooks(k, l, t, s)
 
-    for box, expect_before, expect_after in zip(boxes, before, after):
-        if with_lower.hook_length(box) != expect_before:
-            return False
-        if with_reflected.hook_length(box) != expect_after:
-            return False
-    prod_before = prod_after = 1
-    for box in boxes:
-        prod_before *= with_lower.hook_length(box)
-        prod_after *= with_reflected.hook_length(box)
-    return prod_after < prod_before
+    if any(
+        with_lower.hook_length(box) != b or with_reflected.hook_length(box) != a
+        for box, b, a in zip(boxes, before, after)
+    ):
+        return False
+    return math.prod(after) < math.prod(before)
 
 
-def _balanced(diagram: YoungDiagram, index: int) -> YoungDiagram:
-    """The diagram after one `balance` move, without its report."""
+def _balanced(rows, conj, index) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (rows, conj) after one `balance` move, without its report."""
     if index < 1:
         raise ValueError(f"line index must be at least 1, got {index}")
-    c = diagram.col_height(index)
-    r = diagram.row_length(index)
-    d = c - r
-    if d <= 0:
+    c = conj[index - 1] if index <= len(conj) else 0
+    r = rows[index - 1] if index <= len(rows) else 0
+    if c <= r:
         raise BalanceNotApplicable(
             f"column {index} (height {c}) does not exceed row {index} (length {r})"
         )
-    moves = (d + 1) // 2
-    cur = diagram
-    for _ in range(moves):
-        top = Box(cur.col_height(index), index)
-        if not cur.can_remove(top):
-            raise ShapeBlocked(
-                f"box {tuple(top)} is not a removable corner", diagram=cur
-            )
-        cur = cur.remove_box(top)
-    for _ in range(moves):
-        nxt = Box(index, cur.row_length(index) + 1)
-        if not cur.can_add(nxt):
-            raise ShapeBlocked(f"box {tuple(nxt)} is not addable", diagram=cur)
-        cur = cur.add_box(nxt)
-    new_d = cur.col_height(index) - cur.row_length(index)
+    moves = (c - r + 1) // 2
+    low = c - moves
+    # a row's box in column index is a corner once the row ends there, below
+    # the height of column index + 1; in column 1 the emptied rows go
+    reach = conj[index] if index < len(conj) else 0
+    top = max(low, reach)
+    rows = rows[:top] + ((index - 1,) * (c - top) if index > 1 else ()) + rows[c:]
+    if reach > low:
+        stuck = YoungDiagram._from_valid(rows)
+        raise ShapeBlocked(f"box {(reach, index)} is not a removable corner", diagram=stuck)
+    conj = conj[: index - 1] + ((low,) if low else ()) + conj[index:]
+    # the row then grows while the row above it is longer
+    above = rows[index - 2] if 1 < index <= len(rows) + 1 else 0
+    end = r + moves if index == 1 else min(r + moves, above)
+    rows = rows[: index - 1] + (end,) + rows[index:] if end else rows
+    if end < r + moves:
+        stuck = YoungDiagram._from_valid(rows)
+        raise ShapeBlocked(f"box {(index, end + 1)} is not addable", diagram=stuck)
+    conj = conj[:r] + (index,) * moves + conj[end:]
+    new_d = (conj[index - 1] if index <= len(conj) else 0) - rows[index - 1]
     if new_d not in (0, -1):
         raise InvariantViolation(f"balance left difference {new_d} at line {index}")
-    return cur
+    return rows, conj
 
 
 def balance(diagram: YoungDiagram, index: int) -> TransformReport:
@@ -214,7 +216,8 @@ def balance(diagram: YoungDiagram, index: int) -> TransformReport:
     that would pass through an invalid shape raises ShapeBlocked with
     the stuck diagram attached.
     """
-    return _report(diagram, _balanced(diagram, index))
+    rows, conj = _balanced(diagram.rows, diagram.conjugate_rows(), index)
+    return _report(diagram, YoungDiagram._from_valid(rows, conj))
 
 
 def balance_to_core(diagram: YoungDiagram) -> TransformReport:
@@ -231,34 +234,33 @@ def balance_to_core(diagram: YoungDiagram) -> TransformReport:
     cycle.  The dimension is expected to never drop input to output,
     but that is measured by the sweeps, not asserted here.
     """
-    return _report(diagram, _to_core(diagram))
+    rows = _to_core(diagram.rows, diagram.conjugate_rows())
+    return _report(diagram, diagram if rows == diagram.rows else YoungDiagram._from_valid(rows))
 
 
-def _to_core(diagram: YoungDiagram) -> YoungDiagram:
-    """The endpoint of `balance_to_core`, without its report."""
-    cur = diagram
-    seen = {cur.rows}
-    while not (cur.in_core_subgraph() or cur.conjugate().in_core_subgraph()):
+def _to_core(rows: tuple[int, ...], conj: tuple[int, ...]) -> tuple[int, ...]:
+    """The end rows of `balance_to_core`, without its report."""
+    seen = {rows}
+    while _bad_rows(rows, conj) and _bad_rows(conj, rows):
         moved = False
-        bound = max(cur.row_count, cur.row_length(1))
-        for i in range(1, bound + 1):
-            d = cur.col_height(i) - cur.row_length(i)
+        for i in range(1, max(len(rows), len(conj)) + 1):
+            c = conj[i - 1] if i <= len(conj) else 0
+            d = c - (rows[i - 1] if i <= len(rows) else 0)
             try:
                 if d >= 1:
-                    cur = _balanced(cur, i)
+                    rows, conj = _balanced(rows, conj, i)
                 elif d <= -1:
-                    cur = _balanced(cur.conjugate(), i).conjugate()
+                    conj, rows = _balanced(conj, rows, i)
                 else:
                     continue
             except ShapeBlocked:
                 continue
             moved = True
-        if not moved:
-            raise ShapeBlocked("no balance step applies", diagram=cur)
-        if cur.rows in seen:
-            raise ShapeBlocked("balance rounds cycled", diagram=cur)
-        seen.add(cur.rows)
-    return cur
+        if not moved or rows in seen:
+            why = "balance rounds cycled" if moved else "no balance step applies"
+            raise ShapeBlocked(why, diagram=YoungDiagram._from_valid(rows, conj))
+        seen.add(rows)
+    return rows
 
 
 class ReflectionSweep(NamedTuple):
@@ -402,10 +404,9 @@ def balance_sweep(max_n: int) -> BalanceSweep:
         checked += len(dims)
         for rows, dim_in in dims.items():
             try:
-                out = _to_core(YoungDiagram._from_valid(rows)).rows
+                out = _to_core(rows, YoungDiagram._from_valid(rows).conjugate_rows())
             except ShapeBlocked as exc:
-                stuck = exc.diagram.rows if exc.diagram is not None else None
-                blocked.append((rows, stuck))
+                blocked.append((rows, exc.diagram.rows))
                 continue
             dim_out = dims[out]
             if dim_out > dim_in:

@@ -16,7 +16,13 @@ from youngdim import (
     transition_prob,
 )
 from youngdim import search
-from youngdim.errors import EmptySearchSpace, NoCoreChild
+from youngdim.errors import (
+    BalanceNotApplicable,
+    EmptySearchSpace,
+    InvariantViolation,
+    NoCoreChild,
+    ShapeBlocked,
+)
 from youngdim.oracle import MaxTableEntry, _max_entries, _sweep
 from youngdim.plancherel import _core_edges, _grow, _grow_dim, _measure
 from youngdim.search import SearchResult, remaining_cost_estimate
@@ -237,6 +243,75 @@ def shake_by_boxes(diagram, k, m, seed):
     for _ in range(k):
         ranked = sorted((dim_exact(cur.remove_box(c)), c) for c in cur.removable_boxes())
         cur = cur.remove_box(ranked[rng.randrange(min(m, len(ranked)))][1])
+    return cur
+
+
+def balanced_by_boxes(diagram, index):
+    """`transforms._balanced` box by box, on diagrams.
+
+    Each step takes the top box of column `index` with `can_remove` and
+    `remove_box`, or the next box of row `index` with `can_add` and
+    `add_box`, building a diagram per box.  The library moves whole runs
+    on the (rows, conj) tuples instead; this per-box form is the
+    cross-check, with the same errors, messages and stuck diagrams.
+    """
+    if index < 1:
+        raise ValueError(f"line index must be at least 1, got {index}")
+    c = diagram.col_height(index)
+    r = diagram.row_length(index)
+    d = c - r
+    if d <= 0:
+        raise BalanceNotApplicable(
+            f"column {index} (height {c}) does not exceed row {index} (length {r})"
+        )
+    moves = (d + 1) // 2
+    cur = diagram
+    for _ in range(moves):
+        top = Box(cur.col_height(index), index)
+        if not cur.can_remove(top):
+            raise ShapeBlocked(
+                f"box {tuple(top)} is not a removable corner", diagram=cur
+            )
+        cur = cur.remove_box(top)
+    for _ in range(moves):
+        nxt = Box(index, cur.row_length(index) + 1)
+        if not cur.can_add(nxt):
+            raise ShapeBlocked(f"box {tuple(nxt)} is not addable", diagram=cur)
+        cur = cur.add_box(nxt)
+    new_d = cur.col_height(index) - cur.row_length(index)
+    if new_d not in (0, -1):
+        raise InvariantViolation(f"balance left difference {new_d} at line {index}")
+    return cur
+
+
+def to_core_by_boxes(diagram):
+    """`transforms._to_core` on diagrams, through `balanced_by_boxes`.
+
+    A line whose row is longer is balanced on `conjugate()` objects and
+    conjugated back; the library swaps the rows and conj tuples instead.
+    """
+    cur = diagram
+    seen = {cur.rows}
+    while not (cur.in_core_subgraph() or cur.conjugate().in_core_subgraph()):
+        moved = False
+        bound = max(cur.row_count, cur.row_length(1))
+        for i in range(1, bound + 1):
+            d = cur.col_height(i) - cur.row_length(i)
+            try:
+                if d >= 1:
+                    cur = balanced_by_boxes(cur, i)
+                elif d <= -1:
+                    cur = balanced_by_boxes(cur.conjugate(), i).conjugate()
+                else:
+                    continue
+            except ShapeBlocked:
+                continue
+            moved = True
+        if not moved:
+            raise ShapeBlocked("no balance step applies", diagram=cur)
+        if cur.rows in seen:
+            raise ShapeBlocked("balance rounds cycled", diagram=cur)
+        seen.add(cur.rows)
     return cur
 
 

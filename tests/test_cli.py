@@ -639,6 +639,38 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert err == "internal error: NonDivisibleHookProduct: 8! is not divisible\n"
 
 
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # a reader that stops early (`| head -1`) is not bad input: the pipe
+    # breaks mid-run for long output and at the last flush for short
+    # output, and either way the command exits 141 with an empty stderr
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cli_cmd = [sys.executable, "-m", "youngdim.cli"]
+    for argv in (
+        ["seq", "--n", "400"],
+        ["verify", "conjecture", "--max-n", "16"],
+        ["dim", "4,2,2"],
+    ):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [*cli_cmd, *argv], stdout=write, stderr=subprocess.PIPE, env=env, check=False
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b""), argv
+    # a missing output directory is still bad input
+    missing = tmp_path / "missing" / "runs.jsonl"
+    done = subprocess.run(
+        [*cli_cmd, "seq", "--n", "4", "--out", str(missing)],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == 2 and done.stderr.startswith(b"error: "), done.stderr
+
+
 def test_output_is_unchanged_under_python_O():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -124,6 +124,39 @@ def test_add_remove_rejections():
         d.remove_box(Box(3, 1))
 
 
+def _is_diagram(boxes):
+    # a box set is a Young diagram when it is closed toward the top left
+    return all(
+        r >= 1 and c >= 1 and (r == 1 or (r - 1, c) in boxes) and (c == 1 or (r, c - 1) in boxes)
+        for r, c in boxes
+    )
+
+
+def test_can_add_and_can_remove_match_box_sets():
+    # every box in and around each diagram up to 12 boxes: a box is
+    # addable or removable exactly when the result is still a diagram
+    for n in range(13):
+        for d in partitions(n):
+            boxes = {tuple(b) for b in d.boxes()}
+            for r in range(d.row_count + 3):
+                for c in range(d.row_length(1) + 3):
+                    box = (r, c)
+                    assert d.can_add(box) == (
+                        box not in boxes and _is_diagram(boxes | {box})
+                    ), (d.rows, box)
+                    assert d.can_remove(box) == (
+                        box in boxes and _is_diagram(boxes - {box})
+                    ), (d.rows, box)
+
+
+def test_box_predicates_reject_malformed_boxes():
+    d = YoungDiagram([2, 1])
+    with pytest.raises(ValueError):
+        d.can_add((1, 3, 1))
+    with pytest.raises(ValueError):
+        d.can_remove((1, 2, 1))
+
+
 def test_base_subdiagram_known_values():
     assert YoungDiagram([4, 2, 2]).base_subdiagram().rows == (3, 2, 1)
     assert YoungDiagram([3, 1, 1]).base_subdiagram().rows == (3, 1, 1)

@@ -422,7 +422,7 @@ def test_shrink_step_matches_the_hook_formula():
     removals = 0
     for n in range(1, 19):
         for lam in partitions(n):
-            _, xs, ys = _contents(lam.rows)
+            _, _, xs, ys = _contents(lam.rows)
             dim = dim_exact(lam)
             for c in lam.removable_boxes():
                 want = dim_exact(lam.remove_box(c))

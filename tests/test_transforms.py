@@ -26,7 +26,14 @@ from youngdim.errors import (
     ShapeBlocked,
 )
 
-from conftest import partition_count, partition_diagrams, partitions, symmetrize_by_boxes
+from conftest import (
+    balanced_by_boxes,
+    partition_count,
+    partition_diagrams,
+    partitions,
+    symmetrize_by_boxes,
+    to_core_by_boxes,
+)
 
 
 def test_symmetrize_strict_example():
@@ -188,6 +195,28 @@ def test_balance_halves_the_imbalance(d):
         assert new_diff in (0, -1)
 
 
+def _outcome(fn, *args):
+    """A diagram's rows and conjugate, or the error's type, message and stuck rows."""
+    try:
+        out = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        stuck = getattr(exc, "diagram", None)
+        return type(exc), str(exc), None if stuck is None else stuck.rows
+    return out.rows, out.conjugate_rows()
+
+
+def test_balance_matches_box_level_moves():
+    # every partition up to 14 boxes, at every line index from 0 to one
+    # past its larger side, and balance_to_core on each
+    for n in range(1, 15):
+        for d in partitions(n):
+            for i in range(max(d.row_count, d.row_length(1)) + 2):
+                want = _outcome(balanced_by_boxes, d, i)
+                assert _outcome(lambda: balance(d, i).output) == want, (d.rows, i)
+            want = _outcome(to_core_by_boxes, d)
+            assert _outcome(lambda: balance_to_core(d).output) == want, d.rows
+
+
 def test_balance_to_core_known_values():
     # [1,1,1] already has its lone-column boxes one per row, so no move runs.
     assert YoungDiagram([1, 1, 1]).in_core_subgraph()
@@ -261,15 +290,19 @@ def test_sweeps_compute_no_hook_products(monkeypatch):
     moves = []
     real_move = transforms._balanced
 
-    def counting_move(diagram, index):
+    def counting_move(rows, conj, index):
         moves.append(index)
-        return real_move(diagram, index)
+        return real_move(rows, conj, index)
 
     monkeypatch.setattr(transforms, "_balanced", counting_move)
     rep = balance_to_core(YoungDiagram([6, 5, 1, 1]))
     assert len(moves) > 1
     assert calls == [(6, 5, 1, 1), (5, 4, 2, 1, 1)]
     assert (rep.dim_input, rep.dim_output) == (5720, 21450)
+    # a diagram already in the core is its own output, with one dimension
+    calls.clear()
+    rep = balance_to_core(YoungDiagram([3, 1, 1]))
+    assert rep.output is rep.input and calls == [(3, 1, 1)]
 
 
 def _traced_peak(fn, *args):
