@@ -15,7 +15,9 @@ includes `verify theorem` finding a violation of a proven claim, and
 exit code; usage errors and `--help` raise `SystemExit`, as argparse
 does.  The parsers are built on the first call and reused by later
 ones, which parse into a fresh namespace each time.  A one-shot shell
-call builds them once either way and gains nothing.
+call builds them once either way and gains nothing.  Likewise `verify`
+imports `transforms` on its first run, since no other command uses it:
+a process that runs only the other commands never compiles it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .records import (
     ratios_csv,
 )
 from .search import search_from, sequence_improve
-from .transforms import balance_sweep, reflection_hooks_sweep, symmetrize_sweep
 
 
 def _add_global_flags(parser, suppress: bool) -> None:
@@ -173,6 +174,8 @@ def _cmd_oracle_table(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    from .transforms import reflection_hooks_sweep, symmetrize_sweep
+
     # Both sizes are checked before either sweep starts.
     _check_size(args.max_n)
     _check_size(args.hooks_max_n, lo=0)
@@ -212,6 +215,8 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
+    from .transforms import balance_sweep
+
     sweep = balance_sweep(args.max_n)
     print(
         f"checked={sweep.checked} increased={sweep.increased} equal={sweep.equal}"

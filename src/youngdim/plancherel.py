@@ -73,11 +73,12 @@ def transition_prob(diagram: YoungDiagram, box) -> TransitionEdge:
 
     The weight is taken from the reduced fraction.
     """
-    if not diagram.can_add(box):
+    r, c = box
+    boxes, _, xs, ys = _contents(diagram.rows)
+    if (r, c) not in boxes:
         raise NotAddable(f"cannot add box {tuple(box)} to {diagram.rows}")
-    _, _, xs, ys = _contents(diagram.rows)
-    num, den = _prob(box[1] - box[0], xs, ys)
-    return TransitionEdge(Box(*box), Fraction(num, den), math.log(den) - math.log(num))
+    num, den = _prob(c - r, xs, ys)
+    return TransitionEdge(Box(r, c), Fraction(num, den), math.log(den) - math.log(num))
 
 
 def _contents(rows: tuple[int, ...]) -> tuple[list, list, list[int], list[int]]:

@@ -32,7 +32,7 @@ import math
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .diagram import Box, YoungDiagram, _bad_rows, _runs, reflected
+from .diagram import Box, YoungDiagram, _bad_rows, _runs
 from .dimension import dim_exact
 from .errors import (
     AsymmetricBoxesNotIsolated,
@@ -130,17 +130,26 @@ def _expected_hooks(k: int, l: int, t: int, s: int):
     return boxes, before, after
 
 
+def _grown(rows, *lines) -> list[int]:
+    """Rows (or conj) padded with a zero, plus one box on each given line."""
+    out = [*rows, 0]
+    for i in lines:
+        out[i - 1] += 1
+    return out
+
+
 def check_reflection_hook_identities(
     base: YoungDiagram, upper: Box, lower: Box
 ) -> bool:
     """Verify the hook accounting for one above/below box pair.
 
     `base` must be symmetric, `upper` = (k, l) with k < l and `lower` =
-    (t, s) with t > s must both be addable to it.  The function builds
-    the diagram with both boxes and the one with the lower box reflected,
-    then checks that the four pivot hooks match their closed forms in
-    both shapes and that the pivot hook product strictly drops, which is
-    what makes the reflected diagram's dimension strictly larger.
+    (t, s) with t > s must both be addable to it.  The function builds,
+    from the base's rows, the rows and conjugate of the diagram with both
+    boxes and of the one with the lower box reflected, then checks that
+    the four pivot hooks match their closed forms in both shapes and
+    that the pivot hook product strictly drops, which is what makes the
+    reflected diagram's dimension strictly larger.
     """
     if not base.is_symmetric():
         raise ValueError(f"base {base.rows} is not symmetric")
@@ -159,14 +168,18 @@ def check_reflection_hook_identities(
             f"{tuple(upper)} and {tuple(lower)} are mirror images"
         )
 
-    with_upper = base.add_box(upper)
-    with_lower = with_upper.add_box(lower)
-    with_reflected = with_upper.add_box(reflected(lower))
+    # The checks above keep the two boxes, and the lower box's mirror
+    # (s, t), in different rows and columns, so each adds one to its
+    # row and its column.  The base is symmetric: its rows are its conj.
+    low_rows, low_conj = _grown(base.rows, k, t), _grown(base.rows, l, s)
+    ref_rows, ref_conj = _grown(base.rows, k, s), _grown(base.rows, l, t)
     boxes, before, after = _expected_hooks(k, l, t, s)
 
+    # hook(r, c) = rows_r - c + conj_c - r + 1
     if any(
-        with_lower.hook_length(box) != b or with_reflected.hook_length(box) != a
-        for box, b, a in zip(boxes, before, after)
+        low_rows[r - 1] + low_conj[c - 1] - r - c + 1 != b
+        or ref_rows[r - 1] + ref_conj[c - 1] - r - c + 1 != a
+        for (r, c), b, a in zip(boxes, before, after)
     ):
         return False
     return math.prod(after) < math.prod(before)

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -16,16 +17,20 @@ from youngdim import (
     transition_prob,
 )
 from youngdim import search
+from youngdim.diagram import _runs
 from youngdim.errors import (
     BalanceNotApplicable,
+    DegenerateOverlap,
     EmptySearchSpace,
     InvariantViolation,
     NoCoreChild,
+    NotAddable,
     ShapeBlocked,
 )
 from youngdim.oracle import MaxTableEntry, _max_entries, _sweep
 from youngdim.plancherel import _core_edges, _grow, _grow_dim, _measure
 from youngdim.search import SearchResult, remaining_cost_estimate
+from youngdim.transforms import _expected_hooks
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -313,6 +318,42 @@ def to_core_by_boxes(diagram):
             raise ShapeBlocked("balance rounds cycled", diagram=cur)
         seen.add(cur.rows)
     return cur
+
+
+def hook_identities_by_boxes(base, upper, lower):
+    """`check_reflection_hook_identities` on diagrams, box by box.
+
+    Builds the two pivot shapes with `add_box` and reads each pivot hook
+    with `hook_length`.  The library reads the hooks from rows and
+    conjugates grown from the base's tuple; this is the cross-check, with
+    the same errors and messages.
+    """
+    if not base.is_symmetric():
+        raise ValueError(f"base {base.rows} is not symmetric")
+    k, l = upper
+    t, s = lower
+    if k >= l:
+        raise NotAddable(f"upper box {tuple(upper)} is not above the diagonal")
+    if t <= s:
+        raise NotAddable(f"lower box {tuple(lower)} is not below the diagonal")
+    addable = _runs(base.rows)[0]
+    for box in (upper, lower):
+        if tuple(box) not in addable:
+            raise NotAddable(f"{tuple(box)} is not addable to {base.rows}")
+    if k == s:
+        raise DegenerateOverlap(
+            f"{tuple(upper)} and {tuple(lower)} are mirror images"
+        )
+    with_upper = base.add_box(upper)
+    with_lower = with_upper.add_box(lower)
+    with_reflected = with_upper.add_box(reflected(lower))
+    boxes, before, after = _expected_hooks(k, l, t, s)
+    if any(
+        with_lower.hook_length(box) != b or with_reflected.hook_length(box) != a
+        for box, b, a in zip(boxes, before, after)
+    ):
+        return False
+    return math.prod(after) < math.prod(before)
 
 
 def forbidden_set_children(diagram, forbidden, g):

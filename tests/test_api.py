@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import youngdim
 
 PUBLIC = [
@@ -105,26 +107,73 @@ def test_runtime_imports_are_standard_library_only():
     assert outside == []
 
 
-def test_cli_import_skips_dataclasses():
-    # the result types are NamedTuples, so importing the command line
-    # pulls in neither dataclasses nor the inspect module it needs
+def _in_child(code):
+    """Stdout of `code` in a fresh interpreter that imports this package."""
     src = str(pathlib.Path(youngdim.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import youngdim.cli; "
-        "print('dataclasses' in sys.modules)"
-    )
+    code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_cli_import_skips_dataclasses():
+    # the result types are NamedTuples, so importing the command line
+    # pulls in neither dataclasses nor the inspect module it needs
+    out = _in_child("import youngdim.cli; print('dataclasses' in sys.modules)")
+    assert out == "False\n"
+
+
+def test_cli_import_skips_the_transforms():
+    # only the verify commands use them, and they import them on first use
+    out = _in_child(
+        "import youngdim.cli; print('youngdim.transforms' in sys.modules)"
+    )
+    assert out == "False\n"
+
+
+def test_package_import_loads_no_module():
+    out = _in_child(
+        "import youngdim\n"
+        "print(sorted(m for m in sys.modules if m.startswith('youngdim.')))"
+    )
+    assert out == "[]\n"
+
+
+def test_modules_resolve_on_first_use():
+    # youngdim.search needs no import of its own, and loads no transforms
+    out = _in_child(
+        "import youngdim\n"
+        "print(youngdim.search.__name__, youngdim.errors.__name__,"
+        " 'youngdim.transforms' in sys.modules)"
+    )
+    assert out == "youngdim.search youngdim.errors False\n"
+
+
+def test_public_names_are_their_modules_objects():
+    for name in youngdim.__all__:
+        obj = getattr(youngdim, name)
+        assert obj.__module__.startswith("youngdim."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from youngdim import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    assert set(PUBLIC) <= set(dir(youngdim))
+    assert {"search", "transforms", "errors", "__version__"} <= set(dir(youngdim))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        youngdim.no_such_name
+    with pytest.raises(ImportError):
+        from youngdim import no_such_name  # noqa: F401
 
 
 def test_cli_builds_its_parsers_on_the_first_call_only():
     # building at import would cost every process, one-shot calls too
-    src = str(pathlib.Path(youngdim.__file__).resolve().parents[1])
-    code = f"""
-import argparse, contextlib, io, sys
-sys.path.insert(0, {src!r})
+    code = """
+import argparse, contextlib, io
 built = []
 init = argparse.ArgumentParser.__init__
 def counted(self, *args, **kwargs):
@@ -139,10 +188,7 @@ for _ in range(2):
     counts.append(len(built))
 print(counts)
 """
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    )
-    after_import, after_one, after_two = ast.literal_eval(out.stdout)
+    after_import, after_one, after_two = ast.literal_eval(_in_child(code))
     assert after_import == 0
     assert after_one > 0
     assert after_two == after_one

@@ -352,6 +352,27 @@ def test_verify_output_is_pinned(capsys, argv, sha, lines, first):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+@pytest.mark.parametrize("argv,sha,lines,first", VERIFY_GOLDEN[::2], ids=["theorem", "conjecture"])
+def test_verify_output_is_pinned_after_a_fresh_import(argv, sha, lines, first):
+    # verify imports the transforms on its first run, in a process that
+    # has not loaded them yet
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"""
+import contextlib, hashlib, io, sys
+sys.path.insert(0, {src!r})
+from youngdim.cli import main
+loaded = "youngdim.transforms" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = main({argv!r})
+print(loaded, rc, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert (proc.stdout, proc.stderr) == (f"False 0 {sha}\n", "")
+
+
 def test_ratios_subcommand(tmp_path, capsys):
     old = tmp_path / "old.jsonl"
     new = tmp_path / "new.jsonl"

@@ -54,8 +54,13 @@ def test_transition_prob_known_values():
     two = YoungDiagram([2])
     assert transition_prob(two, Box(1, 3)).probability == Fraction(1, 3)
     assert transition_prob(two, Box(2, 1)).probability == Fraction(2, 3)
-    with pytest.raises(NotAddable):
+    with pytest.raises(NotAddable, match=r"^cannot add box \(3, 1\) to \(2,\)$"):
         transition_prob(two, Box(3, 1))
+    # a plain pair is read as a box; a malformed one is not
+    assert transition_prob(two, (1, 3)) == transition_prob(two, Box(1, 3))
+    assert type(transition_prob(two, (1, 3)).box) is Box
+    with pytest.raises(ValueError, match="unpack"):
+        transition_prob(two, (1, 3, 0))
 
 
 def test_transition_weight_is_negative_log():

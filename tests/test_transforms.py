@@ -28,6 +28,7 @@ from youngdim.errors import (
 
 from conftest import (
     balanced_by_boxes,
+    hook_identities_by_boxes,
     partition_count,
     partition_diagrams,
     partitions,
@@ -140,6 +141,32 @@ def test_hook_identities_exhaustive_small():
     checked, failures = reflection_hooks_sweep(8)
     assert failures == []
     assert checked > 0
+
+
+def test_hook_identities_match_box_level_hooks():
+    # every ordered pair of the base's addable boxes and corners, over
+    # every symmetric base up to 20 boxes, plus asymmetric bases up to 8:
+    # the same result, or the same error type and message
+    def outcome(fn, base, upper, lower):
+        try:
+            return fn(base, upper, lower)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    seen = set()
+    for n in range(1, 21):
+        for base in partitions(n):
+            symmetric = base.is_symmetric()
+            if not symmetric and n > 8:
+                continue
+            boxes = base.addable_boxes() + base.removable_boxes()
+            for upper in boxes:
+                for lower in boxes:
+                    want = outcome(hook_identities_by_boxes, base, upper, lower)
+                    got = outcome(check_reflection_hook_identities, base, upper, lower)
+                    assert got == want, (base.rows, upper, lower)
+                    seen.add(want if isinstance(want, bool) else want[0])
+    assert seen == {True, NotAddable, DegenerateOverlap, ValueError}
 
 
 def test_symmetric_bases_match_the_oracle_sweep():
