@@ -6,6 +6,13 @@ and search results are single JSON objects; ratios are CSV.  No stdout
 byte depends on timing.  Global flags --seed and --max-exact-n may
 appear before or after the subcommand.
 
+Every command writes its output lines through `_emit`, to stdout or to
+an `--out` file (UTF-8, one per line); only the ratio CSV files come
+from `records.ratios_csv`.  Each `verify` finding is one JSON line,
+formatted by `_findings`.  A command writes nothing until its output is
+computed, except `dim`, which writes each record as it goes, so the
+lines before a bad partition still appear.
+
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
 input (an `errors.InputError` or `OSError`), 3 internal failure, which
 includes `verify theorem` finding a violation of a proven claim, and
@@ -35,8 +42,6 @@ from .oracle import _check_size, max_dimension_diagrams, max_table
 from .plancherel import branches, greedy_grow
 from .records import (
     DEFAULT_MAX_EXACT_N,
-    emit_records,
-    format_partition,
     parse_partition,
     record_for,
     record_to_json,
@@ -63,12 +68,21 @@ def _add_global_flags(parser, suppress: bool) -> None:
     )
 
 
-def _write_records(records, out_path) -> None:
-    if out_path:
-        emit_records(records, out_path)
-    else:
-        for rec in records:
-            print(record_to_json(rec))
+def _emit(lines, out=None) -> None:
+    """Write lines to the file `out` (UTF-8, one per line), or print them."""
+    if not out:
+        for line in lines:
+            print(line)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _findings(kind, names, items):
+    """One JSON line per finding: rows as lists, dimensions as decimal text."""
+    for item in items:
+        fields = {n: str(v) if isinstance(v, int) else v for n, v in zip(names, item)}
+        yield json.dumps({"kind": kind, **fields})
 
 
 def _parse_start(text) -> YoungDiagram:
@@ -83,7 +97,7 @@ def _cmd_dim(args) -> int:
         diagram = parse_partition(text)
         if diagram.size == 0:
             raise EmptyDiagramError("cannot report the empty diagram")
-        print(record_to_json(record_for(diagram, "oracle", args.max_exact_n)))
+        _emit([record_to_json(record_for(diagram, "oracle", args.max_exact_n))])
     return 0
 
 
@@ -103,8 +117,8 @@ def _cmd_seq(args) -> int:
         m = args.variant if args.variant is not None else 1
         seq = branches(start, m, args.shake, args.n, seed_base=args.seed)
         source = "shake" if m == 1 else "branches"
-    records = [record_for(d, source, args.max_exact_n) for d in seq]
-    _write_records(records, args.out)
+    lines = [record_to_json(record_for(d, source, args.max_exact_n)) for d in seq]
+    _emit(lines, args.out)
     return 0
 
 
@@ -128,7 +142,7 @@ def _cmd_search_astar(args) -> int:
         "frontier_peak": result.frontier_peak,
         "mode": result.mode,
     }
-    print(json.dumps(payload))
+    _emit([json.dumps(payload)])
     return 0
 
 
@@ -136,7 +150,7 @@ def _cmd_improve(args) -> int:
     old = sorted(_load_records(args.infile), key=lambda pair: pair[0].n)
     outcome = sequence_improve([diagram for _, diagram in old], args.depth)
     new_records = [record_for(d, "improve", args.max_exact_n) for d in outcome.sequence]
-    _write_records(new_records, args.out)
+    _emit([record_to_json(rec) for rec in new_records], args.out)
     if args.ratios_out:
         ratios_csv([record for record, _ in old], new_records, args.ratios_out)
     print(
@@ -152,25 +166,23 @@ def _entry_json(entry) -> str:
         {
             "n": entry.n,
             "dim": str(entry.dim),
-            "maximizers": [format_partition(lam) for lam in entry.maximizers],
+            "maximizers": [str(lam) for lam in entry.maximizers],
         }
     )
 
 
 def _cmd_oracle_max(args) -> int:
-    print(_entry_json(max_dimension_diagrams(args.n)))
+    _emit([_entry_json(max_dimension_diagrams(args.n))])
     return 0
 
 
 def _cmd_oracle_table(args) -> int:
-    lines = [_entry_json(entry) for entry in max_table(args.max_n)]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    _emit([_entry_json(entry) for entry in max_table(args.max_n)], args.out)
     return 0
+
+
+# a sweep's (rows, out_rows, dim_in, dim_out) finding
+_CHANGE = ("input", "output", "dim_input", "dim_output")
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -181,69 +193,30 @@ def _cmd_verify_theorem(args) -> int:
     _check_size(args.hooks_max_n, lo=0)
     sweep = symmetrize_sweep(args.max_n)
     hook_pairs, hook_failures = reflection_hooks_sweep(args.hooks_max_n)
-    print(
-        f"checked={sweep.checked} strict={sweep.strict} equal={sweep.equal}"
-        f" skipped={sweep.skipped} violations={len(sweep.violations)}"
-        f" hook_pairs={hook_pairs} hook_failures={len(hook_failures)}"
+    _emit(
+        [
+            f"checked={sweep.checked} strict={sweep.strict} equal={sweep.equal}"
+            f" skipped={sweep.skipped} violations={len(sweep.violations)}"
+            f" hook_pairs={hook_pairs} hook_failures={len(hook_failures)}",
+            *_findings("dimension", _CHANGE, sweep.violations),
+            *_findings("hooks", ("base", "upper", "lower"), hook_failures),
+        ]
     )
-    for rows, out_rows, dim_in, dim_out in sweep.violations:
-        print(
-            json.dumps(
-                {
-                    "kind": "dimension",
-                    "input": list(rows),
-                    "output": list(out_rows),
-                    "dim_input": str(dim_in),
-                    "dim_output": str(dim_out),
-                }
-            )
-        )
-    for base, upper, lower in hook_failures:
-        print(
-            json.dumps(
-                {
-                    "kind": "hooks",
-                    "base": list(base),
-                    "upper": list(upper),
-                    "lower": list(lower),
-                }
-            )
-        )
-    if sweep.violations or hook_failures:
-        return 3
-    return 0
+    return 3 if sweep.violations or hook_failures else 0
 
 
 def _cmd_verify_conjecture(args) -> int:
     from .transforms import balance_sweep
 
     sweep = balance_sweep(args.max_n)
-    print(
-        f"checked={sweep.checked} increased={sweep.increased} equal={sweep.equal}"
-        f" blocked={len(sweep.blocked)} decreases={len(sweep.decreased)}"
+    _emit(
+        [
+            f"checked={sweep.checked} increased={sweep.increased} equal={sweep.equal}"
+            f" blocked={len(sweep.blocked)} decreases={len(sweep.decreased)}",
+            *_findings("decrease", _CHANGE, sweep.decreased),
+            *_findings("blocked", ("input", "stuck"), sweep.blocked),
+        ]
     )
-    for rows, out_rows, dim_in, dim_out in sweep.decreased:
-        print(
-            json.dumps(
-                {
-                    "kind": "decrease",
-                    "input": list(rows),
-                    "output": list(out_rows),
-                    "dim_input": str(dim_in),
-                    "dim_output": str(dim_out),
-                }
-            )
-        )
-    for rows, stuck in sweep.blocked:
-        print(
-            json.dumps(
-                {
-                    "kind": "blocked",
-                    "input": list(rows),
-                    "stuck": None if stuck is None else list(stuck),
-                }
-            )
-        )
     if sweep.decreased:
         print(
             f"warning: {len(sweep.decreased)} dimension decreases recorded",

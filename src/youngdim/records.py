@@ -94,7 +94,7 @@ def _decimal(value):
 
 def format_partition(diagram: YoungDiagram) -> str:
     """Render row lengths as comma-separated text; empty diagram is ""."""
-    return ",".join(str(r) for r in diagram.rows)
+    return str(diagram)
 
 
 def parse_partition(text: str) -> YoungDiagram:
@@ -151,13 +151,8 @@ def record_for(
     )
 
 
-_KEYS = ("n", "rows", "log_dim", "dim", "c", "source")
-
-
 def record_to_json(record: RunRecord) -> str:
-    return json.dumps(
-        {key: getattr(record, key) for key in _KEYS}, ensure_ascii=False
-    )
+    return json.dumps(record._asdict(), ensure_ascii=False)
 
 
 def emit_records(records, path) -> None:
@@ -176,10 +171,7 @@ def _finite_float(obj, key, line_number) -> float:
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise _schema_error(line_number, f"field {key} is not a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
+    value = float(value)
     if not math.isfinite(value):
         raise _schema_error(line_number, f"field {key} is not finite")
     return value
@@ -194,9 +186,9 @@ def _parse_record(obj, line_number) -> tuple[RunRecord, YoungDiagram]:
     """A checked record and its diagram, carrying the record's exact dimension."""
     if not isinstance(obj, dict):
         raise _schema_error(line_number, "record is not an object")
-    if set(obj) != set(_KEYS):
+    if set(obj) != set(RunRecord._fields):
         raise _schema_error(
-            line_number, f"keys {sorted(obj)} do not match {sorted(_KEYS)}"
+            line_number, f"keys {sorted(obj)} do not match {sorted(RunRecord._fields)}"
         )
     if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
         raise _schema_error(line_number, "field n is not an integer")

@@ -16,7 +16,7 @@ from youngdim import (
     max_dimension_core,
     parse_partition,
 )
-from youngdim import cli, dimension, errors, oracle, records
+from youngdim import cli, dimension, errors, oracle, records, transforms
 from youngdim.cli import main
 from youngdim.errors import InputError, NonDivisibleHookProduct
 from youngdim.records import record_to_json, record_for
@@ -264,11 +264,18 @@ def test_oracle_max_known_value(capsys):
 
 def test_oracle_table_to_file(tmp_path, capsys):
     path = tmp_path / "table.jsonl"
-    rc, out, _ = run(capsys, ["oracle", "table", "--max-n", "6", "--out", str(path)])
-    assert (rc, out) == (0, "")
+    rc, out, err = run(capsys, ["oracle", "table", "--max-n", "12", "--out", str(path)])
+    assert (rc, out, err) == (0, "", "")
     lines = [json.loads(x) for x in path.read_text().splitlines()]
-    assert [x["n"] for x in lines] == [1, 2, 3, 4, 5, 6]
+    assert [x["n"] for x in lines] == list(range(1, 13))
     assert lines[5] == {"n": 6, "dim": "16", "maximizers": ["3,2,1"]}
+    # stdout carries the file's bytes
+    rc, out, err = run(capsys, ["oracle", "table", "--max-n", "12"])
+    assert (rc, err) == (0, "")
+    assert out.encode() == path.read_bytes()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "022c321e628218f3992cacb472c21c93aed5d600a509aa6510154e3df908fd48"
+    )
 
 
 def test_oracle_size_bound_is_checked_before_any_work(capsys, monkeypatch):
@@ -314,6 +321,56 @@ def test_verify_conjecture_clean(capsys):
     assert "decreases=0" in summary
     blocked = [json.loads(x) for x in out.strip().splitlines()[1:]]
     assert all(b["kind"] == "blocked" for b in blocked)
+
+
+# the exact lines a failing sweep prints; no real sweep finds one
+VIOLATION_LINE = (
+    '{"kind": "dimension", "input": [3, 2, 1], "output": [3, 3],'
+    ' "dim_input": "16", "dim_output": "5"}'
+)
+HOOK_FAILURE_LINE = '{"kind": "hooks", "base": [2, 1], "upper": [1, 3], "lower": [3, 1]}'
+
+
+@pytest.mark.parametrize(
+    "violations,hook_failures",
+    [(1, 1), (1, 0), (0, 1)],
+    ids=["both", "violation", "hook-failure"],
+)
+def test_verify_theorem_prints_each_finding_and_exits_3(
+    capsys, monkeypatch, violations, hook_failures
+):
+    sweep = transforms.ReflectionSweep(
+        7, 3, 3, 11, [((3, 2, 1), (3, 3), 16, 5)] * violations
+    )
+    hooks = (4, [((2, 1), (1, 3), (3, 1))] * hook_failures)
+    monkeypatch.setattr(transforms, "symmetrize_sweep", lambda max_n: sweep)
+    monkeypatch.setattr(transforms, "reflection_hooks_sweep", lambda max_n: hooks)
+    rc, out, err = run(capsys, ["verify", "theorem", "--max-n", "6", "--hooks-max-n", "3"])
+    assert (rc, err) == (3, "")
+    lines = [
+        f"checked=7 strict=3 equal=3 skipped=11 violations={violations}"
+        f" hook_pairs=4 hook_failures={hook_failures}",
+        *[VIOLATION_LINE] * violations,
+        *[HOOK_FAILURE_LINE] * hook_failures,
+    ]
+    assert out == "".join(f"{line}\n" for line in lines)
+
+
+def test_verify_conjecture_prints_decreases_and_blocked_lines(capsys, monkeypatch):
+    sweep = transforms.BalanceSweep(
+        9, 4, 2, [((3, 2), (4, 1), 5, 4)], [((5,), (5,)), ((2, 2), None)]
+    )
+    monkeypatch.setattr(transforms, "balance_sweep", lambda max_n: sweep)
+    rc, out, err = run(capsys, ["verify", "conjecture", "--max-n", "5"])
+    assert rc == 0
+    assert out == (
+        "checked=9 increased=4 equal=2 blocked=2 decreases=1\n"
+        '{"kind": "decrease", "input": [3, 2], "output": [4, 1],'
+        ' "dim_input": "5", "dim_output": "4"}\n'
+        '{"kind": "blocked", "input": [5], "stuck": [5]}\n'
+        '{"kind": "blocked", "input": [2, 2], "stuck": null}\n'
+    )
+    assert err == "warning: 1 dimension decreases recorded\n"
 
 
 # stdout read at the commit before the transform sweeps moved onto

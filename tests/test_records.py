@@ -258,9 +258,19 @@ def test_load_checks_log_dim_and_c_in_every_record(tmp_path):
         ({"c": obj["c"] + 1e-6}, "c disagrees with log_dim"),
         ({"dim": "35", "c": 123.0}, "c disagrees with log_dim"),
         ({"n": 0, "rows": "", "log_dim": 0.0, "dim": "1", "c": 0.0}, "no boxes"),
+        ("[4, 2, 1]", "record is not an object"),
+        ({"rows": [4, 2, 1]}, "field rows is not a string"),
+        ({"dim": 35}, "field dim is neither null nor a string"),
+        ({"source": "psychic"}, "unknown source 'psychic'"),
+        ({"n": 2, "rows": "2,x"}, "rows do not parse"),
+        ({"rows": "4,2"}, "rows sum to 6, field n says 7"),
+        ({"dim": "0"}, "field dim is not positive"),
+        ({"log_dim": str(obj["log_dim"])}, "field log_dim is not a number"),
     ]
     for change, message in cases:
-        path.write_text(json.dumps({**obj, **change}) + "\n")
+        # a string is a raw line; a dict is merged into the good record
+        line = change if isinstance(change, str) else json.dumps({**obj, **change})
+        path.write_text(line + "\n")
         with pytest.raises(RecordSchemaError, match=message):
             load_records(path)
 
@@ -317,3 +327,10 @@ def test_ratios_csv_key_mismatch(tmp_path):
     dup = a + [record_for(YoungDiagram([1, 1, 1]), "oracle")]
     with pytest.raises(KeyMismatch):
         ratios_csv(dup, dup, path)
+    # sets of different sizes: the message names the sizes on one side only
+    old = [record_for(YoungDiagram(rows), "greedy") for rows in ([1], [2], [2, 1])]
+    new = [record_for(YoungDiagram(rows), "astar") for rows in ([2], [2, 1], [3, 1])]
+    with pytest.raises(KeyMismatch) as err:
+        ratios_csv(old, new, path)
+    assert str(err.value) == "sizes only in old: [1]; sizes only in new: [4]"
+    assert not path.exists()

@@ -22,6 +22,7 @@ from youngdim import (
 from youngdim.errors import (
     CoreMembershipError,
     EmptySearchSpace,
+    InvalidDepth,
     NotAGrowthSequence,
 )
 from youngdim import diagram, dimension, plancherel, search
@@ -444,6 +445,8 @@ def test_local_improve_small_cases():
     assert local_improve(YoungDiagram([3, 1]), depth=1).rows == (3, 1, 1)
     with pytest.raises(CoreMembershipError):
         local_improve(YoungDiagram([4, 2, 2]), depth=2)
+    with pytest.raises(InvalidDepth, match="depth must be at least 1, got 0"):
+        local_improve(YoungDiagram([2, 1]), 0)
 
 
 def test_search_from_flips_through_the_conjugate():
@@ -499,6 +502,18 @@ def test_sequence_improve_lifts_the_first_greedy_miss():
     assert dim_exact(out.sequence[14]) == 292864
     for old, new in zip(seq, out.sequence):
         assert dim_exact(new) >= dim_exact(old)
+
+
+def test_sequence_improve_skips_elements_outside_the_core_on_both_sides():
+    # (3, 3) and its conjugate (2, 2, 2) are both outside the core subgraph
+    seq = list(greedy_sequence(8))
+    seq[5] = YoungDiagram([3, 3])
+    out = sequence_improve(seq, 1)
+    assert out.skipped_sizes == (6,)
+    # size 5's one-level search replaces the weak (3, 3)
+    assert out.improved_sizes == (6,)
+    assert dim_exact(out.sequence[5]) > dim_exact(seq[5])
+    assert out.sequence[6:] == tuple(seq[6:])
 
 
 def test_sequence_improve_computes_each_dimension_once(monkeypatch):
