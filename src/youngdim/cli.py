@@ -6,12 +6,13 @@ and search results are single JSON objects; ratios are CSV.  No stdout
 byte depends on timing.  Global flags --seed and --max-exact-n may
 appear before or after the subcommand.
 
-Every command writes its output lines through `_emit`, to stdout or to
-an `--out` file (UTF-8, one per line); only the ratio CSV files come
-from `records.ratios_csv`.  Each `verify` finding is one JSON line,
-formatted by `_findings`.  A command writes nothing until its output is
-computed, except `dim`, which writes each record as it goes, so the
-lines before a bad partition still appear.
+Every command writes its output lines through `records._emit`, to
+stdout or to an `--out` file (UTF-8, one per line), as `emit_records`
+does; only the ratio CSV files come from `records.ratios_csv`.  Each
+`verify` finding is one JSON line, formatted by `_findings`.  A command
+writes nothing until its output is computed, except `dim`, which writes
+each record as it goes, so the lines before a bad partition still
+appear.
 
 Exit codes: 0 success (including conjecture-level warnings), 2 invalid
 input (an `errors.InputError` or `OSError`), 3 internal failure, which
@@ -46,6 +47,7 @@ from .records import (
     record_for,
     record_to_json,
     load_records,
+    _emit,
     _load_records,
     ratios_csv,
 )
@@ -66,16 +68,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
         default=argparse.SUPPRESS if suppress else DEFAULT_MAX_EXACT_N,
         help="largest size whose exact dimension is written into records",
     )
-
-
-def _emit(lines, out=None) -> None:
-    """Write lines to the file `out` (UTF-8, one per line), or print them."""
-    if not out:
-        for line in lines:
-            print(line)
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _findings(kind, names, items):

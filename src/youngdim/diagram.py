@@ -5,7 +5,8 @@ and row lengths are non-increasing, so a box (i, j) lies above the main
 diagonal when i < j and below it when i > j.  Instances never change
 value; every operation returns a new one, which keeps them safe to use
 as cache keys and to share between search nodes.  A diagram caches its
-conjugate and, once known, its exact dimension.
+conjugate, read from the run walk's corners (`_conj`), and, once known,
+its exact dimension.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def _runs(rows: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int,
     return addables, corners
 
 
+def _conj(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate: column j's height is the last row of length at least j,
+    so each corner (i, r), bottom first, sets columns up to r still unset."""
+    conj = ()
+    for i, r in reversed(_runs(rows)[1]):
+        conj += (i,) * (r - len(conj))
+    return conj
+
+
 def reflected(box: Box) -> Box:
     """Mirror a box across the main diagonal."""
     return Box(box.col, box.row)
@@ -161,19 +171,7 @@ class YoungDiagram:
 
     def conjugate_rows(self) -> tuple[int, ...]:
         if self._conj is None:
-            if not self._rows:
-                self._conj = ()
-            else:
-                width = self._rows[0]
-                counts = [0] * (width + 1)
-                for r in self._rows:
-                    counts[r] += 1
-                heights = [0] * width
-                running = 0
-                for j in range(width, 0, -1):
-                    running += counts[j]
-                    heights[j - 1] = running
-                self._conj = tuple(heights)
+            self._conj = _conj(self._rows)
         return self._conj
 
     def col_height(self, j: int) -> int:
@@ -233,33 +231,23 @@ class YoungDiagram:
     def add_box(self, box) -> "YoungDiagram":
         if not self.can_add(box):
             raise NotAddable(f"cannot add box {tuple(box)} to {self._rows}")
-        r = box[0]
-        if r == len(self._rows) + 1:
-            return YoungDiagram._from_valid(self._rows + (1,))
-        rows = list(self._rows)
-        rows[r - 1] += 1
-        return YoungDiagram._from_valid(tuple(rows))
+        r, c = box
+        return YoungDiagram._from_valid(self._rows[: r - 1] + (c,) + self._rows[r:])
 
     def remove_box(self, box) -> "YoungDiagram":
         if not self.can_remove(box):
             raise NotRemovable(f"cannot remove box {tuple(box)} from {self._rows}")
-        r = box[0]
-        rows = list(self._rows)
-        rows[r - 1] -= 1
-        if rows and rows[-1] == 0:
-            rows.pop()
-        return YoungDiagram._from_valid(tuple(rows))
+        r, c = box
+        rows = self._rows
+        # a corner in column 1 is the last row
+        rows = rows[: r - 1] + (c - 1,) + rows[r:] if c > 1 else rows[:-1]
+        return YoungDiagram._from_valid(rows)
 
     def base_subdiagram(self) -> "YoungDiagram":
         """The largest symmetric subdiagram: row-wise min with the conjugate."""
-        conj = self.conjugate_rows()
-        mins = []
-        for i in range(min(len(self._rows), len(conj))):
-            m = min(self._rows[i], conj[i])
-            if m == 0:
-                break
-            mins.append(m)
-        return YoungDiagram._from_valid(tuple(mins))
+        # positive entries on both sides, and symmetric: its own conjugate
+        mins = tuple(map(min, self._rows, self.conjugate_rows()))
+        return YoungDiagram._from_valid(mins, mins)
 
     def asymmetric_boxes(self) -> tuple[frozenset[Box], frozenset[Box]]:
         """Boxes outside the base subdiagram, split into (above, below).

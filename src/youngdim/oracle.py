@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import YoungDiagram
+from .diagram import YoungDiagram, _bad_rows, _conj
 from .errors import NonDivisibleHookProduct, SizeBoundExceeded
 
 DEFAULT_BOUND = 60
@@ -153,7 +153,7 @@ def _max_entries(lo: int, hi: int, keep=None) -> list[MaxTableEntry]:
     for size, rows, dim in _sweep(hi, lo, half=True):
         if dim < best[size]:
             continue
-        for cand in (rows, YoungDiagram._from_valid(rows).conjugate_rows()):
+        for cand in (rows, _conj(rows)):
             if keep is not None and not keep(cand):
                 continue
             if dim > best[size]:
@@ -183,9 +183,7 @@ def max_dimension_diagrams(n: int) -> MaxTableEntry:
 
 def max_dimension_core(n: int) -> MaxTableEntry:
     """Argmax of dimension over the partitions of n inside the core subgraph."""
-    return _max_entries(
-        n, n, keep=lambda rows: YoungDiagram._from_valid(rows).in_core_subgraph()
-    )[0]
+    return _max_entries(n, n, keep=lambda rows: not _bad_rows(rows, _conj(rows)))[0]
 
 
 def max_table(max_n: int) -> list[MaxTableEntry]:

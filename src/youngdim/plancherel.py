@@ -40,9 +40,10 @@ probability; the search ranks each node's scan once, on expansion, and
 pushes its children straight from it, and the greedy walk
 (`greedy_grow`) and the shake's additions take their edge from the
 measure they grow box by box (`_step`), carrying rows, conjugate and
-exact dimension along.  The shake's removals rank the corners of a
-rows tuple by the dimension each leaves (`_shrink_dim`) and build one
-diagram at the end.
+exact dimension along, as does `path_cost`, which reads each step's
+weight from it.  The shake's removals rank the corners of a rows tuple
+by the dimension each leaves (`_shrink_dim`) and build one diagram at
+the end.
 
 Also provides the shaking perturbation and the multi-branch heuristic
 built on the greedy walk.
@@ -129,11 +130,12 @@ def _grow(
     """The measure after adding addable box (r, c), and its core scan, in O(m).
 
     Every other p(z) is multiplied by (z - x)^2 / ((z - x)^2 - 1) and
-    reduced by one gcd; addable contents are at least 2 apart, so the
-    factor is positive.  The new addables x + 1 at (r, c + 1) and x - 1
-    at (r + 1, c) get the full formula over the child's xs, unless the
-    corner of that content, at (r - 1, c) or (r, c - 1), blocks them;
-    that corner then stops being one.
+    reduced by one gcd, to the full formula's reduced fraction; addable
+    contents are at least 2 apart, so the factor is positive.  The new
+    addables x + 1 at (r, c + 1) and x - 1 at (r + 1, c) get the full
+    formula over the child's xs, unless the corner of that content, at
+    (r - 1, c) or (r, c - 1), blocks them; that corner then stops being
+    one.
 
     Entries in a row whose bit is set in `frozen` are dropped.  A frozen
     row keeps its addable box until that box is added and stays frozen
@@ -287,17 +289,21 @@ def path_cost(path: GrowthPath) -> float:
     """Sum of edge weights along the path.
 
     Every prefix must stay a valid diagram.  For a path from the empty
-    diagram the total equals ln(n!) - ln(dim(final)).
+    diagram the total equals ln(n!) - ln(dim(final)).  Each step's p is
+    read from one measure grown along the path, reduced as in `_prob`.
     """
-    cur = path.start
+    rows = path.start.rows
+    measure = _measure(rows)
     total = 0.0
     for b in path.steps:
-        try:
-            edge = transition_prob(cur, b)
-        except NotAddable as exc:
-            raise InvalidPath(f"step {tuple(b)} invalid after {cur.rows}") from exc
-        total += edge.weight
-        cur = cur.add_box(b)
+        r, c = b
+        found = [e[3:] for e in measure[0] if e[1:3] == (r, c)]
+        if not found:
+            raise InvalidPath(f"step {tuple(b)} invalid after {rows}")
+        num, den = found[0]
+        total += math.log(den) - math.log(num)
+        measure, _ = _grow(*measure, r, c)
+        rows = rows[: r - 1] + (c,) + rows[r:]
     return total
 
 

@@ -155,12 +155,19 @@ def record_to_json(record: RunRecord) -> str:
     return json.dumps(record._asdict(), ensure_ascii=False)
 
 
+def _emit(lines, out=None) -> None:
+    """Write lines to the file `out` (UTF-8, one per line), or print them."""
+    if not out:
+        for line in lines:
+            print(line)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def emit_records(records, path) -> None:
     """Write records to a file, one JSON object per line, UTF-8."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record_to_json(record))
-            fh.write("\n")
+    _emit(map(record_to_json, records), path)
 
 
 def _schema_error(line_number, message):

@@ -292,6 +292,10 @@ def astar(
             )
             frozen |= 1 << r
         frontier_peak = max(frontier_peak, len(heap))
+    # Unreachable: a first-ranked child keeps its parent's frozen mask, so
+    # the chain of first children from the start keeps mask 0; a core
+    # diagram with k rows has row 1 <= k, so its new-row box (k + 1, 1) is
+    # always a live core child, and the chain reaches the target level.
     raise EmptySearchSpace(
         f"no diagram of size {n_target} reachable from {start.rows}"
     )

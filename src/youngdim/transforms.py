@@ -13,17 +13,19 @@ imbalance from the taller column onto its row.  `balance_to_core`
 iterates such moves until the diagram (or its conjugate) lands in the
 core subgraph; the dimension is expected, but not proven, to rise.
 
-`symmetrize` and balancing work on the rows and conjugate tuples, and
-compute no dimension until their report.  The balance sweep reads
-every partition of a size with its exact dimension from
+`symmetrize` and balancing work on the rows and conjugate tuples (a
+conjugate from scratch is `diagram._conj`), boxes are plain (row, col)
+pairs, and nothing computes a dimension until its report.  The balance
+sweep reads every partition of a size with its exact dimension from
 `oracle.all_dimensions`, one size at a time, so it computes no hook
 products and holds no other size.  The other two sweeps enumerate no
 partitions: the hook sweep lists the symmetric bases from their
-diagonal hook lengths, and the symmetrize sweep builds from them only
-the diagrams it checks (a base plus one box of some of its mirror
-pairs), with two hook products each.  The reports and tallies are
-immutable `NamedTuple`s: the symmetrize and balance sweeps count into
-locals and build their tally once, at the end.
+diagonal hook lengths, with their box pairs from `diagram._runs`, and
+the symmetrize sweep builds from them only the diagrams it checks (a
+base plus one box of some of its mirror pairs), with two hook products
+each.  The reports and tallies are immutable `NamedTuple`s: the
+symmetrize and balance sweeps count into locals and build their tally
+once, at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .diagram import Box, YoungDiagram, _bad_rows, _runs
+from .diagram import YoungDiagram, _bad_rows, _conj, _runs
 from .dimension import dim_exact
 from .errors import (
     AsymmetricBoxesNotIsolated,
@@ -120,11 +122,11 @@ def _expected_hooks(k: int, l: int, t: int, s: int):
     box is reflected above the diagonal.
     """
     if k < s:
-        boxes = (Box(s, k), Box(t, k), Box(k, s), Box(k, t))
+        boxes = ((s, k), (t, k), (k, s), (k, t))
         before = (l - s + t - k - 1, l - t + s - k, t - k + l - s + 1, s - k + l - t)
         after = (l - s + t - k, l - t + s - k - 1, t - k + l - s, l - t + s - k + 1)
     else:
-        boxes = (Box(s, k), Box(l, s), Box(k, s), Box(s, l))
+        boxes = ((s, k), (l, s), (k, s), (s, l))
         before = (l - s + t - k - 1, t - l + k - s, t - k + l - s + 1, k - s + t - l)
         after = (l - s + t - k, t - l + k - s - 1, t - k + l - s, k - s + t - l + 1)
     return boxes, before, after
@@ -138,9 +140,7 @@ def _grown(rows, *lines) -> list[int]:
     return out
 
 
-def check_reflection_hook_identities(
-    base: YoungDiagram, upper: Box, lower: Box
-) -> bool:
+def check_reflection_hook_identities(base: YoungDiagram, upper, lower) -> bool:
     """Verify the hook accounting for one above/below box pair.
 
     `base` must be symmetric, `upper` = (k, l) with k < l and `lower` =
@@ -325,7 +325,7 @@ def _symmetric_partitions(n: int) -> list[tuple[int, ...]]:
     A symmetric partition is fixed by its diagonal hook lengths
     h_1 > ... > h_d, distinct odd parts of n: row i <= d has length
     i + (h_i - 1) / 2, and each row j below the Durfee square mirrors
-    column j, the number of top rows of length at least j.
+    column j of the top rows, read from their conjugate.
     """
     out = []
     # (boxes left, largest hook allowed, top rows so far)
@@ -333,8 +333,7 @@ def _symmetric_partitions(n: int) -> list[tuple[int, ...]]:
     while stack:
         left, cap, top = stack.pop()
         if not left:
-            below = range(len(top) + 1, (top[0] if top else 0) + 1)
-            out.append(top + tuple(sum(t >= j for t in top) for j in below))
+            out.append(top + _conj(top)[len(top):])
             continue
         for h in range(min(cap, left), 0, -1):
             if h % 2:
@@ -383,16 +382,16 @@ def reflection_hooks_sweep(max_base_size: int) -> tuple[int, list]:
     for n in range(1, max_base_size + 1):
         for rows in _symmetric_partitions(n):
             base = YoungDiagram._from_valid(rows, rows)
-            addable = base.addable_boxes()
-            uppers = [b for b in addable if b.row < b.col]
-            lowers = [b for b in addable if b.row > b.col]
+            addable = _runs(rows)[0]
+            uppers = [(i, j) for i, j in addable if i < j]
+            lowers = [(i, j) for i, j in addable if i > j]
             for u in uppers:
                 for w in lowers:
-                    if u.row == w.col:
+                    if u[0] == w[1]:
                         continue
                     checked += 1
                     if not check_reflection_hook_identities(base, u, w):
-                        failures.append((base.rows, tuple(u), tuple(w)))
+                        failures.append((rows, u, w))
     return checked, failures
 
 
@@ -417,7 +416,7 @@ def balance_sweep(max_n: int) -> BalanceSweep:
         checked += len(dims)
         for rows, dim_in in dims.items():
             try:
-                out = _to_core(rows, YoungDiagram._from_valid(rows).conjugate_rows())
+                out = _to_core(rows, _conj(rows))
             except ShapeBlocked as exc:
                 blocked.append((rows, exc.diagram.rows))
                 continue

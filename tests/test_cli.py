@@ -103,6 +103,8 @@ def test_seq_flag_conflicts(capsys):
         argv = ["seq", "--n", "6", "--start", "2,1", "--shake", "0", *variant]
         rc, out, err = run(capsys, argv)
         assert (rc, out, err) == (2, "", "error: k must be in 1..3, got 0\n")
+    rc, out, err = run(capsys, ["seq", "--start", "0", "--n", "3"])
+    assert (rc, out, err) == (2, "", "error: start diagram must have at least one box\n")
 
 
 def test_seq_restrict_core_dead_end_start(capsys):
@@ -226,6 +228,8 @@ def test_search_astar_argument_errors(capsys):
     rc, out, err = run(capsys, ["search", "astar", "--depth", "0"])
     assert (rc, out) == (2, "")
     assert err == "error: depth must be at least 1, got 0\n"
+    rc, out, err = run(capsys, ["search", "astar", "--start", "0", "--n", "3"])
+    assert (rc, out, err) == (2, "", "error: start diagram must have at least one box\n")
 
 
 def test_improve_pipeline(tmp_path, capsys):
@@ -595,6 +599,13 @@ def test_global_flags_work_on_either_side(capsys):
     assert rc == 0
     assert before == after
     assert json.loads(before)["dim"] is None
+    # a bad global flag value is reported by the full parser, by its name
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "x", "dim", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: invalid int value: 'x'" in captured.err
 
 
 def test_threads_flag_is_rejected(capsys):

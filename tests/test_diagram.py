@@ -51,6 +51,14 @@ def test_conjugate_known_values():
     assert YoungDiagram([5]).conjugate().rows == (1, 1, 1, 1, 1)
 
 
+def test_conjugate_is_the_transpose_of_the_box_set_exhaustive():
+    # an involution test alone also passes for a wrong map like rows -> rows
+    for n in range(17):
+        for d in partitions(n):
+            transposed = {Box(c, r) for r, c in d.boxes()}
+            assert set(YoungDiagram(d.conjugate_rows()).boxes()) == transposed
+
+
 @given(partition_diagrams())
 def test_conjugate_involution(d):
     assert d.conjugate().conjugate() == d

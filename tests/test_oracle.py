@@ -233,12 +233,15 @@ def test_max_geometry_clean_at_small_sizes():
     rep = verify_max_geometry(12)
     assert rep.failures == []
     assert rep.checked == 17
+    # a longer table's extra sizes are skipped
+    assert verify_max_geometry(10, table=max_table(14)) == verify_max_geometry(10)
 
 
 def test_one_box_claim_clean_at_small_sizes():
     rep = verify_one_box_claim(12)
     assert rep.exceptions == []
     assert rep.checked == 17
+    assert verify_one_box_claim(10, table=max_table(14)) == verify_one_box_claim(10)
 
 
 def test_one_box_claim_first_exceptions_at_fourteen():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,8 +237,31 @@ def test_path_cost_known_values():
     assert path_cost(GrowthPath(empty, (Box(1, 1),))) == 0.0
     path = GrowthPath(empty, (Box(1, 1), Box(1, 2), Box(2, 1)))
     assert abs(path_cost(path) - (math.log(6) - math.log(2))) < 1e-10
-    with pytest.raises(InvalidPath):
+    with pytest.raises(InvalidPath, match=r"^step \(2, 1\) invalid after \(\)$"):
         path_cost(GrowthPath(empty, (Box(2, 1),)))
+    steps = (Box(1, 2), Box(1, 2))
+    with pytest.raises(InvalidPath, match=r"^step \(1, 2\) invalid after \(2,\)$"):
+        path_cost(GrowthPath(YoungDiagram([1]), steps))
+
+
+def test_path_costs_are_pinned():
+    # one seeded random path into every partition of size <= 12, and three
+    # random boxes on from it; the digest pins every cost bit for bit
+    rng = random.Random(27)
+    costs = []
+    for n in range(13):
+        for lam in partitions(n):
+            costs.append(path_cost(random_growth_path(lam, rng)).hex())
+            steps, cur = [], lam
+            for _ in range(3):
+                b = rng.choice(cur.addable_boxes())
+                steps.append(b)
+                cur = cur.add_box(b)
+            costs.append(path_cost(GrowthPath(lam, tuple(steps))).hex())
+    digest = hashlib.sha256(",".join(costs).encode()).hexdigest()
+    assert (len(costs), digest) == (
+        544, "229cd54b2dd1bbc1aab4a231eee0fea723898355c88a047baa2b233ab86b0e83"
+    )
 
 
 def test_path_cost_centrality_small(rng):

@@ -88,6 +88,10 @@ def test_emit_and_load_roundtrip(tmp_path):
     path = tmp_path / "runs.jsonl"
     emit_records(recs, path)
     assert load_records(path) == recs
+    # blank lines between records are skipped
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{lines[0]}\n\n  \n{lines[1]}\n", encoding="utf-8")
+    assert load_records(path) == recs[:2]
 
 
 def test_huge_dimension_survives_the_roundtrip(tmp_path):

@@ -429,6 +429,19 @@ def test_astar_trivial_and_error_cases():
         astar(9, start=YoungDiagram([4, 2, 2]))
 
 
+def test_every_core_diagram_can_grow_a_new_row():
+    # why astar's last EmptySearchSpace cannot fire: a core diagram with
+    # k rows has row 1 <= k, so its new-row box (k + 1, 1) is a core child,
+    # and the chain of first-ranked children, whose frozen mask stays 0,
+    # always has one to reach the target level
+    core = [d for n in range(1, 21) for d in partitions(n) if d.in_core_subgraph()]
+    assert len(core) == 650
+    for d in core:
+        rows = d.rows
+        edges = _core_edges(rows, d.conjugate_rows(), _measure(rows)[0], [])
+        assert (len(rows) + 1, 1) in [e[1:3] for e in edges]
+
+
 def test_astar_walk_covers_core_exactly_once(monkeypatch):
     rows, dead_ends = tree_census(monkeypatch, 10)
     core = {
