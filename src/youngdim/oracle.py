@@ -5,13 +5,13 @@ visits every partition with at most N boxes once, building it from the
 bottom row up and updating its first-column hooks row by row, so each
 exact dimension costs a few multiplications and one exact division
 (a nonzero remainder raises).  The argmax over each size gives the
-whole table 1..N in one pass, with one stack frame per row.  Most
-partitions are leaves, with no room for a row above them: once a
-frame's next top row leaves no such room, it is popped and the rest of
-its top rows are yielded in one plain loop (its leaf run).  Since
-dim λ = dim λ′, the maximum tables take the half sweep: it yields only
-partitions whose top row is at least their row count, one of each
-conjugate pair, and prunes every frame that cannot reach one; a
+whole table 1..N in one pass.  Each frame is popped once and walks its
+top rows in one loop: those up to `last` leave room for a row above
+and are pushed, those from `first` on are yielded, and each child's
+new hook differences are multiplied in small ints before its Delta.
+Since dim λ = dim λ′, the maximum tables take the half sweep: it
+yields only partitions whose top row is at least their row count, one
+of each conjugate pair, and prunes every frame that cannot reach one; a
 partition that ties or beats its size's best brings its conjugate in
 as a candidate, so every maximizer set is found whole.  The results
 anchor the heuristics and the search, which must never beat or
@@ -60,19 +60,21 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     from a table of rising factorials (s - h = s - r - m does not depend
     on r), and a nonzero remainder means broken bookkeeping and raises.
     Smaller partitions are still visited, as the bottom rows of larger
-    ones, but not divided.  The stack holds one frame per row.
+    ones, but not divided.  The stack holds the pushed children still
+    to walk, at most (max_n - size) // 2 from each frame on the path.
 
-    A frame tries each top row r in turn and pushes the child only if a
-    partition above it fits.  That test only gets harder as r grows, so
-    once it fails the frame is popped and the rest of its range, up to
-    max_n - size, is yielded in one plain loop as leaves.
+    A frame is popped once and walks its top rows r from its bottom
+    row's length up to max_n - size in one loop.  A child is pushed if
+    r <= last, the longest top row that leaves room for a partition
+    above it (that test only gets harder as r grows), and divided and
+    yielded if r >= first, the shortest top row in the size window; a
+    row between the two is skipped.
 
     With `half` set, only partitions whose top row is at least their
     row count are yielded: one of each conjugate pair, since conjugates
-    share a dimension.  A child with top row r and k rows is divided
-    only if it is yielded, and pushed only if a partition above it can
-    be: every one has a top row of at least max(r, k + 1).  A leaf run
-    starts at r = k.
+    share a dimension.  So a child with top row r and k rows is yielded
+    only if r >= k, and pushed only if a partition above it can be:
+    every one has a top row of at least max(r, k + 1).
     """
     fact = [1]
     for i in range(1, max_n + 1):
@@ -80,43 +82,34 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     # rising[d][h] = (h + d)! / h!
     rising = [[fact[h + d] // fact[h] for h in range(max_n + 1 - d)]
               for d in range(max_n + 1)]
-    # frame: size, rows (top first), hooks (top first), Delta, F, next top row
-    stack = [[0, (), (), 1, 1, 1]]
+    # frame: size, rows (top first), hooks (top first), Delta, F, lowest top row
+    stack = [(0, (), (), 1, 1, 1)]
     while stack:
-        frame = stack[-1]
-        size, rows, hooks, delta, fprod, r = frame
+        size, rows, hooks, delta, fprod, lo = stack.pop()
         k = len(rows) + 1
+        room = max_n - size
+        # size + r + (max(r, k + 1) if half else r) <= max_n up to here
+        last = room // 2 if not half or room >= 2 * k + 2 else room - k - 1
+        first = max(min_n - size, k if half else 1)
         rise = rising[size - k + 1]
-        s = size + r
-        if s + (max(r, k + 1) if half else r) <= max_n:
-            frame[5] = r + 1
+        for r in range(lo, room + 1):
+            if last < r < first:
+                continue
             h = r + k - 1
             p = 1
             for x in hooks:
                 p *= h - x
-            delta *= p
+            p *= delta
             child = (r,) + rows
-            if s >= min_n and (r >= k or not half):
-                dim, rem = divmod(rise[h] * delta, fprod)
+            if r >= first:
+                dim, rem = divmod(rise[h] * p, fprod)
                 if rem:
                     raise NonDivisibleHookProduct(
-                        f"hook product does not divide {s}! for {child}"
+                        f"hook product does not divide {size + r}! for {child}"
                     )
-                yield s, child, dim
-            stack.append([s, child, (h,) + hooks, delta, fprod * fact[h], r])
-            continue
-        stack.pop()
-        for r in range(max(r, min_n - size, k if half else 1), max_n - size + 1):
-            h = r + k - 1
-            p = 1
-            for x in hooks:
-                p *= h - x
-            dim, rem = divmod(rise[h] * (delta * p), fprod)
-            if rem:
-                raise NonDivisibleHookProduct(
-                    f"hook product does not divide {size + r}! for {(r,) + rows}"
-                )
-            yield size + r, (r,) + rows, dim
+                yield size + r, child, dim
+            if r <= last:
+                stack.append((size + r, child, (h,) + hooks, p, fprod * fact[h], r))
 
 
 def _partition_counts(max_n: int) -> list[int]:

@@ -39,6 +39,9 @@ def test_value_semantics():
     assert a == b
     assert hash(a) == hash(b)
     assert a != YoungDiagram([3])
+    # a plain tuple is not a diagram, whatever its rows
+    assert not YoungDiagram((2, 1)) == (2, 1)
+    assert YoungDiagram((2, 1)) != (2, 1)
     assert repr(a) == "YoungDiagram([3, 1])"
     assert str(a) == "3,1"
     assert str(YoungDiagram([])) == ""

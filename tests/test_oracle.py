@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from youngdim import (
     verify_one_box_claim,
 )
 from youngdim import oracle
+from youngdim.oracle import GeometryReport, MaxTableEntry
 from youngdim.errors import NonDivisibleHookProduct, SizeBoundExceeded
 
 from conftest import (
@@ -139,7 +141,7 @@ def test_half_sweep_yields_one_side_of_each_conjugate_pair():
 @pytest.mark.parametrize("max_n", range(1, 15))
 def test_sweep_yields_exactly_the_partitions_in_range(max_n, half):
     # every size window, lo == hi included; at max_n 1..3 the root frame
-    # pushes little or nothing and yields its own leaf run
+    # pushes little or nothing and yields every child itself
     for min_n in range(1, max_n + 1):
         got = list(oracle._sweep(max_n, min_n, half))
         want = {
@@ -171,7 +173,7 @@ def test_sweep_divides_once_per_yielded_partition(monkeypatch):
 
 
 def _pushed(rows, max_n, half):
-    """Whether the sweep pushes the frame of rows (so divides it before any leaf)."""
+    """Whether the sweep pushes the frame of rows (r <= last in its parent's loop)."""
     lowest = max(rows[0], len(rows) + 1) if half else rows[0]
     return sum(rows) + lowest <= max_n
 
@@ -197,6 +199,32 @@ def test_sweep_raises_on_a_remainder_in_leaf_runs_and_pushed_frames(
         with pytest.raises(NonDivisibleHookProduct, match=re.escape(str(clean[index]))):
             list(oracle._sweep(max_n, half=half))
         assert len(calls) == index + 1
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((30, 1, False), "cd7815e3211f324f4ee68c6ee5c20955c8dad93136f75ca97a0ca4d3f30af5b7"),
+        ((30, 30, False), "d319fc57509e7d993e64faa0584c22af8642f165244ad81d55c07f7f6a655202"),
+        ((34, 1, True), "780e7330e34c525140803bf78751d5d8e442afa03c8f5ad55303afe7139a7f6d"),
+        ((34, 30, True), "650d5ca843e2a232ebe9565140d8a4702965e1693a1a16ddd38e819d99e8e978"),
+    ],
+    ids=["full", "full-30", "half", "half-30"],
+)
+def test_sweep_output_is_pinned(args, digest):
+    # the sorted (size, rows, dim) triples: the yield order is free
+    assert _sha(sorted(oracle._sweep(*args))) == digest
+
+
+def test_all_dimensions_output_is_pinned():
+    # keys in their order, then dimensions
+    assert _sha(list(all_dimensions(26).items())) == (
+        "04448082f2fd6a780a884c42450be2d3636068b6cfdfbd83d40340b60d386593"
+    )
 
 
 def test_half_sweep_tables_match_full_sweep_argmax(core_table_40):
@@ -235,6 +263,15 @@ def test_max_geometry_clean_at_small_sizes():
     assert rep.checked == 17
     # a longer table's extra sizes are skipped
     assert verify_max_geometry(10, table=max_table(14)) == verify_max_geometry(10)
+
+
+def test_max_geometry_reports_each_failing_predicate():
+    # (3, 3) and its conjugate (2, 2, 2) are both outside the core, and
+    # its asymmetric boxes (1, 3) and (2, 3) share a column
+    bad = [MaxTableEntry(6, (YoungDiagram((3, 3)),), 5)]
+    assert verify_max_geometry(6, table=bad) == GeometryReport(
+        checked=1, failures=[(6, (3, 3), "core"), (6, (3, 3), "isolated")]
+    )
 
 
 def test_one_box_claim_clean_at_small_sizes():

@@ -169,6 +169,30 @@ def test_hook_identities_match_box_level_hooks():
     assert seen == {True, NotAddable, DegenerateOverlap, ValueError}
 
 
+def test_hook_identities_report_a_wrong_closed_form(monkeypatch):
+    real = transforms._expected_hooks
+
+    def swapped(*args):
+        boxes, before, after = real(*args)
+        return boxes, after, before
+
+    monkeypatch.setattr(transforms, "_expected_hooks", swapped)
+    assert not check_reflection_hook_identities(YoungDiagram((3, 2, 1)), (1, 4), (3, 2))
+    assert reflection_hooks_sweep(6) == (
+        2,
+        [((3, 2, 1), (1, 4), (3, 2)), ((3, 2, 1), (2, 3), (4, 1))],
+    )
+
+
+def test_symmetrize_sweep_reports_violations(monkeypatch):
+    # an output that keeps its input and claims a strict gain fails everywhere
+    monkeypatch.setattr(transforms, "_symmetrized", lambda rows, conj: (rows, True))
+    sweep = symmetrize_sweep(5)
+    assert (sweep.checked, sweep.strict, sweep.equal) == (10, 0, 0)
+    assert len(sweep.violations) == 10
+    assert sweep.violations[0] == ((1,), (1,), 1, 1)
+
+
 def test_symmetric_bases_match_the_oracle_sweep():
     # cross-check: the hook sweep lists the symmetric partitions from
     # their distinct odd diagonal hooks, and the theorem sweep builds the
@@ -294,6 +318,16 @@ def test_balance_sweep_small_records_no_decrease():
     assert sweep.decreased == []
     assert sweep.checked == sum(partition_count(n) for n in range(1, 13))
     assert sweep.increased > 0
+
+
+def test_balance_sweep_reports_decreases(monkeypatch):
+    # every diagram is sent to the one row, of dimension 1: the one row
+    # and the one column of each size tie, and the rest decrease
+    monkeypatch.setattr(transforms, "_to_core", lambda rows, conj: (sum(rows),))
+    sweep = balance_sweep(6)
+    assert (sweep.checked, sweep.increased, sweep.equal) == (29, 0, 11)
+    assert len(sweep.decreased) == 18
+    assert sweep.blocked == []
 
 
 def test_sweeps_compute_no_hook_products(monkeypatch):
