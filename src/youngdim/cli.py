@@ -38,7 +38,7 @@ import os
 import sys
 
 from .diagram import YoungDiagram
-from .errors import EmptyDiagramError, InputError, InvalidDepth, InvalidK, UsageError
+from .errors import EmptyDiagramError, InputError, InvalidDepth, UsageError
 from .oracle import _check_size, max_dimension_diagrams, max_table
 from .plancherel import branches, greedy_grow
 from .records import (
@@ -99,9 +99,6 @@ def _cmd_seq(args) -> int:
         raise UsageError("--variant requires --shake")
     if args.shake is not None and args.restrict_core:
         raise UsageError("--shake cannot be combined with --restrict-core")
-    if args.shake is not None and args.shake < 1:
-        # the library's k = 0 is the plain greedy walk, not a shake
-        raise InvalidK(f"k must be in 1..{start.size}, got {args.shake}")
     if args.shake is None:
         seq = greedy_grow(start, args.n, args.restrict_core)
         source = "greedy"

@@ -429,9 +429,8 @@ def branches(
 ) -> list[YoungDiagram]:
     """Best-per-size over m greedy branches started from shaken variants.
 
-    Branch s starts from shake_variant(diagram, k, m, seed=seed_base+s).
-    k = 0 skips shaking: every branch would be the greedy walk from the
-    diagram itself, so that one walk is grown once.
+    Branch s starts from shake_variant(diagram, k, m, seed=seed_base+s),
+    so k is in 1..size(diagram); the unshaken walk is `greedy_grow`.
     The result holds one diagram per size from size(diagram) to target,
     the best by exact dimension with lexicographically smallest rows on
     ties; every diagram carries its dimension, so ranking computes none.
@@ -440,11 +439,10 @@ def branches(
         raise InvalidM(f"m must be at least 1, got {m}")
     if target < diagram.size:
         raise InvalidPath(f"target {target} below start size {diagram.size}")
-    starts = (
-        [diagram] if k == 0
-        else [shake_variant(diagram, k, m, seed_base + s) for s in range(m)]
-    )
-    grown = [greedy_grow(s, target) for s in starts]
+    grown = [
+        greedy_grow(shake_variant(diagram, k, m, seed_base + s), target)
+        for s in range(m)
+    ]
     return [
         min(same_size, key=lambda d: (-dim_exact(d), d.rows))
         for same_size in zip(*grown)

@@ -28,7 +28,8 @@ it is expanded; a heuristic child at the target level has h = 0 and
 is never expanded, so it costs no measure or scan work.  A heuristic
 child below the target level is lazy: it is keyed by g + h_lb, a lower
 bound on g + h that Kerov's one-box update gives from the parent's
-measure alone (`_child_bound`, `_cost_floor`).  When that entry is
+measure, with the core test run on the child for an entry that would
+raise the bound (`_child_bound`, `_cost_floor`).  When that entry is
 popped, the child grows its measure, takes its exact h from the scan,
 and goes back on the heap with key g + h and the scan kept for its
 expansion.  Every key is at most the node's exact key and rows are
@@ -95,19 +96,8 @@ def remaining_cost_estimate(levels: int, edges: list[tuple]) -> float:
     return min(edges)[0] * levels
 
 
-def _bound_entries(addables: list[tuple], edges: list[tuple]) -> list[tuple]:
-    """A parent's live entries as (z, zr, zc, p, core), for `_child_bound`.
-
-    `addables` is the parent's live measure and `edges` its core scan;
-    p is the float probability and core whether the entry is in the
-    scan.  Built once per expansion and read for every child.
-    """
-    core = {e[1] for e in edges}
-    return [(z, zr, zc, num / den, zr in core) for z, zr, zc, num, den in addables]
-
-
 def _child_bound(
-    entries: list[tuple],
+    addables: list[tuple],
     crows: tuple[int, ...],
     cconj: tuple[int, ...],
     cfrozen: int,
@@ -117,37 +107,28 @@ def _child_bound(
 ) -> float:
     """u >= the best live core transition probability of one child.
 
-    `entries` is the parent's `_bound_entries`; the child adds box
-    (r, c) of probability p, has rows crows and conjugate cconj (built
-    in `astar`'s push loop) and frozen rows cfrozen.  Adding the box of
-    content x turns every other entry z into
+    `addables` is the parent's live measure, entries (z, zr, zc, num,
+    den); the child adds box (r, c) of probability p, has rows crows and
+    conjugate cconj (built in `astar`'s push loop) and frozen rows
+    cfrozen.  Adding the box of content x turns every other entry z into
     p(z) (z - x)^2 / ((z - x)^2 - 1), and the fresh boxes x - 1 and
     x + 1 share 1 - sum p'(z) <= p(x), since every factor is above 1.
     So u is the largest updated p(z) over the parent's entries that stay
     live and pass the core test in the child, or p(x) if a fresh box is
-    live and core.  The core test of box (zr, zc) reads column zr and
-    row zc, and the child changes only row r and column c, so the
-    parent's scan decides every entry but those with zr == c, which
-    `_core_ok` tests on the child.  An entry (zr, r) needs no re-test:
-    row r grows from c - 1 to c over column r of height zr - 1, so the
-    core child's row rule forces c <= zr when zr < r and c <= zr - 1
-    when zr > r, and row r passes its test against column height zr
-    both before and after.  u is 0 exactly when the child has no live
-    core box, a dead end.  Floats only: a few roundings, which
-    `_cost_floor` absorbs.
+    live and core.  `_core_ok` tests an entry on the child only when it
+    would raise u.  u is 0 exactly when the child has no live core box,
+    a dead end.  Floats only: a few roundings, which `_cost_floor`
+    absorbs.
     """
     x = c - r
     u = 0.0
-    for z, zr, zc, q, ok in entries:
+    for z, zr, zc, num, den in addables:
         if z == x or cfrozen >> zr & 1:
             continue
-        if zr == c:
-            ok = _core_ok(crows, cconj, zr, zc)
-        if ok:
-            d = (z - x) * (z - x)
-            q = q * d / (d - 1)
-            if q > u:
-                u = q
+        d = (z - x) * (z - x)
+        q = num / den * d / (d - 1)
+        if q > u and _core_ok(crows, cconj, zr, zc):
+            u = q
     # the fresh boxes: x + 1 at (r, c + 1), unless row r - 1 has
     # length c, and x - 1 at (r + 1, c), if row r + 1 has length c - 1
     if p > u and (
@@ -213,7 +194,8 @@ def astar(
     on the heap.  Each expanded node is ranked once, and one push loop
     serves both modes: each child is pushed straight from the ranked
     scan, and only a heuristic child below the target level adds
-    h_lb to its key.  Rows are unique in the heap, so comparisons
+    h_lb to its key, read from the parent's live measure and the
+    child's own core test.  Rows are unique in the heap, so comparisons
     never reach past them.
     """
     if start is None:
@@ -271,9 +253,7 @@ def astar(
         levels = n_target - size
         scaled = dim * size
         # a heuristic child below the target level is keyed by g + h_lb
-        entries = (
-            None if uniform_cost or not levels else _bound_entries(measure[0], edges)
-        )
+        bound = not uniform_cost and levels > 0
         # the child through each ranked edge freezes the rows of the edges
         # ranked before it; adding box (r, c) sets row r to length c and
         # column c to height r
@@ -281,9 +261,10 @@ def astar(
             crows = rows[: r - 1] + (c,) + rows[r:]
             cconj = conj[: c - 1] + (r,) + conj[c:]
             cg = f = g + weight
-            if entries is not None:
+            if bound:
                 f += _cost_floor(
-                    levels, _child_bound(entries, crows, cconj, frozen, r, c, num / den)
+                    levels,
+                    _child_bound(measure[0], crows, cconj, frozen, r, c, num / den),
                 )
             heapq.heappush(
                 heap,

@@ -150,6 +150,15 @@ def test_modules_resolve_on_first_use():
     assert out == "youngdim.search youngdim.errors False\n"
 
 
+def test_module_names_resolve_through_the_package_getattr(monkeypatch):
+    # the in-process twin of the check above: with the submodule
+    # attribute gone, `youngdim.search` is found by `__getattr__`
+    module = youngdim.search
+    monkeypatch.delattr(youngdim, "search")
+    assert "search" not in vars(youngdim)
+    assert youngdim.search is module
+
+
 def test_public_names_are_their_modules_objects():
     for name in youngdim.__all__:
         obj = getattr(youngdim, name)

@@ -4,6 +4,7 @@ from hypothesis import given
 from youngdim import Box, YoungDiagram, reflected
 from youngdim.errors import (
     BoxOutsideDiagram,
+    InvariantViolation,
     NegativeRowLength,
     NonMonotoneRows,
     NotAddable,
@@ -190,6 +191,14 @@ def test_asymmetric_boxes_known_values():
     up, down = YoungDiagram([2, 1, 1, 1]).asymmetric_boxes()
     assert up == frozenset()
     assert down == frozenset({Box(3, 1), Box(4, 1)})
+
+
+def test_asymmetric_boxes_raise_on_a_diagonal_box_outside_the_base(monkeypatch):
+    # the diagonal always belongs to the base; a base that misses it is
+    # broken bookkeeping, and the loop checks rather than assumes
+    monkeypatch.setattr(YoungDiagram, "base_subdiagram", lambda self: YoungDiagram([]))
+    with pytest.raises(InvariantViolation, match="diagonal"):
+        YoungDiagram([2, 1]).asymmetric_boxes()
 
 
 @given(partition_diagrams())

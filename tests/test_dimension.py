@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,14 @@ from youngdim import (
     normalized_dim,
     transition_prob,
 )
+from youngdim import dimension
 from youngdim.dimension import hook_product
-from youngdim.errors import EmptyDiagramError, NotAddable, SizeBoundExceeded
+from youngdim.errors import (
+    EmptyDiagramError,
+    NonDivisibleHookProduct,
+    NotAddable,
+    SizeBoundExceeded,
+)
 
 from conftest import hook_ratio, partition_diagrams, partitions, random_diagram
 
@@ -56,6 +63,13 @@ def _hook_product_box_by_box(diagram):
         for j in range(1, r + 1):
             p *= r - j + conj[j - 1] - i + 1
     return p
+
+
+def test_dim_exact_raises_on_a_hook_product_that_does_not_divide(monkeypatch):
+    # a remainder means broken hook bookkeeping and is never truncated
+    monkeypatch.setattr(dimension, "hook_product", lambda diagram: 7)
+    with pytest.raises(NonDivisibleHookProduct, match=re.escape("6! for (3, 2, 1)")):
+        dim_exact(YoungDiagram([3, 2, 1]))
 
 
 def test_hook_product_matches_box_by_box_product():

@@ -20,12 +20,12 @@ from youngdim import (
     transition_edges,
     transition_prob,
 )
-from youngdim import plancherel
 from youngdim.diagram import _core_ok
 from youngdim.plancherel import (
     _contents,
     _core_edges,
     _grow,
+    _grow_dim,
     _measure,
     _shrink_dim,
 )
@@ -33,6 +33,7 @@ from youngdim.errors import (
     InvalidK,
     InvalidM,
     InvalidPath,
+    InvariantViolation,
     NoCoreChild,
     NotAddable,
 )
@@ -381,25 +382,10 @@ def test_shake_variant_degenerate_and_deterministic():
         shake_variant(lam, 0, 2, 0)
 
 
-def test_branches_degenerate_is_greedy():
-    lam = YoungDiagram([2, 1])
-    out = branches(lam, 1, 0, 8)
-    assert out == greedy_grow(lam, 8)
-
-
-def test_branches_without_shaking_grow_one_walk(monkeypatch):
-    # with k = 0 every branch is the same greedy walk, so it is grown once
-    calls = []
-    real = plancherel.greedy_grow
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(plancherel, "greedy_grow", counted)
-    lam = YoungDiagram([3, 2, 1])
-    assert branches(lam, 3, 0, 12) == real(lam, 12)
-    assert len(calls) == 1
+def test_branches_reject_an_unshaken_start():
+    # k = 0 would be the greedy walk, which is `greedy_grow`'s
+    with pytest.raises(InvalidK):
+        branches(YoungDiagram([3, 2, 1]), 3, 0, 12)
 
 
 def test_branches_shape_and_dominance():
@@ -459,6 +445,14 @@ def test_shrink_step_matches_the_hook_formula():
                 assert _shrink_dim(dim, n, c.col - c.row, xs, ys) == want
                 removals += 1
     assert removals == 4582
+
+
+def test_grow_step_raises_on_a_remainder():
+    # (n + 1) * dim * p(b) is a dimension, so a remainder means broken
+    # bookkeeping and is never truncated
+    assert _grow_dim(3, 2, 3) == 2
+    with pytest.raises(InvariantViolation):
+        _grow_dim(3, 1, 2)
 
 
 def test_grown_and_shaken_diagrams_carry_hook_formula_dimensions():

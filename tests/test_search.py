@@ -23,13 +23,12 @@ from youngdim.errors import (
     CoreMembershipError,
     EmptySearchSpace,
     InvalidDepth,
+    InvariantViolation,
     NotAGrowthSequence,
 )
 from youngdim import diagram, dimension, plancherel, search
-from youngdim.diagram import _core_ok
 from youngdim.plancherel import _core_edges, _measure
 from youngdim.search import (
-    _bound_entries,
     _child_bound,
     _cost_floor,
     remaining_cost_estimate,
@@ -171,15 +170,13 @@ def test_child_bounds_hold_to_level_16(monkeypatch):
         if sum(rows) >= 16:
             continue
         parent = YoungDiagram(rows)
-        edges = _scan(rows, frozen)[1]
         live = [a for a in _measure(rows)[0] if not frozen >> a[1] & 1]
-        entries = _bound_entries(live, edges)
         kids = log.pushed.get(rows, [])
         for crows, cconj, cfrozen, _, (r, c) in kids:
             child = YoungDiagram(crows)
             added = Box(r, c)
             p = transition_prob(parent, added).probability
-            u = _child_bound(entries, crows, cconj, cfrozen, r, c, float(p))
+            u = _child_bound(live, crows, cconj, cfrozen, r, c, float(p))
 
             def live_core(box):
                 return (
@@ -219,39 +216,6 @@ def test_child_bounds_hold_to_level_16(monkeypatch):
     assert checked == sum(
         1 for n in range(2, 17) for d in partitions(n) if d.in_core_subgraph()
     )
-
-
-def test_child_bound_retests_only_entries_in_the_added_column():
-    # for every core child of size <= 20 that adds (r, c): a parent entry
-    # (zr, r) keeps its core status, while entries with zr == c do flip,
-    # so `_child_bound` re-tests exactly those and reads the rest from
-    # the parent's scan
-    row_cases = row_flips = col_cases = col_flips = 0
-    for n in range(1, 20):
-        for parent in partitions(n):
-            if not parent.in_core_subgraph():
-                continue
-            rows, conj = parent.rows, parent.conjugate_rows()
-            addable = parent.addable_boxes()
-            for r, c in addable:
-                if not _core_ok(rows, conj, r, c):
-                    continue
-                child = parent.add_box(Box(r, c))
-                crows, cconj = child.rows, child.conjugate_rows()
-                for zr, zc in addable:
-                    if (zr, zc) == (r, c):
-                        continue
-                    flip = _core_ok(rows, conj, zr, zc) != _core_ok(crows, cconj, zr, zc)
-                    if zr == c:
-                        col_cases += 1
-                        col_flips += flip
-                    elif zc == r:
-                        row_cases += 1
-                        row_flips += flip
-                    else:
-                        assert not flip
-    assert row_cases > 0 and row_flips == 0
-    assert col_flips > 0
 
 
 def _same_search(got, want):
@@ -358,6 +322,15 @@ def test_search_builds_each_nodes_edges_once(monkeypatch):
         res = astar(n, start=start, uniform_cost=uniform_cost)
         assert res.nodes_expanded == expanded
         assert calls == {"_grow": grown, "_core_edges": 1, "_rank": expanded}
+
+
+def test_astar_raises_when_a_diagram_is_reached_twice(monkeypatch):
+    # the tree reaches each diagram once; a ranking that lists every
+    # edge twice pushes each child twice, and the closed set says so
+    real = search._rank
+    monkeypatch.setattr(search, "_rank", lambda edges: real(edges) * 2)
+    with pytest.raises(InvariantViolation, match="uniqueness"):
+        astar(4, uniform_cost=True)
 
 
 def test_astar_walk_grows_each_measure_from_its_parent(monkeypatch):
