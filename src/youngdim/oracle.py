@@ -5,10 +5,8 @@ visits every partition with at most N boxes once, building it from the
 bottom row up and updating its first-column hooks row by row, so each
 exact dimension costs a few multiplications and one exact division
 (a nonzero remainder raises).  The argmax over each size gives the
-whole table 1..N in one pass.  Each frame is popped once and walks its
-top rows in one loop: those up to `last` leave room for a row above
-and are pushed, those from `first` on are yielded, and each child's
-new hook differences are multiplied in small ints before its Delta.
+whole table 1..N in one pass.  Each frame carries every top row's
+product of new hook differences, so a child's Delta is one multiply.
 Since dim λ = dim λ′, the maximum tables take the half sweep: it
 yields only partitions whose top row is at least their row count, one
 of each conjugate pair, and prunes every frame that cannot reach one; a
@@ -24,6 +22,7 @@ balance sweep calls it once per size, so it holds one size at a time.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .diagram import YoungDiagram, _bad_rows, _conj
@@ -55,20 +54,23 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     F = prod_i h_i! (Fulton, Young Tableaux, section 4.1).  A new top row
     of length r over m rows of s - r boxes has hook h = r + m and leaves
     the hooks below it unchanged, so a child multiplies the parent's
-    Delta by prod_j (h - h_j), built in small ints first, and its F by
-    h!.  Its dimension is then (s! / h!) * Delta_child / F_parent, read
-    from a table of rising factorials (s - h = s - r - m does not depend
-    on r), and a nonzero remainder means broken bookkeeping and raises.
-    Smaller partitions are still visited, as the bottom rows of larger
-    ones, but not divided.  The stack holds the pushed children still
-    to walk, at most (max_n - size) // 2 from each frame on the path.
+    Delta by prod_j (h - h_j) and its F by h!.  Its dimension is then
+    (s! / h!) * Delta_child / F_parent, read from a table of rising
+    factorials (s - h = s - r - m does not depend on r), and a nonzero
+    remainder means broken bookkeeping and raises.  Sizes below min_n
+    are visited, as bottom rows, but not divided.
 
-    A frame is popped once and walks its top rows r from its bottom
-    row's length up to max_n - size in one loop.  A child is pushed if
-    r <= last, the longest top row that leaves room for a partition
-    above it (that test only gets harder as r grows), and divided and
-    yielded if r >= first, the shortest top row in the size window; a
-    row between the two is skipped.
+    A frame (size, rows, Delta, F, lo, diffs) is popped once and walks
+    its top rows r = lo + i up to max_n - size in one loop; diffs[i] is
+    that row's prod_j (h - h_j), all 1 at the root.  The child pushed
+    at r has top rows r + j with hook h + j + 1, the parent's hook for
+    row r + j + 1, so its diffs[j] is diffs[r + 1 - lo + j] * (j + 1).
+    A child is pushed if r <= last, the longest top row that leaves
+    room for a partition above it (that test only gets harder as r
+    grows), and divided and yielded if r >= first, the shortest top row
+    in the size window; a row between the two is skipped.  The stack
+    holds at most (max_n - size) // 2 pushed children from each frame
+    on the path, each with max_n - size - lo + 1 entries of diffs.
 
     With `half` set, only partitions whose top row is at least their
     row count are yielded: one of each conjugate pair, since conjugates
@@ -82,24 +84,22 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     # rising[d][h] = (h + d)! / h!
     rising = [[fact[h + d] // fact[h] for h in range(max_n + 1 - d)]
               for d in range(max_n + 1)]
-    # frame: size, rows (top first), hooks (top first), Delta, F, lowest top row
-    stack = [(0, (), (), 1, 1, 1)]
+    counting = range(1, max_n + 1)
+    # frame: size, rows (top first), Delta, F, lowest top row, hook differences
+    stack = [(0, (), 1, 1, 1, [1] * max_n)]
     while stack:
-        size, rows, hooks, delta, fprod, lo = stack.pop()
+        size, rows, delta, fprod, lo, diffs = stack.pop()
         k = len(rows) + 1
         room = max_n - size
         # size + r + (max(r, k + 1) if half else r) <= max_n up to here
         last = room // 2 if not half or room >= 2 * k + 2 else room - k - 1
         first = max(min_n - size, k if half else 1)
         rise = rising[size - k + 1]
-        for r in range(lo, room + 1):
+        for r, q in enumerate(diffs, lo):
             if last < r < first:
                 continue
             h = r + k - 1
-            p = 1
-            for x in hooks:
-                p *= h - x
-            p *= delta
+            p = q * delta
             child = (r,) + rows
             if r >= first:
                 dim, rem = divmod(rise[h] * p, fprod)
@@ -109,7 +109,8 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
                     )
                 yield size + r, child, dim
             if r <= last:
-                stack.append((size + r, child, (h,) + hooks, p, fprod * fact[h], r))
+                stack.append((size + r, child, p, fprod * fact[h], r,
+                              list(map(mul, diffs[r + 1 - lo : room + 2 - r - lo], counting))))
 
 
 def _partition_counts(max_n: int) -> list[int]:

@@ -5,6 +5,7 @@ test shows up through pytest itself.  Tolerances are 1e-8 where a
 float comparison is unavoidable and exact equality everywhere else.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -179,6 +180,17 @@ def test_06_maximizer_geometry_bound(table_60):
     )
     assert spent < 300.0
     _gate(6, "maximizer geometry bound")
+
+
+def test_table_60_is_pinned(table_60):
+    # every size's dimension and maximizers to 60; no other tier-1 test
+    # checks the dimensions at 41..60.  Read at the commit before the
+    # sweep kept per-frame hook-difference vectors.
+    table, _ = table_60
+    key = repr([(e.n, e.dim, [m.rows for m in e.maximizers]) for e in table])
+    assert hashlib.sha256(key.encode()).hexdigest() == (
+        "f770336ef534a445a52cfe5a0159ade3c4dc85430c0339221cd37baa0f4abaac"
+    )
 
 
 # the dead ends of the tree below level 18, in the depth-first visiting

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import re
 
 import pytest
@@ -153,6 +155,41 @@ def test_sweep_yields_exactly_the_partitions_in_range(max_n, half):
         assert len(got) == len(want), (min_n, max_n)
         assert {rows: dim for _, rows, dim in got} == want, (min_n, max_n)
         assert all(size == sum(rows) for size, rows, _ in got)
+
+
+def _involutions(max_n):
+    """I(0), ..., I(max_n): I(n) = I(n - 1) + (n - 1) I(n - 2)."""
+    counts = [1, 1]
+    for n in range(2, max_n + 1):
+        counts.append(counts[-1] + (n - 1) * counts[-2])
+    return counts[: max_n + 1]
+
+
+def test_involution_recurrence_matches_a_brute_force_count():
+    for n in range(9):
+        brute = sum(
+            all(p[p[i]] == i for i in range(n))
+            for p in itertools.permutations(range(n))
+        )
+        assert _involutions(8)[n] == brute
+
+
+def test_half_sweep_certificate_to_44():
+    # A yield with r > k stands for itself and its conjugate, one with
+    # r == k for itself alone.  Per size: the count is p(n), the sum of
+    # dimensions is the involution count (Robinson-Schensted) and the
+    # sum of squares is n! (Frobenius).
+    max_n = 44
+    count, total, squares = ([0] * (max_n + 1) for _ in range(3))
+    for size, rows, dim in oracle._sweep(max_n, half=True):
+        w = 2 if rows[0] > len(rows) else 1
+        count[size] += w
+        total[size] += w * dim
+        squares[size] += w * dim * dim
+    n_range = range(1, max_n + 1)
+    assert [count[n] for n in n_range] == oracle._partition_counts(max_n)[1:]
+    assert [total[n] for n in n_range] == _involutions(max_n)[1:]
+    assert [squares[n] for n in n_range] == [math.factorial(n) for n in n_range]
 
 
 def test_sweep_divides_once_per_yielded_partition(monkeypatch):
