@@ -11,7 +11,10 @@ Since dim λ = dim λ′, the maximum tables take the half sweep: it
 yields only partitions whose top row is at least their row count, one
 of each conjugate pair, and prunes every frame that cannot reach one; a
 partition that ties or beats its size's best brings its conjugate in
-as a candidate, so every maximizer set is found whole.  The results
+as a candidate, so every maximizer set is found whole.  The tables
+pass their running best per size as the sweep's floor: every
+partition is still divided and checked, but only those that reach
+their size's best so far are yielded.  The results
 anchor the heuristics and the search, which must never beat or
 contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
 exhaustive query.  The sweep is the library's one partition
@@ -45,7 +48,7 @@ class MaxTableEntry(NamedTuple):
     dim: int
 
 
-def _sweep(max_n: int, min_n: int = 1, half: bool = False):
+def _sweep(max_n: int, min_n: int = 1, half: bool = False, floor=None):
     """Yield (size, rows, dim) once for every partition with min_n..max_n boxes.
 
     Depth first, building each partition from its bottom row up.  With
@@ -77,7 +80,14 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
     share a dimension.  So a child with top row r and k rows is yielded
     only if r >= k, and pushed only if a partition above it can be:
     every one has a top row of at least max(r, k + 1).
+
+    `floor`, if given, holds a dimension per size: a divided child is
+    yielded only if it reaches its size's floor, read at that moment,
+    so the consumer may raise it between yields (`_max_entries` passes
+    its running best).  The remainder is checked before the floor.
     """
+    if floor is None:
+        floor = [0] * (max_n + 1)
     fact = [1]
     for i in range(1, max_n + 1):
         fact.append(fact[-1] * i)
@@ -100,16 +110,16 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False):
                 continue
             h = r + k - 1
             p = q * delta
-            child = (r,) + rows
             if r >= first:
                 dim, rem = divmod(rise[h] * p, fprod)
                 if rem:
                     raise NonDivisibleHookProduct(
-                        f"hook product does not divide {size + r}! for {child}"
+                        f"hook product does not divide {size + r}! for {(r,) + rows}"
                     )
-                yield size + r, child, dim
+                if dim >= floor[size + r]:
+                    yield size + r, (r,) + rows, dim
             if r <= last:
-                stack.append((size + r, child, p, fprod * fact[h], r,
+                stack.append((size + r, (r,) + rows, p, fprod * fact[h], r,
                               list(map(mul, diffs[r + 1 - lo : room + 2 - r - lo], counting))))
 
 
@@ -135,18 +145,17 @@ def all_dimensions(n: int) -> dict[tuple[int, ...], int]:
 def _max_entries(lo: int, hi: int, keep=None) -> list[MaxTableEntry]:
     """Maximum entries for sizes lo..hi (lo is 1 or hi) from one half sweep.
 
-    The sweep yields one of each conjugate pair; a swept partition that
-    ties or beats its size's best brings its conjugate in as a second
-    candidate.  `keep`, if given, filters row tuples and is asked only
-    about those candidates.  Maximizers are deduplicated and sorted by
-    rows.  The bound is checked before any work.
+    The sweep yields one of each conjugate pair, and only if it ties or
+    beats its size's best so far: `best` is the sweep's floor.  Each
+    yield brings its conjugate in as a second candidate.  `keep`, if
+    given, filters row tuples and is asked only about those candidates.
+    Maximizers are deduplicated and sorted by rows.  The bound is
+    checked before any work.
     """
     _check_size(hi)
     best = [-1] * (hi + 1)
     arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
-    for size, rows, dim in _sweep(hi, lo, half=True):
-        if dim < best[size]:
-            continue
+    for size, rows, dim in _sweep(hi, lo, half=True, floor=best):
         for cand in (rows, _conj(rows)):
             if keep is not None and not keep(cand):
                 continue

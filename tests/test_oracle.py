@@ -209,6 +209,65 @@ def test_sweep_divides_once_per_yielded_partition(monkeypatch):
         assert len(calls) == yielded
 
 
+def test_floored_sweep_divides_every_partition_and_yields_those_at_the_floor(
+    monkeypatch,
+):
+    # a floor filters the yields and nothing else: every partition is
+    # still divided, and the survivors keep the floor-less order
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return divmod(a, b)
+
+    monkeypatch.setattr(oracle, "divmod", counted, raising=False)
+    for max_n, min_n, half in (
+        (20, 1, False), (20, 15, False), (24, 1, True), (24, 20, True),
+    ):
+        clean = list(oracle._sweep(max_n, min_n, half))
+        best = [0] * (max_n + 1)
+        for size, _, dim in clean:
+            best[size] = max(best[size], dim)
+        for floor in (best, [d // 3 for d in best]):
+            calls.clear()
+            got = list(oracle._sweep(max_n, min_n, half, floor))
+            assert len(calls) == len(clean), (max_n, min_n, half)
+            assert got == [t for t in clean if t[2] >= floor[t[0]]]
+            assert len(got) < len(clean)
+
+
+def _spy_yields(monkeypatch):
+    """Patch oracle._sweep to record every item it yields; return that list."""
+    yields = []
+    sweep = oracle._sweep
+
+    def spied(*args, **kwargs):
+        for item in sweep(*args, **kwargs):
+            yields.append(item)
+            yield item
+
+    monkeypatch.setattr(oracle, "_sweep", spied)
+    return yields
+
+
+def test_max_table_38_divides_every_half_sweep_partition_and_keeps_943_yields(
+    monkeypatch,
+):
+    # _max_entries raises its floor as it goes: 77,631 divisions at
+    # N = 38, one per half-sweep partition, for 943 yields
+    floorless = sum(1 for _ in oracle._sweep(38, 1, True))
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return divmod(a, b)
+
+    monkeypatch.setattr(oracle, "divmod", counted, raising=False)
+    yields = _spy_yields(monkeypatch)
+    max_table(38)
+    assert (len(calls), len(yields)) == (floorless, 943) == (77631, 943)
+
+
 def _pushed(rows, max_n, half):
     """Whether the sweep pushes the frame of rows (r <= last in its parent's loop)."""
     lowest = max(rows[0], len(rows) + 1) if half else rows[0]
@@ -236,6 +295,32 @@ def test_sweep_raises_on_a_remainder_in_leaf_runs_and_pushed_frames(
         with pytest.raises(NonDivisibleHookProduct, match=re.escape(str(clean[index]))):
             list(oracle._sweep(max_n, half=half))
         assert len(calls) == index + 1
+
+
+@pytest.mark.parametrize(
+    "query, lo", [(max_table, 1), (max_dimension_core, 12)], ids=["table", "core"]
+)
+def test_a_remainder_raises_for_a_child_below_the_floor(monkeypatch, query, lo):
+    # the floor is tested after the remainder, so a child that loses to
+    # its size's best is still checked
+    clean = [rows for _, rows, _ in oracle._sweep(12, lo, half=True)]
+    yields = _spy_yields(monkeypatch)
+    query(12)
+    yielded = {rows for _, rows, _ in yields}
+    losers = [i for i, rows in enumerate(clean) if rows not in yielded]
+    assert losers and yielded
+    index = losers[len(losers) // 2]
+    calls = []
+
+    def broken(a, b):
+        calls.append(None)
+        q, rem = divmod(a, b)
+        return (q, 1) if len(calls) == index + 1 else (q, rem)
+
+    monkeypatch.setattr(oracle, "divmod", broken, raising=False)
+    with pytest.raises(NonDivisibleHookProduct, match=re.escape(str(clean[index]))):
+        query(12)
+    assert len(calls) == index + 1
 
 
 def _sha(value) -> str:
