@@ -9,17 +9,17 @@ whole table 1..N in one pass.  Each frame carries every top row's
 product of new hook differences, so a child's Delta is one multiply.
 Since dim λ = dim λ′, the maximum tables take the half sweep: it
 yields only partitions whose top row is at least their row count, one
-of each conjugate pair, and prunes every frame that cannot reach one; a
-partition that ties or beats its size's best brings its conjugate in
-as a candidate, so every maximizer set is found whole.  The tables
-pass their running best per size as the sweep's floor: every
+of each conjugate pair, and prunes every frame that cannot reach one.
+Each yield stands for its pair, and the conjugates of the final
+maximizers are taken once, so every maximizer set is found whole.  The
+tables pass their running best per size as the sweep's floor: every
 partition is still divided and checked, but only those that reach
-their size's best so far are yielded.  The results
-anchor the heuristics and the search, which must never beat or
-contradict them.  One size bound, `DEFAULT_BOUND`, holds for every
-exhaustive query.  The sweep is the library's one partition
-enumeration: `all_dimensions(n)` reads one size from it, and the
-balance sweep calls it once per size, so it holds one size at a time.
+their size's best so far are yielded.  The results anchor the
+heuristics and the search, which must never beat or contradict them.
+One size bound, `DEFAULT_BOUND`, holds for every exhaustive query.
+The sweep is the library's one partition enumeration:
+`all_dimensions(n)` reads one size from it, and the balance sweep
+calls it once per size, so it holds one size at a time.
 `_partition_counts` gives p(n) without one.
 """
 
@@ -63,10 +63,11 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False, floor=None):
     remainder means broken bookkeeping and raises.  Sizes below min_n
     are visited, as bottom rows, but not divided.
 
-    A frame (size, rows, Delta, F, lo, diffs) is popped once and walks
-    its top rows r = lo + i up to max_n - size in one loop; diffs[i] is
-    that row's prod_j (h - h_j), all 1 at the root.  The child pushed
-    at r has top rows r + j with hook h + j + 1, the parent's hook for
+    A frame (size, rows, Delta, F, lo, diffs, k) is popped once and
+    walks its top rows r = lo + i up to max_n - size in one loop; diffs[i]
+    is that row's prod_j (h - h_j), all 1 at the root, and k, the row
+    count of each child, is 1 at the root.  The child pushed at r has
+    k + 1 and top rows r + j with hook h + j + 1, the parent's hook for
     row r + j + 1, so its diffs[j] is diffs[r + 1 - lo + j] * (j + 1).
     A child is pushed if r <= last, the longest top row that leaves
     room for a partition above it (that test only gets harder as r
@@ -95,15 +96,18 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False, floor=None):
     rising = [[fact[h + d] // fact[h] for h in range(max_n + 1 - d)]
               for d in range(max_n + 1)]
     counting = range(1, max_n + 1)
-    # frame: size, rows (top first), Delta, F, lowest top row, hook differences
-    stack = [(0, (), 1, 1, 1, [1] * max_n)]
+    # frame: size, rows (top first), Delta, F, lowest top row, hook
+    # differences, row count of each child
+    stack = [(0, (), 1, 1, 1, [1] * max_n, 1)]
     while stack:
-        size, rows, delta, fprod, lo, diffs = stack.pop()
-        k = len(rows) + 1
+        size, rows, delta, fprod, lo, diffs, k = stack.pop()
         room = max_n - size
         # size + r + (max(r, k + 1) if half else r) <= max_n up to here
         last = room // 2 if not half or room >= 2 * k + 2 else room - k - 1
-        first = max(min_n - size, k if half else 1)
+        # r >= 1 already, so only the half bound r >= k can raise first
+        first = min_n - size
+        if half and first < k:
+            first = k
         rise = rising[size - k + 1]
         for r, q in enumerate(diffs, lo):
             if last < r < first:
@@ -120,7 +124,8 @@ def _sweep(max_n: int, min_n: int = 1, half: bool = False, floor=None):
                     yield size + r, (r,) + rows, dim
             if r <= last:
                 stack.append((size + r, (r,) + rows, p, fprod * fact[h], r,
-                              list(map(mul, diffs[r + 1 - lo : room + 2 - r - lo], counting))))
+                              list(map(mul, diffs[r + 1 - lo : room + 2 - r - lo], counting)),
+                              k + 1))
 
 
 def _partition_counts(max_n: int) -> list[int]:
@@ -147,27 +152,30 @@ def _max_entries(lo: int, hi: int, keep=None) -> list[MaxTableEntry]:
 
     The sweep yields one of each conjugate pair, and only if it ties or
     beats its size's best so far: `best` is the sweep's floor.  Each
-    yield brings its conjugate in as a second candidate.  `keep`, if
-    given, filters row tuples and is asked only about those candidates.
-    Maximizers are deduplicated and sorted by rows.  The bound is
-    checked before any work.
+    yield stands for its pair, and only the yielded rows are kept; the
+    conjugates come in once, for the final maximizers of each size.
+    `keep`, if given, filters row tuples: a pair counts if either side
+    passes, and only the sides that pass are listed.  Maximizers are
+    deduplicated and sorted by rows.  The bound is checked before any
+    work.
     """
     _check_size(hi)
     best = [-1] * (hi + 1)
     arg: list[list[tuple[int, ...]]] = [[] for _ in range(hi + 1)]
     for size, rows, dim in _sweep(hi, lo, half=True, floor=best):
-        for cand in (rows, _conj(rows)):
-            if keep is not None and not keep(cand):
-                continue
-            if dim > best[size]:
-                best[size], arg[size] = dim, [cand]
-            else:
-                arg[size].append(cand)
+        if keep is not None and not (keep(rows) or keep(_conj(rows))):
+            continue
+        if dim > best[size]:
+            best[size], arg[size] = dim, [rows]
+        else:
+            arg[size].append(rows)
     return [
         MaxTableEntry(
             n=n,
             maximizers=tuple(
-                YoungDiagram._from_valid(r) for r in sorted(set(arg[n]))
+                YoungDiagram._from_valid(r)
+                for r in sorted({c for rows in arg[n] for c in (rows, _conj(rows))})
+                if keep is None or keep(r)
             ),
             dim=best[n],
         )

@@ -268,6 +268,24 @@ def test_max_table_38_divides_every_half_sweep_partition_and_keeps_943_yields(
     assert (len(calls), len(yields)) == (floorless, 943) == (77631, 943)
 
 
+def test_conjugates_are_taken_once_per_final_maximizer(monkeypatch):
+    # a yield stands for its conjugate pair: _conj runs on the kept rows
+    # when the entries are built, not on each of the 943 (or 71) yields
+    calls = []
+    conj = oracle._conj
+
+    def counted(rows):
+        calls.append(None)
+        return conj(rows)
+
+    monkeypatch.setattr(oracle, "_conj", counted)
+    max_table(38)
+    table_calls = len(calls)
+    calls.clear()
+    max_dimension_diagrams(40)
+    assert (table_calls, len(calls)) == (44, 1)
+
+
 def _pushed(rows, max_n, half):
     """Whether the sweep pushes the frame of rows (r <= last in its parent's loop)."""
     lowest = max(rows[0], len(rows) + 1) if half else rows[0]
